@@ -107,7 +107,10 @@ def _seed_value(text: str) -> int:
 
 
 def _emit_json(doc: dict) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    # Streamed, so a large verify document is never held as one string. With
+    # an indent, dump and dumps use the same encoder: the bytes are the same.
+    json.dump(doc, sys.stdout, indent=2)
+    sys.stdout.write("\n")
 
 
 def _emit_csv(rows: list[dict]) -> None:
@@ -208,7 +211,9 @@ def _run_resistance(ns, net: Network) -> int:
 
 
 def _run_hitting(ns, net: Network) -> int:
-    value = 0.0 if ns.x == ns.y else exact.hitting_time(net, ns.y).values[ns.x]
+    net.require(ns.x)
+    net.require(ns.y)
+    value = exact.hitting_time(net, ns.y).values[ns.x]
     _emit_json({"from": ns.x, "to": ns.y, "expected_steps": value})
     return 0
 
@@ -223,6 +228,8 @@ def _run_return_time(ns, net: Network) -> int:
 
 
 def _run_commute(ns, net: Network) -> int:
+    net.require(ns.x)
+    net.require(ns.y)
     if ns.x == ns.y:
         raise SameVertex(f"commute needs two distinct vertices, got {ns.x!r} twice")
     forward = exact.hitting_time(net, ns.y).values[ns.x]

@@ -1,16 +1,23 @@
 """Exact walk quantities via linear algebra on the weighted Laplacian.
 
-Everything here is computed by grounded dense solves, never by the
-closed-form conductance ratios, so the closed forms can be checked
-against an independent method. Grounding (deleting the row and column of
-one vertex) makes the singular Laplacian invertible without touching
-pseudoinverses.
+Everything here is computed by grounded solves, never by the closed-form
+conductance ratios, so the closed forms can be checked against an
+independent method. Grounding (deleting the row and column of one vertex)
+makes the singular Laplacian invertible without touching pseudoinverses.
 
-Dense LU with partial pivoting is deliberate: target networks are desk
-scale (thousands of vertices at most) and determinism matters more than
-asymptotics. Each factorization carries a reciprocal-condition estimate;
-a grounded system estimated worse than 1e12 emits IllConditionedWarning
-instead of failing, since extreme conductance ratios are legal inputs.
+Row z of a grounded Laplacian is nonzero only at z and its neighbours,
+so the matrix is assembled straight into sparse CSC form from the
+network's edge arrays and factored by SuperLU (scipy.sparse.linalg.splu).
+SuperLU is single-threaded and deterministic, so repeated solves give
+identical bits. scipy is imported inside the solve path only: commands
+that never solve (stationary, simulate) do not pay for loading it.
+
+Each solve also computes the system's 1-norm condition number, not an
+estimate of it, at the cost of one extra solve: a grounded Laplacian A of
+a connected network is a symmetric nonsingular M-matrix, so A^-1 >= 0
+entrywise and ||A^-1||_1 = max(A^-1 1). A system whose condition number
+exceeds 1e12 emits IllConditionedWarning instead of failing, since
+extreme conductance ratios are legal inputs.
 """
 from __future__ import annotations
 
@@ -19,7 +26,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
 
 from .errors import IllConditionedWarning, SameVertex, SingularSystem
 from .network import Distribution, Network, VertexId
@@ -48,47 +54,59 @@ class HittingProfile:
     values: dict[VertexId, float]
 
 
+def _laplacian(net: Network, ground: int | None = None):
+    """Sparse (CSC) Laplacian of net, with row and column ``ground`` deleted
+    when it is given; the other rows keep their order."""
+    from scipy.sparse import csc_array
+
+    tail, head, conductance, diagonal = net.arrays
+    size = net.n
+    pos = np.arange(size)
+    if ground is not None:
+        size -= 1
+        pos[ground] = -1
+        pos[ground + 1:] -= 1
+    rows = np.concatenate((pos[tail], pos[head], pos))
+    cols = np.concatenate((pos[head], pos[tail], pos))
+    values = np.concatenate((-conductance, -conductance, diagonal))
+    keep = (rows >= 0) & (cols >= 0)
+    return csc_array((values[keep], (rows[keep], cols[keep])), shape=(size, size))
+
+
 def build_laplacian(net: Network) -> Laplacian:
-    n = net.n
-    L = np.zeros((n, n))
-    for y, z, c in net.edges:
-        iy, iz = net.index[y], net.index[z]
-        L[iy, iz] -= c
-        L[iz, iy] -= c
-    for v in net.vertices:
-        L[net.index[v], net.index[v]] = net.vertex_conductance[v]
-    return Laplacian(matrix=L, index=dict(net.index))
+    """Dense weighted Laplacian of net, rows and columns in vertex order."""
+    return Laplacian(matrix=_laplacian(net).toarray(), index=dict(net.index))
 
 
-def _grounded(L: np.ndarray, ground: int) -> np.ndarray:
-    keep = [i for i in range(L.shape[0]) if i != ground]
-    return L[np.ix_(keep, keep)]
+def _condition_number(A, lu) -> float:
+    """1-norm condition number of a grounded Laplacian A, given its factor.
+
+    A is a symmetric M-matrix, so A^-1 is entrywise nonnegative and its
+    1-norm (largest column sum, equal to the largest row sum by symmetry)
+    is the largest entry of A^-1 applied to the all-ones vector.
+    """
+    return float(abs(A).sum(axis=0).max() * lu.solve(np.ones(A.shape[0])).max())
 
 
-def _factor(A: np.ndarray):
-    """LU-factor a grounded system, with the condition guard."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", LinAlgWarning)
-        try:
-            lu, piv = lu_factor(A)
-        except (LinAlgWarning, np.linalg.LinAlgError) as exc:
-            raise SingularSystem(f"grounded system is singular: {exc}") from exc
-    gecon = get_lapack_funcs("gecon", (A,))
-    rcond, _ = gecon(lu, np.linalg.norm(A, 1))
-    if rcond == 0.0 or not math.isfinite(rcond):
+def _solve_grounded(A, b: np.ndarray) -> np.ndarray:
+    """Solve a grounded system A x = b, with the singularity and condition guards."""
+    from scipy.sparse.linalg import splu
+
+    try:
+        lu = splu(A)
+    except RuntimeError as exc:
+        raise SingularSystem(f"grounded system is singular: {exc}") from exc
+    cond = _condition_number(A, lu)
+    if not math.isfinite(cond):
         raise SingularSystem("grounded system is numerically singular")
-    if 1.0 / rcond > CONDITION_LIMIT:
+    if cond > CONDITION_LIMIT:
         warnings.warn(
-            f"grounded system condition estimate {1.0 / rcond:.3e} exceeds "
+            f"grounded system condition number {cond:.3e} exceeds "
             f"{CONDITION_LIMIT:.0e}; results may lose precision",
             IllConditionedWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
-    return lu, piv
-
-
-def _solve_grounded(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    x = lu_solve(_factor(A), b)
+    x = lu.solve(b)
     if not np.all(np.isfinite(x)):
         raise SingularSystem("grounded solve produced non-finite values")
     return x
@@ -105,14 +123,13 @@ def effective_resistance(net: Network, x: VertexId, y: VertexId) -> float:
     net.require(y)
     if x == y:
         return 0.0
-    L = build_laplacian(net).matrix
     iy = net.index[y]
     ix = net.index[x]
-    b = np.zeros(net.n)
-    b[ix] = 1.0
-    b = np.delete(b, iy)
-    v = _solve_grounded(_grounded(L, iy), b)
-    return float(v[ix - 1 if ix > iy else ix])
+    row = ix - 1 if ix > iy else ix
+    b = np.zeros(net.n - 1)
+    b[row] = 1.0
+    v = _solve_grounded(_laplacian(net, iy), b)
+    return float(v[row])
 
 
 def resistance_matrix(net: Network) -> np.ndarray:
@@ -123,10 +140,9 @@ def resistance_matrix(net: Network) -> np.ndarray:
     first vertex), R_xy = G_xx + G_yy - 2 G_xy.
     """
     n = net.n
-    L = build_laplacian(net).matrix
     G = np.zeros((n, n))
     if n > 1:
-        inv = _solve_grounded(_grounded(L, 0), np.eye(n - 1))
+        inv = _solve_grounded(_laplacian(net, 0), np.eye(n - 1))
         inv = 0.5 * (inv + inv.T)
         G[1:, 1:] = inv
     d = np.diagonal(G)
@@ -144,16 +160,11 @@ def hitting_time(net: Network, target: VertexId) -> HittingProfile:
     the vertex conductances as right-hand side.
     """
     net.require(target)
-    L = build_laplacian(net).matrix
     it = net.index[target]
-    b = np.array([net.vertex_conductance[v] for v in net.vertices])
-    b = np.delete(b, it)
-    h = _solve_grounded(_grounded(L, it), b)
+    *_, vertex_conductance = net.arrays
+    h = _solve_grounded(_laplacian(net, it), np.delete(vertex_conductance, it)).tolist()
     values = {target: 0.0}
-    for v in net.vertices:
-        iv = net.index[v]
-        if iv != it:
-            values[v] = float(h[iv - 1 if iv > it else iv])
+    values.update(zip(net.vertices[:it] + net.vertices[it + 1:], h))
     return HittingProfile(target=target, values=values)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -77,6 +78,21 @@ class Network:
         """Raise UnknownVertex unless v belongs to this network."""
         if v not in self.index:
             raise UnknownVertex(f"vertex {v!r} is not in the network")
+
+    @cached_property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The network as arrays: (tail, head, conductance, vertex conductance).
+
+        The first three are parallel over ``edges``: the row indices of each
+        edge's two ends and its conductance. The last is C_z in vertex order.
+        Built on first use and kept, which is safe because a network never
+        changes.
+        """
+        tail = np.array([self.index[u] for u, _, _ in self.edges], dtype=np.intp)
+        head = np.array([self.index[v] for _, v, _ in self.edges], dtype=np.intp)
+        conductance = np.array([c for _, _, c in self.edges])
+        vertex_conductance = np.array([self.vertex_conductance[v] for v in self.vertices])
+        return tail, head, conductance, vertex_conductance
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ohmwalk
 from ohmwalk import (
     Disconnected,
     NonPositiveConductance,
@@ -108,6 +113,23 @@ class TestSolverSubcommands:
         weights = json.loads(out)["weights"]
         assert list(weights) == ["a", "b", "c"]
         assert sum(weights.values()) == pytest.approx(1.0, abs=1e-12)
+
+    def test_hitting_same_vertex_is_zero(self, capsys, tri_file):
+        code, out, _ = invoke(capsys, ["hitting", tri_file, "b", "b"])
+        assert code == 0
+        assert json.loads(out)["expected_steps"] == 0.0
+
+    @pytest.mark.parametrize("argv", [
+        ["hitting", "zz", "a"],
+        ["hitting", "a", "zz"],
+        ["commute", "zz", "a"],
+        ["commute", "a", "zz"],
+    ])
+    def test_unknown_vertex_exits_2(self, capsys, tri_file, argv):
+        code, out, err = invoke(capsys, [argv[0], tri_file, *argv[1:]])
+        assert code == 2
+        assert out == ""
+        assert "zz" in err
 
     def test_stdin_input(self, capsys, monkeypatch):
         import io
@@ -306,3 +328,24 @@ class TestOutputPrecision:
             code, out, _ = invoke(capsys, argv)
             assert code == 0
             assert json.dumps(json.loads(out), indent=2) + "\n" == out
+
+
+def test_commands_that_never_solve_leave_scipy_unloaded(tri_file):
+    # scipy is imported only by the solve path; a stray top-level import
+    # would add its load time to every command.
+    script = (
+        "import json, sys\n"
+        "import ohmwalk.cli as cli\n"
+        "f = sys.argv[1]\n"
+        "codes = [cli.run(['stationary', f]),\n"
+        "         cli.run(['simulate', 'return', f, 'a', '--trials', '10'])]\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "sys.stderr.write(json.dumps({'codes': codes, 'scipy': loaded}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(ohmwalk.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, tri_file],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stderr) == {"codes": [0, 0], "scipy": []}

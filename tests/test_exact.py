@@ -21,7 +21,7 @@ from ohmwalk import (
     transition_matrix,
     rel_err,
 )
-from ohmwalk.exact import _grounded, _solve_grounded
+from ohmwalk.exact import _condition_number, _laplacian, _solve_grounded
 
 from netgen import random_connected_network
 from oracles import hitting_times_oracle, return_time_oracle, stationary_oracle
@@ -254,6 +254,62 @@ class TestConditioning:
             _solve_grounded(np.zeros((2, 2)), np.ones(2))
 
     def test_grounded_drops_row_and_column(self):
-        L = np.arange(9.0).reshape(3, 3)
-        A = _grounded(L, 1)
-        assert A.tolist() == [[0.0, 2.0], [6.0, 8.0]]
+        net = random_connected_network(np.random.default_rng(0))
+        L = build_laplacian(net).matrix
+        for ground in range(net.n):
+            A = _laplacian(net, ground).toarray()
+            assert A.tolist() == np.delete(np.delete(L, ground, 0), ground, 1).tolist()
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_m_matrix_condition_number_is_exact(self, seed):
+        from scipy.sparse.linalg import splu
+
+        net = random_connected_network(np.random.default_rng(seed))
+        for ground in range(net.n):
+            A = _laplacian(net, ground)
+            want = np.linalg.cond(A.toarray(), 1)
+            assert _condition_number(A, splu(A)) == pytest.approx(want, rel=1e-6)
+
+
+def _log_uniform_network(rng: np.random.Generator):
+    net = random_connected_network(rng)
+    return build_network(
+        [(u, v, float(10.0 ** rng.uniform(-6.0, 6.0))) for u, v, _ in net.edges]
+    )
+
+
+def _assert_solves_match_oracles(net, tolerance):
+    C = net.total_conductance
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        got = {t: hitting_time(net, t).values for t in net.vertices}
+        returns = {z: return_time(net, z) for z in net.vertices}
+        resistances = {
+            (x, y): effective_resistance(net, x, y)
+            for i, x in enumerate(net.vertices)
+            for y in net.vertices[i + 1:]
+        }
+    want = {t: hitting_times_oracle(net, t) for t in net.vertices}
+    for t in net.vertices:
+        assert all(rel_err(got[t][v], want[t][v]) <= tolerance for v in net.vertices)
+        assert rel_err(returns[t], return_time_oracle(net, t)) <= tolerance
+    for (x, y), r in resistances.items():
+        # the oracle's resistance, from its commute time: R = (h_xy + h_yx) / C
+        assert rel_err(r, (want[y][x] + want[x][y]) / C) <= tolerance
+
+
+class TestSparseSolves:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_match_dense_oracles(self, seed):
+        net = random_connected_network(np.random.default_rng(seed))
+        _assert_solves_match_oracles(net, 1e-12)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_log_uniform_conductances_match_within_condition_bound(self, seed):
+        # Conductances spanning 1e-6..1e6 make grounded systems with
+        # condition numbers up to ~1e13. Any backward-stable solve, the dense
+        # oracle's included, is then only good to about cond * eps, so the
+        # 1e-12 agreement applies where that bound is below it.
+        net = _log_uniform_network(np.random.default_rng(seed))
+        cond = max(np.linalg.cond(_laplacian(net, g).toarray(), 1) for g in range(net.n))
+        _assert_solves_match_oracles(net, max(1e-12, cond * np.finfo(float).eps))
