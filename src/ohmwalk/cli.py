@@ -18,7 +18,6 @@ import json
 import math
 import secrets
 import sys
-from dataclasses import dataclass
 
 from . import exact, simulate
 from .errors import NonPositiveConductance, OhmwalkError, ParseError, SameVertex, SelfLoop
@@ -28,27 +27,6 @@ from .replay import replay as replay_anchor
 DEFAULT_TRIALS = 100_000
 DEFAULT_SEED = 0
 DEFAULT_TOLERANCE = 1e-9
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Resolved invocation options shared by the subcommand handlers."""
-
-    subcommand: str
-    path: str
-    format: str = "json"
-    seed: int = DEFAULT_SEED
-    trials: int = DEFAULT_TRIALS
-    tolerance: float = DEFAULT_TOLERANCE
-    step_cap: int = simulate.DEFAULT_STEP_CAP
-
-    def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.tolerance <= 0.0:
-            raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
-        if self.step_cap < 1:
-            raise ValueError(f"step-cap must be >= 1, got {self.step_cap}")
 
 
 def parse_network_file(text: str) -> Network:
@@ -129,7 +107,8 @@ def _estimate_doc(kind: str, context: dict, est: simulate.Estimate) -> dict:
         std_error=est.std_error,
         trials=est.trials,
         seed=est.seed,
-        capped_trials=est.capped_trials,
+        steps_total=est.steps_total,
+        steps_max=est.steps_max,
     )
     return doc
 
@@ -252,31 +231,23 @@ def _run_stationary(ns, net: Network) -> int:
 
 
 def _run_simulate(ns, net: Network) -> int:
-    cfg = CliConfig(
-        subcommand=f"simulate {ns.estimator}",
-        path=ns.file,
-        format=ns.format,
-        seed=ns.seed,
-        trials=ns.trials,
-        step_cap=ns.step_cap,
-    )
     if ns.estimator == "return":
-        est = simulate.estimate_return_time(net, ns.z, cfg.trials, cfg.seed, cfg.step_cap)
+        est = simulate.estimate_return_time(net, ns.z, ns.trials, ns.seed, ns.step_cap)
         doc = _estimate_doc("return", {"vertex": ns.z}, est)
     elif ns.estimator == "hitting":
-        est = simulate.estimate_hitting_time(net, ns.x, ns.y, cfg.trials, cfg.seed, cfg.step_cap)
+        est = simulate.estimate_hitting_time(net, ns.x, ns.y, ns.trials, ns.seed, ns.step_cap)
         doc = _estimate_doc("hitting", {"from": ns.x, "to": ns.y}, est)
     else:
         aug = attach_pendant(net, ns.z, ns.pendant_conductance)
-        est = simulate.estimate_excursions(aug, cfg.trials, cfg.seed, cfg.step_cap)
+        est = simulate.estimate_excursions(aug, ns.trials, ns.seed, ns.step_cap)
         doc = _estimate_doc(
             "excursions",
             {"anchor": ns.z, "pendant_conductance": aug.pendant_conductance},
             est,
         )
-        if cfg.format == "json":
+        if ns.format == "json":
             doc["counts"] = {str(k): v for k, v in est.counts.items()}
-    if cfg.format == "csv":
+    if ns.format == "csv":
         _emit_csv([doc])
     else:
         _emit_json(doc)
@@ -284,29 +255,23 @@ def _run_simulate(ns, net: Network) -> int:
 
 
 def _run_verify(ns, net: Network) -> int:
-    cfg = CliConfig(
-        subcommand="verify",
-        path=ns.file,
-        seed=ns.seed,
-        trials=ns.trials,
-        tolerance=ns.tolerance,
-        step_cap=ns.step_cap,
-    )
+    if ns.tolerance <= 0.0:
+        raise ValueError(f"tolerance must be > 0, got {ns.tolerance}")
     if ns.vertex is not None:
         net.require(ns.vertex)
         anchors = [ns.vertex]
     else:
         anchors = list(net.vertices)
-    sim_args = (cfg.trials, cfg.seed) if ns.simulate else None
+    sim_args = (ns.trials, ns.seed) if ns.simulate else None
     traces = [
-        replay_anchor(net, z, tolerance=cfg.tolerance,
-                      simulate_with=sim_args, step_cap=cfg.step_cap)
+        replay_anchor(net, z, tolerance=ns.tolerance,
+                      simulate_with=sim_args, step_cap=ns.step_cap)
         for z in anchors
     ]
     verdict = all(t.passed for t in traces)
     _emit_json({
         "network": {"n": net.n, "m": net.m, "total_conductance": net.total_conductance},
-        "tolerance": cfg.tolerance,
+        "tolerance": ns.tolerance,
         "traces": [t.to_json_dict() for t in traces],
         "pass": verdict,
     })

@@ -17,6 +17,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -94,6 +95,27 @@ class Network:
         vertex_conductance = np.array([self.vertex_conductance[v] for v in self.vertices])
         return tail, head, conductance, vertex_conductance
 
+    @cached_property
+    def walk(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[float, ...]]:
+        """Inverse-CDF tables of the walk: (indptr, neighbour row, cumulative conductance).
+
+        The neighbours of row v sit at ``indptr[v]:indptr[v + 1]`` in their
+        stored order, each with its row index and the running sum of the
+        conductances up to and including it. Every running sum is its own
+        left-to-right sum, so the last entry of a row is bit for bit the
+        total that sampling scales by. Tuples, because the simulator's
+        scalar loop indexes them one step at a time; built on first use and
+        kept.
+        """
+        indptr = [0]
+        row: list[int] = []
+        cumulative: list[float] = []
+        for v in self.vertices:
+            row.extend(self.index[z] for z, _ in self.neighbors[v])
+            cumulative.extend(accumulate(c for _, c in self.neighbors[v]))
+            indptr.append(len(row))
+        return tuple(indptr), tuple(row), tuple(cumulative)
+
 
 @dataclass(frozen=True, eq=False)
 class AugmentedNetwork:
@@ -142,12 +164,23 @@ def _check_conductance(c) -> float:
     return value
 
 
+def _sum(values) -> float:
+    """math.fsum of conductances, or inf where the sum overflows."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
+
+
 def build_network(edge_list) -> Network:
     """Build a validated Network from (u, v, conductance) triples.
 
     Parallel entries for the same vertex pair are merged by summing their
     conductances. Self-loops are rejected, as is any conductance that is
     not a finite positive real, and the resulting graph must be connected.
+    Sums that overflow are rejected too: a merged edge, a vertex
+    conductance C_z or the total C that is not finite raises
+    NonPositiveConductance naming the pair or vertex.
     """
     edge_list = list(edge_list)
     if not edge_list:
@@ -180,6 +213,8 @@ def build_network(edge_list) -> Network:
     edges = []
     for iu, iv in pair_order:
         u, v, c = vertices[iu], vertices[iv], merged[(iu, iv)]
+        if not math.isfinite(c):
+            raise NonPositiveConductance(f"conductance between {u!r} and {v!r} sums to {c!r}")
         edges.append((u, v, c))
         adjacency[u].append((v, c))
         adjacency[v].append((u, c))
@@ -195,8 +230,12 @@ def build_network(edge_list) -> Network:
         missing = next(v for v in vertices if v not in seen)
         raise Disconnected(f"graph is not connected (no path to {missing!r})")
 
-    vertex_conductance = {v: math.fsum(c for _, c in adjacency[v]) for v in vertices}
-    total = math.fsum(vertex_conductance.values())
+    vertex_conductance = {v: _sum(c for _, c in adjacency[v]) for v in vertices}
+    total = _sum(vertex_conductance.values())
+    if not math.isfinite(total):  # C bounds every C_z, so this checks them all
+        v = next((v for v, cz in vertex_conductance.items() if not math.isfinite(cz)), None)
+        what = "total conductance" if v is None else f"conductance of vertex {v!r}"
+        raise NonPositiveConductance(f"{what} is not finite")
 
     return Network(
         vertices=tuple(vertices),

@@ -64,7 +64,8 @@ class ProofStep:
                 "std_error": self.estimate.std_error,
                 "trials": self.estimate.trials,
                 "seed": self.estimate.seed,
-                "capped_trials": self.estimate.capped_trials,
+                "steps_total": self.estimate.steps_total,
+                "steps_max": self.estimate.steps_max,
             }
             doc["estimate_pass"] = self.estimate_passed
         return doc

@@ -2,10 +2,22 @@
 
 Reproducibility contract: the generator is PCG64, and trial i of an
 estimator draws from the substream seeded by SeedSequence((seed, i))
-(seed taken modulo 2**64). Identical (network, arguments, seed) therefore
-give bit-identical estimates on every platform and under any trial-level
-parallelism, as long as results are reduced in trial order — which the
-sequential implementation here does trivially.
+(seed taken modulo 2**64), one uniform per step. Identical (network,
+arguments, seed) therefore give bit-identical estimates on every
+platform, whatever order the trials run in, as long as results are
+reduced in trial order.
+
+The estimators meet the contract with one lock-step kernel instead of one
+generator object per trial. It derives the PCG64 (state, inc) of a chunk
+of trials at once, replaying SeedSequence's hash pool and PCG64's seeding
+in numpy uint64 arithmetic, then advances the chunk by one PCG64 step
+per round and picks each trial's next vertex by a vectorised bisect over
+the cumulative conductances, masking out trials that have finished. When
+few trials of a chunk are still walking,
+their states are handed to one reused PCG64 and finished in the scalar
+loop that ``step`` and ``trace_walk`` also use. Every trial reads only its
+own stream and its result is stored at its own index, so the estimates
+are those of walking each substream on its own.
 
 A trial that would run past the step cap aborts the whole estimate with
 CapExceeded rather than truncating: silent truncation would bias the mean
@@ -15,10 +27,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate
-from weakref import WeakKeyDictionary
+from itertools import islice
 
 import numpy as np
 
@@ -28,6 +38,28 @@ from .network import AugmentedNetwork, Network, VertexId
 DEFAULT_STEP_CAP = 10**7
 
 _MASK64 = (1 << 64) - 1
+_MASK32 = (1 << 32) - 1
+
+# Trials seeded and walked together; bounds the kernel's memory.
+_CHUNK = 2048
+# A chunk with at most this many live trials finishes in the scalar loop,
+# where a step costs less than a lock-step round's fixed numpy overhead.
+_SCALAR_TAIL = 64
+# Uniforms drawn at a time for a trial in the scalar loop: the first block,
+# then doubling up to the last. A trial's stream is its own, so draws past
+# its end are simply dropped.
+_BLOCKS = (16, 4096)
+
+# SeedSequence (NumPy, pool size 4) and PCG64 (O'Neill's XSL-RR 128/64).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint64(0xCA01F9DD), np.uint64(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT_HI = np.uint64(_PCG_MULT >> 64)
+_PCG_MULT_LO = np.uint64(_PCG_MULT & _MASK64)
+_PCG_MULT_B0 = np.uint64(_PCG_MULT & _MASK32)  # 32-bit halves of _PCG_MULT_LO
+_PCG_MULT_B1 = np.uint64(_PCG_MULT >> 32 & _MASK32)
+_LOW32, _SHIFT32, _SHIFT16 = np.uint64(_MASK32), np.uint64(32), np.uint64(16)
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,15 +67,17 @@ class Estimate:
     """Monte Carlo point estimate with its provenance.
 
     std_error is the sample standard deviation over sqrt(trials) (zero
-    for a single trial). capped_trials stays 0 on any accepted estimate;
-    a capped trial raises instead of being counted.
+    for a single trial). steps_total is the number of walk steps taken
+    over all trials and steps_max the longest trial, which shows how close
+    the estimate came to the step cap. Both are fixed by the seed.
     """
 
     mean: float
     std_error: float
     trials: int
     seed: int
-    capped_trials: int = 0
+    steps_total: int
+    steps_max: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,38 +96,287 @@ class WalkTrace:
     terminal_reason: str  # "hit-target" | "cap-reached"
 
 
-_TABLE_CACHE: WeakKeyDictionary = WeakKeyDictionary()
-
-
-def _tables(net: Network) -> dict:
-    """Per-vertex cumulative-conductance tables for inverse-CDF sampling.
-
-    Neighbour order is the network's stored order; conductances are
-    positive so cumulative entries are strictly increasing and ties are
-    impossible.
-    """
-    tables = _TABLE_CACHE.get(net)
-    if tables is None:
-        tables = {}
-        for v in net.vertices:
-            nbrs = tuple(z for z, _ in net.neighbors[v])
-            cum = tuple(accumulate(c for _, c in net.neighbors[v]))
-            tables[v] = (nbrs, cum, cum[-1])
-        _TABLE_CACHE[net] = tables
-    return tables
-
-
 def trial_generator(seed: int, trial: int) -> np.random.Generator:
     """The pinned substream for one trial: PCG64 over SeedSequence((seed, trial))."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed & _MASK64, trial))))
 
 
-def _draw(tables: dict, current: VertexId, rng: np.random.Generator) -> VertexId:
-    nbrs, cum, total = tables[current]
-    i = bisect_right(cum, rng.random() * total)
-    if i == len(nbrs):  # guards the measure-zero rounding edge at the top end
-        i -= 1
-    return nbrs[i]
+def _hash_constants(init: int, mult: int, count: int) -> list[tuple[np.uint64, np.uint64]]:
+    """The (xor, multiply) constant pairs of SeedSequence's successive hashes.
+
+    The hash constant evolves the same way whatever is hashed, so every
+    pair is known in advance.
+    """
+    pairs = []
+    for _ in range(count):
+        pairs.append((np.uint64(init), np.uint64(init * mult & _MASK32)))
+        init = init * mult & _MASK32
+    return pairs
+
+
+def _hash(value: np.ndarray, xor: np.uint64, mult: np.uint64) -> np.ndarray:
+    """SeedSequence's hash of 32-bit words kept in uint64 lanes, as a new array."""
+    value = value ^ xor
+    value *= mult
+    value &= _LOW32
+    value ^= value >> _SHIFT16
+    return value
+
+
+def _words(value: int) -> list[int]:
+    """A non-negative integer as SeedSequence reads it: little-endian 32-bit words."""
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _pool(seed_words: list[int], first: int, stop: int) -> list[np.ndarray]:
+    """SeedSequence's mixed 4-word pool of trials first .. stop - 1, elementwise.
+
+    The trials must have equal word counts. The entropy, the seed's words
+    then the trial's, holds at most 4 words, so there are no leftover words
+    to mix in after the pool is full. Words are 32-bit values in uint64
+    lanes: the product of two fits, and masking takes it mod 2**32.
+    """
+    trials = np.arange(first, stop, dtype=np.uint64)
+    entropy = [np.full(stop - first, w, dtype=np.uint64) for w in seed_words]
+    entropy.append(trials & _LOW32)
+    if first >= 1 << 32:
+        entropy.append(trials >> _SHIFT32)
+    entropy += [np.zeros_like(trials)] * (4 - len(entropy))
+    # Inputs are dropped once hashed: seeding sets the kernel's peak memory.
+    del trials
+    hashes = iter(_hash_constants(_INIT_A, _MULT_A, 16))
+    pool = [_hash(word, *next(hashes)) for word in entropy]
+    del entropy
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                x, y = pool[dst], _hash(pool[src], *next(hashes))
+                x *= _MIX_L
+                y *= _MIX_R
+                x -= y
+                x &= _LOW32
+                x ^= x >> _SHIFT16
+    return pool
+
+
+def _pcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray) -> None:
+    """Advance each state by one PCG64 step in place: state * mult + inc mod 2**128.
+
+    The state is held as 64-bit halves. The high half of lo * mult_lo is
+    summed from the 32-bit partial products, each of which fits in 64 bits.
+    """
+    a0 = lo & _LOW32
+    a1 = lo >> _SHIFT32
+    cross = a0 * _PCG_MULT_B1
+    mid = (a0 * _PCG_MULT_B0 >> _SHIFT32) + (cross & _LOW32)
+    hi *= _PCG_MULT_LO
+    hi += cross >> _SHIFT32
+    cross = a1 * _PCG_MULT_B0
+    mid += cross & _LOW32
+    hi += cross >> _SHIFT32
+    hi += a1 * _PCG_MULT_B1
+    hi += mid >> _SHIFT32
+    hi += lo * _PCG_MULT_HI
+    lo *= _PCG_MULT_LO
+    lo += inc_lo
+    hi += inc_hi
+    hi += lo < inc_lo
+
+
+def _seed_states(seed: int, first: int, count: int) -> tuple[np.ndarray, ...]:
+    """PCG64 (state, inc) of trials first .. first + count - 1, as uint64 halves.
+
+    Returns (state_hi, state_lo, inc_hi, inc_lo); for each trial i the pair
+    equals ``PCG64(SeedSequence((seed mod 2**64, i))).state``. The entropy is
+    the seed's words then the trial's, one word below 2**32 and two from
+    there on, so trials are seeded in groups of equal word count.
+    """
+    seed_words = _words(seed & _MASK64)
+    split = min(max(first, 1 << 32), first + count)
+    groups = [_pool(seed_words, lo, hi)
+              for lo, hi in ((first, split), (split, first + count)) if lo < hi]
+    pool = groups[0] if len(groups) == 1 else [np.concatenate(w) for w in zip(*groups)]
+    del groups
+
+    # generate_state(4, uint64): eight hashed 32-bit words, paired little-endian.
+    halves = []
+    for i, (xor, mult) in enumerate(_hash_constants(_INIT_B, _MULT_B, 8)):
+        word = _hash(pool[i % 4], xor, mult)
+        if i % 2:
+            halves[-1] |= word << _SHIFT32
+        else:
+            halves.append(word)
+    del pool
+    hi, lo, inc_hi, inc_lo = halves
+
+    # PCG64 srandom: inc = (initseq << 1) | 1; step from 0; add initstate; step.
+    inc_hi <<= np.uint64(1)
+    inc_hi |= inc_lo >> np.uint64(63)
+    inc_lo <<= np.uint64(1)
+    inc_lo |= np.uint64(1)
+    lo += inc_lo
+    hi += inc_hi
+    hi += lo < inc_lo
+    _pcg_step(hi, lo, inc_hi, inc_lo)
+    return hi, lo, inc_hi, inc_lo
+
+
+def _double(raw: np.ndarray) -> np.ndarray:
+    """Generator.random's double from each 64-bit output: its top 53 bits over 2**53."""
+    return (raw >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
+
+
+def _uniform(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """PCG64's XSL-RR output of each state, as the double Generator.random gives."""
+    x = hi ^ lo
+    rot = hi >> np.uint64(58)
+    return _double((x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63))))
+
+
+def _lockstep_tables(net: Network) -> tuple:
+    """``Network.walk`` as ``_pick`` reads it.
+
+    (indptr, neighbour rows, cumulative conductances shifted one place
+    right so that before[i] is entry i - 1, each row's total, and the
+    binary-lifting strides that cover the largest degree, largest first).
+    """
+    indptr = np.array(net.walk[0], dtype=np.intp)
+    before = np.array((0.0,) + net.walk[2])
+    degree = int(np.diff(indptr).max())
+    return (indptr, np.array(net.walk[1], dtype=np.intp), before, before[indptr[1:]],
+            [1 << k for k in reversed(range(degree.bit_length()))])
+
+
+def _pick(tables, v: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Next row of each walk at row v given its uniform u: bisect_right, vectorised.
+
+    Counts the entries of each row's cumulative conductances that are at
+    most u times the row's total, as the scalar loop's bisect does, by
+    binary lifting: try strides from the largest power of two down, taking
+    a stride when the entry it would pass is at most the target. A stride
+    past the row's end tests the row's last entry instead, which passes
+    only when every entry does; then the scalar loop's top-end guard maps
+    the count back to the last neighbour either way.
+    """
+    indptr, row, before, total, strides = tables
+    pos = indptr[v]
+    end = indptr[v + 1]
+    x = u * total[v]
+    for stride in strides:
+        np.add(pos, stride, out=pos, where=before[np.minimum(pos + stride, end)] <= x)
+    return row[np.minimum(pos, end - 1)]
+
+
+def _path(tables, v: int, uniforms):
+    """Yield the rows a walk from row v visits, drawing one uniform per step.
+
+    The scalar loop shared by ``step``, ``trace_walk`` and the end of every
+    kernel chunk; ``tables`` is ``Network.walk``.
+    """
+    indptr, row, cum = tables
+    for u in uniforms:
+        lo, hi = indptr[v], indptr[v + 1]
+        i = bisect_right(cum, u * cum[hi - 1], lo, hi)
+        if i == hi:  # guards the measure-zero rounding edge at the top end
+            i -= 1
+        v = row[i]
+        yield v
+
+
+def _blocks(bits: np.random.PCG64):
+    """The uniforms Generator.random would draw from bits, in blocks of growing size."""
+    size, largest = _BLOCKS
+    while True:
+        yield from _double(bits.random_raw(size)).tolist()
+        size = min(2 * size, largest)
+
+
+def _walk_trials(net: Network, start: int, target: int, anchor: int | None,
+                 trials: int, seed: int, cap: int) -> tuple[np.ndarray, int, int]:
+    """Walk trials 0 .. trials - 1 from row start until each first reaches row target.
+
+    Returns (samples, steps_total, steps_max). A trial's sample is its
+    number of arrivals at row ``anchor`` before the target, or its step
+    count when anchor is None; samples are in trial order. Raises
+    CapExceeded if any trial needs more than ``cap`` steps.
+
+    A trial that has finished keeps its lane and is masked out rather than
+    compacted away: compaction makes arrays of every size under 1 KiB, and
+    numpy caches each freed small buffer by size, so a process's memory
+    grew with every estimate.
+    """
+    tables = _lockstep_tables(net)
+    bits = np.random.PCG64(0)
+    overrun = CapExceeded(f"walk from {net.vertices[start]!r} exceeded the step cap of {cap}")
+
+    samples = np.empty(trials, dtype=np.int64)
+    steps_total = steps_max = 0
+    for first in range(0, trials, _CHUNK):
+        result = samples[first:first + _CHUNK]
+        hi, lo, inc_hi, inc_lo = _seed_states(seed, first, len(result))
+        v = np.full(len(result), start, dtype=np.intp)
+        seen = np.zeros(len(result), dtype=np.int64)
+        walking = np.ones(len(result), dtype=bool)
+        live, n = len(result), 0
+        while live > _SCALAR_TAIL:
+            _pcg_step(hi, lo, inc_hi, inc_lo)
+            v = _pick(tables, v, _uniform(hi, lo))
+            n += 1
+            if anchor is not None:
+                seen += v == anchor
+            done = v == target
+            done &= walking
+            finished = int(np.count_nonzero(done))
+            if finished:
+                np.copyto(result, n if anchor is None else seen, where=done)
+                walking ^= done
+                live -= finished
+                steps_total += n * finished
+                steps_max = max(steps_max, n)
+            if n == cap and live:
+                raise overrun
+
+        rest = np.flatnonzero(walking)
+        tail = zip(rest.tolist(), v[rest].tolist(), seen[rest].tolist(), hi[rest].tolist(),
+                   lo[rest].tolist(), inc_hi[rest].tolist(), inc_lo[rest].tolist())
+        for k, at, count, state_hi, state_lo, step_hi, step_lo in tail:
+            bits.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state_hi << 64 | state_lo, "inc": step_hi << 64 | step_lo},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            for m, w in enumerate(_path(net.walk, at, _blocks(bits)), n + 1):
+                if w == target:
+                    break
+                if w == anchor:
+                    count += 1
+                if m == cap:
+                    raise overrun
+            result[k] = m if anchor is None else count
+            steps_total += m
+            steps_max = max(steps_max, m)
+    return samples, steps_total, steps_max
+
+
+def _check_trial_args(trials: int, step_cap: int) -> None:
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if step_cap < 1:
+        raise ValueError(f"step_cap must be >= 1, got {step_cap}")
+
+
+def _summary(samples: np.ndarray, steps_total: int, steps_max: int, seed: int) -> dict:
+    """Estimate fields from per-trial samples in trial order and the step counts."""
+    data = samples.astype(float)
+    trials = len(data)
+    se = float(data.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    return dict(mean=float(data.mean()), std_error=se, trials=trials, seed=seed,
+                steps_total=steps_total, steps_max=steps_max)
 
 
 def step(net: Network, current: VertexId, rng: np.random.Generator) -> VertexId:
@@ -103,7 +386,7 @@ def step(net: Network, current: VertexId, rng: np.random.Generator) -> VertexId:
     exactly one uniform draw, so the rng state advances deterministically.
     """
     net.require(current)
-    return _draw(_tables(net), current, rng)
+    return net.vertices[next(_path(net.walk, net.index[current], (rng.random(),)))]
 
 
 def trace_walk(
@@ -116,50 +399,21 @@ def trace_walk(
     """Record a walk from start until it reaches target or hits the cap.
 
     Unlike the estimators, reaching the cap here is reported in the trace
-    instead of raised, so callers can inspect partial paths.
+    instead of raised, so callers can inspect partial paths. One uniform
+    is drawn from rng per step taken.
     """
     net.require(start)
     net.require(target)
-    tables = _tables(net)
+    goal = net.index[target]
     path = [start]
-    current = start
     reason = "cap-reached"
-    while len(path) - 1 < step_cap:
-        current = _draw(tables, current, rng)
-        path.append(current)
-        if current == target:
+    walk = _path(net.walk, net.index[start], iter(rng.random, None))
+    for v in islice(walk, max(step_cap, 0)):
+        path.append(net.vertices[v])
+        if v == goal:
             reason = "hit-target"
             break
     return WalkTrace(start=start, steps=tuple(path), terminal_reason=reason)
-
-
-def _check_trial_args(trials: int, step_cap: int) -> None:
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if step_cap < 1:
-        raise ValueError(f"step_cap must be >= 1, got {step_cap}")
-
-
-def _first_passage(tables: dict, start: VertexId, target: VertexId,
-                   rng: np.random.Generator, cap: int) -> int:
-    current = start
-    steps = 0
-    while steps < cap:
-        current = _draw(tables, current, rng)
-        steps += 1
-        if current == target:
-            return steps
-    raise CapExceeded(f"walk from {start!r} exceeded the step cap of {cap}")
-
-
-def _summarize(samples: list, trials: int) -> tuple[float, float]:
-    data = np.asarray(samples, dtype=float)
-    mean = float(data.mean())
-    if trials > 1:
-        se = float(data.std(ddof=1) / math.sqrt(trials))
-    else:
-        se = 0.0
-    return mean, se
 
 
 def estimate_return_time(
@@ -172,13 +426,9 @@ def estimate_return_time(
     """Estimate the expected first-return time to z over seeded trials."""
     net.require(z)
     _check_trial_args(trials, step_cap)
-    tables = _tables(net)
-    samples = [
-        _first_passage(tables, z, z, trial_generator(seed, i), step_cap)
-        for i in range(trials)
-    ]
-    mean, se = _summarize(samples, trials)
-    return Estimate(mean=mean, std_error=se, trials=trials, seed=seed)
+    iz = net.index[z]
+    walked = _walk_trials(net, iz, iz, None, trials, seed, step_cap)
+    return Estimate(**_summary(*walked, seed))
 
 
 def estimate_hitting_time(
@@ -194,14 +444,10 @@ def estimate_hitting_time(
     net.require(y)
     _check_trial_args(trials, step_cap)
     if x == y:
-        return Estimate(mean=0.0, std_error=0.0, trials=trials, seed=seed)
-    tables = _tables(net)
-    samples = [
-        _first_passage(tables, x, y, trial_generator(seed, i), step_cap)
-        for i in range(trials)
-    ]
-    mean, se = _summarize(samples, trials)
-    return Estimate(mean=mean, std_error=se, trials=trials, seed=seed)
+        return Estimate(mean=0.0, std_error=0.0, trials=trials, seed=seed,
+                        steps_total=0, steps_max=0)
+    walked = _walk_trials(net, net.index[x], net.index[y], None, trials, seed, step_cap)
+    return Estimate(**_summary(*walked, seed))
 
 
 def estimate_excursions(
@@ -213,39 +459,19 @@ def estimate_excursions(
     """Count completed excursions from the anchor before reaching the pendant.
 
     Each trial walks the combined network from the anchor until the first
-    arrival at the pendant; its sample is the number of visits to the
-    anchor minus one (the walk starts there), i.e. the excursions that
-    returned. The mean converges to C_anchor / pendant_conductance, and
-    the per-count empirical distribution is kept for goodness-of-fit
-    checks against the geometric law.
+    arrival at the pendant; its sample is the number of returns to the
+    anchor on the way, i.e. the excursions that came back. The mean
+    converges to C_anchor / pendant_conductance, and the per-count
+    empirical distribution is kept for goodness-of-fit checks against the
+    geometric law.
     """
     _check_trial_args(trials, step_cap)
-    tables = _tables(aug.combined)
-    anchor, pendant = aug.anchor, aug.pendant
-    samples = []
-    for i in range(trials):
-        rng = trial_generator(seed, i)
-        current = anchor
-        visits = 1
-        steps = 0
-        while True:
-            if steps >= step_cap:
-                raise CapExceeded(
-                    f"walk from {anchor!r} exceeded the step cap of {step_cap}"
-                )
-            current = _draw(tables, current, rng)
-            steps += 1
-            if current == pendant:
-                break
-            if current == anchor:
-                visits += 1
-        samples.append(visits - 1)
-    mean, se = _summarize(samples, trials)
-    counts = Counter(samples)
+    net = aug.combined
+    anchor = net.index[aug.anchor]
+    returns, *steps = _walk_trials(net, anchor, net.index[aug.pendant], anchor,
+                                   trials, seed, step_cap)
+    values, counts = np.unique(returns, return_counts=True)
     return ExcursionEstimate(
-        mean=mean,
-        std_error=se,
-        trials=trials,
-        seed=seed,
-        counts={k: counts[k] for k in sorted(counts)},
+        **_summary(returns, *steps, seed),
+        counts=dict(zip(values.tolist(), counts.tolist())),
     )

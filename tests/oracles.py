@@ -4,12 +4,19 @@ Everything here deliberately avoids the library's grounded-Laplacian code
 path: hitting times come from the identity-minus-kernel system assembled
 directly from transition probabilities, stationary laws from the dominant
 left eigenvector, and the geometric goodness-of-fit statistic from first
-principles.
+principles. The Monte Carlo references walk one trial at a time, each on
+its own ``SeedSequence((seed, i))`` generator, with sampling tables built
+from the network's neighbour lists rather than the library's.
 """
+import math
+from bisect import bisect_right
+from collections import Counter
+from itertools import accumulate
+
 import numpy as np
 from scipy.stats import chi2
 
-from ohmwalk import Network, transition_distribution, transition_matrix
+from ohmwalk import CapExceeded, Network, transition_distribution, transition_matrix
 
 
 def induced_kernel(net: Network, states) -> np.ndarray:
@@ -85,3 +92,61 @@ def geometric_fit_pvalue(counts: dict, p: float) -> float:
     stat = float(np.sum((observed - expected) ** 2 / expected))
     dof = len(expected) - 1
     return float(chi2.sf(stat, dof))
+
+
+def per_trial_walks(net: Network, start, target, anchor, trials: int, seed: int, cap: int):
+    """(steps, arrivals at anchor before target) of each trial, walked one by one.
+
+    Trial i draws one uniform per step from PCG64 over
+    SeedSequence((seed mod 2**64, i)) and picks the neighbour by bisecting
+    the running conductance sums for that uniform times the last sum.
+    """
+    tables = {}
+    for v in net.vertices:
+        nbrs = tuple(z for z, _ in net.neighbors[v])
+        tables[v] = (nbrs, tuple(accumulate(c for _, c in net.neighbors[v])))
+    steps, arrivals = [], []
+    for i in range(trials):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed % 2**64, i))))
+        current, n, seen = start, 0, 0
+        while True:
+            if n >= cap:
+                raise CapExceeded(f"walk from {start!r} exceeded the step cap of {cap}")
+            nbrs, cum = tables[current]
+            k = bisect_right(cum, rng.random() * cum[-1])
+            current = nbrs[min(k, len(nbrs) - 1)]
+            n += 1
+            if current == target:
+                break
+            if current == anchor:
+                seen += 1
+        steps.append(n)
+        arrivals.append(seen)
+    return steps, arrivals
+
+
+def _summary(samples: list, steps: list) -> dict:
+    data = np.asarray(samples, dtype=float)
+    se = float(data.std(ddof=1) / math.sqrt(len(data))) if len(data) > 1 else 0.0
+    return {"mean": float(data.mean()), "std_error": se,
+            "steps_total": sum(steps), "steps_max": max(steps)}
+
+
+def return_time_mc_oracle(net: Network, z, trials: int, seed: int, cap: int) -> dict:
+    """Per-trial reference for estimate_return_time: mean, std_error and step counts."""
+    steps, _ = per_trial_walks(net, z, z, None, trials, seed, cap)
+    return _summary(steps, steps)
+
+
+def hitting_time_mc_oracle(net: Network, x, y, trials: int, seed: int, cap: int) -> dict:
+    """Per-trial reference for estimate_hitting_time with x != y."""
+    steps, _ = per_trial_walks(net, x, y, None, trials, seed, cap)
+    return _summary(steps, steps)
+
+
+def excursions_mc_oracle(aug, trials: int, seed: int, cap: int) -> dict:
+    """Per-trial reference for estimate_excursions, with the count distribution."""
+    steps, returns = per_trial_walks(aug.combined, aug.anchor, aug.pendant, aug.anchor,
+                                      trials, seed, cap)
+    counts = Counter(returns)
+    return dict(_summary(returns, steps), counts={k: counts[k] for k in sorted(counts)})

@@ -150,7 +150,8 @@ class TestSimulateSubcommands:
         assert doc["kind"] == "return"
         assert doc["seed"] == 7
         assert doc["trials"] == 2000
-        assert doc["capped_trials"] == 0
+        assert doc["mean"] == doc["steps_total"] / doc["trials"]
+        assert 2 <= doc["steps_max"] <= doc["steps_total"]
         assert abs(doc["mean"] - 4.0) <= 4.0 * doc["std_error"]
 
     def test_byte_identical_reruns(self, capsys, k4_file):
@@ -187,7 +188,7 @@ class TestSimulateSubcommands:
         )
         assert code == 0
         header, row = out.strip().split("\n")
-        assert header == "kind,vertex,mean,std_error,trials,seed,capped_trials"
+        assert header == "kind,vertex,mean,std_error,trials,seed,steps_total,steps_max"
         assert row.startswith("return,a,")
 
     def test_csv_round_trips_doubles(self, capsys, tri_file):

@@ -56,6 +56,16 @@ class TestBuildNetwork:
         with pytest.raises(NonPositiveConductance):
             build_network([("a", "b", bad)])
 
+    @pytest.mark.parametrize("edges,named", [
+        ([("a", "b", 1e308), ("b", "a", 1e308), ("b", "c", 1.0)], "'a' and 'b'"),
+        ([("a", "b", 1e308), ("b", "c", 1e308)], "vertex 'b'"),
+        ([("a", "b", 1e308)], "total conductance"),
+    ])
+    def test_overflowing_sums_rejected(self, edges, named):
+        # merged edge, vertex conductance and total must all stay finite
+        with pytest.raises(NonPositiveConductance, match=named):
+            build_network(edges)
+
     def test_empty_edge_list_rejected(self):
         with pytest.raises(ValueError):
             build_network([])

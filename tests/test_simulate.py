@@ -18,7 +18,25 @@ from ohmwalk import (
     trial_generator,
 )
 
-from oracles import geometric_fit_pvalue
+from ohmwalk.simulate import (
+    _CHUNK,
+    _SCALAR_TAIL,
+    _lockstep_tables,
+    _path,
+    _pcg_step,
+    _pick,
+    _seed_states,
+    _uniform,
+)
+
+from netgen import network_suite
+from oracles import (
+    per_trial_walks,
+    excursions_mc_oracle,
+    geometric_fit_pvalue,
+    hitting_time_mc_oracle,
+    return_time_mc_oracle,
+)
 
 
 class TestStep:
@@ -73,7 +91,7 @@ class TestReturnTimeEstimator:
         assert est.mean == 2.0
         assert est.std_error == 0.0
         assert est.trials == 500
-        assert est.capped_trials == 0
+        assert (est.steps_total, est.steps_max) == (1000, 2)
 
     def test_leaf_neighbors_force_two_steps(self, weighted_path):
         est = estimate_return_time(weighted_path, "2", trials=200, seed=1)
@@ -189,6 +207,126 @@ class TestSubstreamRule:
         est = estimate_return_time(triangle, "a", trials=trials, seed=seed)
         assert est.mean == np.mean(samples)
         assert est.std_error == np.std(samples, ddof=1) / math.sqrt(trials)
+
+
+SEEDS = (0, 1, -1, 2**32, 2**63, 2**64 - 1)
+TRIALS = (0, 1, 2**32 - 1, 2**32)
+
+
+class TestVectorizedSeeding:
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("trial", TRIALS)
+    def test_state_and_inc_match_pcg64(self, seed, trial):
+        hi, lo, inc_hi, inc_lo = _seed_states(seed, trial, 1)
+        want = np.random.PCG64(np.random.SeedSequence((seed & (2**64 - 1), trial))).state
+        assert int(hi[0]) << 64 | int(lo[0]) == want["state"]["state"]
+        assert int(inc_hi[0]) << 64 | int(inc_lo[0]) == want["state"]["inc"]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_range_across_the_word_boundary(self, seed):
+        # trials below 2**32 hash one entropy word, the rest two
+        first = 2**32 - 3
+        got = _seed_states(seed, first, 6)
+        for k in range(6):
+            want = np.random.PCG64(np.random.SeedSequence((seed & (2**64 - 1), first + k)))
+            state = want.state["state"]
+            assert int(got[0][k]) << 64 | int(got[1][k]) == state["state"]
+            assert int(got[2][k]) << 64 | int(got[3][k]) == state["inc"]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_first_uniforms_match_trial_generator(self, seed):
+        hi, lo, inc_hi, inc_lo = _seed_states(seed, 2**32 - 2, 3)
+        draws = []
+        for _ in range(50):
+            _pcg_step(hi, lo, inc_hi, inc_lo)
+            draws.append(_uniform(hi, lo))
+        for k, trial in enumerate(range(2**32 - 2, 2**32 + 1)):
+            rng = trial_generator(seed, trial)
+            assert [d[k] for d in draws] == [rng.random() for _ in range(50)]
+        for trial in (0, 1):
+            rng = trial_generator(seed, trial)
+            hi, lo, inc_hi, inc_lo = _seed_states(seed, trial, 1)
+            for _ in range(50):
+                _pcg_step(hi, lo, inc_hi, inc_lo)
+                assert _uniform(hi, lo)[0] == rng.random()
+
+
+class TestVectorizedPick:
+    def test_matches_scalar_bisect(self):
+        # degrees up to 40, equal running sums after a huge conductance, and
+        # u = 1, which lands on a row's total and takes the top-end guard
+        star = build_network([("hub", f"l{i}", 0.5 + i % 7) for i in range(40)])
+        flat = build_network([("h", "a", 1e20), ("h", "b", 1.0), ("h", "c", 1.0), ("a", "b", 2.0)])
+        rng = np.random.default_rng(4)
+        for net in [star, flat, *network_suite(9, 6)]:
+            rows = np.repeat(np.arange(net.n), 60)
+            u = rng.random(len(rows))
+            u[::20], u[1::20], u[2::20] = 0.0, 1.0 - 2.0**-53, 1.0
+            got = _pick(_lockstep_tables(net), rows, u)
+            want = [next(_path(net.walk, r, (x,))) for r, x in zip(rows.tolist(), u.tolist())]
+            assert got.tolist() == want
+
+
+def _fields(est) -> dict:
+    doc = {"mean": est.mean, "std_error": est.std_error,
+           "steps_total": est.steps_total, "steps_max": est.steps_max}
+    if hasattr(est, "counts"):
+        doc["counts"] = est.counts
+    return doc
+
+
+class TestKernelMatchesPerTrialOracle:
+    @pytest.mark.parametrize("seed", (-1, 2**63, 2**64 - 1))
+    @pytest.mark.parametrize("trials", (_SCALAR_TAIL - 1, _SCALAR_TAIL, _SCALAR_TAIL + 1, 300))
+    def test_random_networks(self, seed, trials):
+        cap = 10**6
+        for net in network_suite(seed % 1000, 4, n_lo=3, n_hi=8):
+            z, y = net.vertices[0], net.vertices[-1]
+            aug = attach_pendant(net, y, 0.7)
+            assert _fields(estimate_return_time(net, z, trials, seed)) == \
+                return_time_mc_oracle(net, z, trials, seed, cap)
+            assert _fields(estimate_hitting_time(net, z, y, trials, seed)) == \
+                hitting_time_mc_oracle(net, z, y, trials, seed, cap)
+            assert _fields(estimate_excursions(aug, trials, seed)) == \
+                excursions_mc_oracle(aug, trials, seed, cap)
+
+    def test_several_chunks(self, k4):
+        trials, seed, cap = 2 * _CHUNK + 5, 2**64 - 1, 10**6
+        aug = attach_pendant(k4, "b", 2.0)
+        assert _fields(estimate_return_time(k4, "a", trials, seed)) == \
+            return_time_mc_oracle(k4, "a", trials, seed, cap)
+        assert _fields(estimate_hitting_time(k4, "a", "d", trials, seed)) == \
+            hitting_time_mc_oracle(k4, "a", "d", trials, seed, cap)
+        assert _fields(estimate_excursions(aug, trials, seed)) == \
+            excursions_mc_oracle(aug, trials, seed, cap)
+
+    @pytest.mark.parametrize("trials", (_SCALAR_TAIL - 1, 2 * _SCALAR_TAIL))
+    def test_cap_one_short_of_a_forced_walk(self, k2, trials):
+        # every return to a takes exactly two steps, in the lock-step rounds
+        # and in the scalar loop alike
+        assert estimate_return_time(k2, "a", trials, seed=0, step_cap=2).steps_max == 2
+        with pytest.raises(CapExceeded):
+            estimate_return_time(k2, "a", trials, seed=0, step_cap=1)
+
+    @pytest.mark.parametrize("trials", (_SCALAR_TAIL - 1, 2 * _SCALAR_TAIL))
+    def test_cap_with_exactly_one_trial_over(self, trials):
+        # the longest trial is unique, so a cap one below it fails that trial alone
+        ring = build_network([(i, (i + 1) % 8, 1.0) for i in range(8)])
+        aug = attach_pendant(ring, 3, 0.5)
+        seed = 2**63
+        cases = [
+            (lambda cap: estimate_return_time(ring, 0, trials, seed, cap), (0, 0, None)),
+            (lambda cap: estimate_hitting_time(ring, 0, 4, trials, seed, cap), (0, 4, None)),
+            (lambda cap: estimate_excursions(aug, trials, seed, cap), (3, aug.pendant, 3)),
+        ]
+        for run, (start, target, anchor) in cases:
+            net = aug.combined if anchor is not None else ring
+            steps, _ = per_trial_walks(net, start, target, anchor, trials, seed, 10**6)
+            longest, runner_up = sorted(steps)[-1], sorted(steps)[-2]
+            assert longest > runner_up
+            assert run(longest).steps_max == longest
+            with pytest.raises(CapExceeded):
+                run(longest - 1)
 
 
 @pytest.mark.parametrize(
