@@ -9,6 +9,7 @@ re-executes the pendant-vertex derivation of the return-time identity on
 arbitrary inputs.
 """
 from .errors import (
+    AmbiguousLabel,
     CapExceeded,
     Disconnected,
     HasSelfLoopMass,
@@ -25,8 +26,6 @@ from .errors import (
 )
 from .exact import (
     HittingProfile,
-    Laplacian,
-    build_laplacian,
     commute_time,
     effective_resistance,
     hitting_time,
@@ -47,13 +46,9 @@ from .network import (
     transition_matrix,
 )
 from .replay import (
-    FamilyCheck,
     ProofStep,
     ProofTrace,
-    TheoremReport,
-    generalized_pendant_check,
     replay,
-    verify_theorems,
 )
 from .simulate import (
     DEFAULT_STEP_CAP,
@@ -72,6 +67,7 @@ from .util import rel_err
 __version__ = "0.1.0"
 
 __all__ = [
+    "AmbiguousLabel",
     "AugmentedNetwork",
     "CapExceeded",
     "DEFAULT_STEP_CAP",
@@ -79,11 +75,9 @@ __all__ = [
     "Distribution",
     "Estimate",
     "ExcursionEstimate",
-    "FamilyCheck",
     "HasSelfLoopMass",
     "HittingProfile",
     "IllConditionedWarning",
-    "Laplacian",
     "Network",
     "NonPositiveConductance",
     "NotIrreducible",
@@ -95,12 +89,10 @@ __all__ = [
     "SameVertex",
     "SelfLoop",
     "SingularSystem",
-    "TheoremReport",
     "UnknownVertex",
     "VertexId",
     "WalkTrace",
     "attach_pendant",
-    "build_laplacian",
     "build_network",
     "chain_to_network",
     "commute_time",
@@ -108,7 +100,6 @@ __all__ = [
     "estimate_excursions",
     "estimate_hitting_time",
     "estimate_return_time",
-    "generalized_pendant_check",
     "hitting_time",
     "rel_err",
     "replay",
@@ -121,5 +112,4 @@ __all__ = [
     "transition_distribution",
     "transition_matrix",
     "trial_generator",
-    "verify_theorems",
 ]

@@ -15,18 +15,16 @@ import argparse
 import csv
 import io
 import json
-import math
 import secrets
 import sys
 
 from . import exact, simulate
-from .errors import NonPositiveConductance, OhmwalkError, ParseError, SameVertex, SelfLoop
+from .errors import OhmwalkError, ParseError, SameVertex
 from .network import Network, attach_pendant, build_network
-from .replay import replay as replay_anchor
+from .replay import DEFAULT_TOLERANCE, replay as replay_anchor
 
 DEFAULT_TRIALS = 100_000
 DEFAULT_SEED = 0
-DEFAULT_TOLERANCE = 1e-9
 
 
 def parse_network_file(text: str) -> Network:
@@ -34,12 +32,14 @@ def parse_network_file(text: str) -> Network:
 
     Lines hold `u v c` separated by whitespace; `u v` alone means c = 1;
     blank lines and lines starting with `#` are skipped. Labels are
-    arbitrary non-whitespace tokens. Errors detectable per line (bad
-    token count, unparsable or non-positive conductance, self-loop) carry
-    the 1-based line number; whole-graph validation such as connectivity
-    is reported by the network builder afterwards.
+    arbitrary non-whitespace tokens. A bad token count or an unparsable
+    conductance raises ParseError here; every other check is made by
+    build_network, and an error it blames on one edge (non-positive
+    conductance, self-loop) is re-raised with that edge's 1-based line
+    number and its type kept.
     """
     edges = []
+    lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -56,16 +56,16 @@ def parse_network_file(text: str) -> Network:
                 raise ParseError(lineno, f"bad conductance {tokens[2]!r}")
         else:
             raise ParseError(lineno, f"expected `u v [conductance]`, got {len(tokens)} fields")
-        if u == v:
-            raise SelfLoop(f"line {lineno}: self-loop at vertex {u!r}")
-        if not math.isfinite(c) or c <= 0.0:
-            raise NonPositiveConductance(
-                f"line {lineno}: conductance must be finite and > 0, got {tokens[2]}"
-            )
         edges.append((u, v, c))
+        lines.append(lineno)
     if not edges:
         raise ParseError(0, "no edges in input")
-    return build_network(edges)
+    try:
+        return build_network(edges)
+    except OhmwalkError as exc:
+        if exc.edge is None:
+            raise
+        raise type(exc)(f"line {lines[exc.edge]}: {exc}") from exc
 
 
 def _load(path: str) -> Network:
@@ -150,12 +150,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="seeded Monte Carlo estimators")
     simsub = sim.add_subparsers(dest="estimator", required=True)
 
-    def sim_common(p):
-        common(p, formats=("json", "csv"))
+    def trial_args(p):
         p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
         p.add_argument("--seed", type=_seed_value, default=DEFAULT_SEED,
                        metavar="INT|random")
         p.add_argument("--step-cap", type=int, default=simulate.DEFAULT_STEP_CAP)
+
+    def sim_common(p):
+        common(p, formats=("json", "csv"))
+        trial_args(p)
 
     p = simsub.add_parser("return", help="estimate a first-return time")
     sim_common(p)
@@ -177,9 +180,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--simulate", action="store_true",
                    help="attach Monte Carlo bands to the simulable steps")
     p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    p.add_argument("--seed", type=_seed_value, default=DEFAULT_SEED, metavar="INT|random")
-    p.add_argument("--step-cap", type=int, default=simulate.DEFAULT_STEP_CAP)
+    trial_args(p)
 
     return parser
 

@@ -2,7 +2,13 @@
 
 
 class OhmwalkError(Exception):
-    """Base class for every error this package raises on bad input."""
+    """Base class for every error this package raises on bad input.
+
+    ``edge`` is the index into build_network's edge list of the entry at
+    fault, when one entry is; the edge-list parser turns it into a line.
+    """
+
+    edge: int | None = None
 
 
 class NonPositiveConductance(OhmwalkError):
@@ -11,6 +17,10 @@ class NonPositiveConductance(OhmwalkError):
 
 class SelfLoop(OhmwalkError):
     """An edge connects a vertex to itself."""
+
+
+class AmbiguousLabel(OhmwalkError):
+    """Two labels of different types compare equal (such as 1 and True)."""
 
 
 class Disconnected(OhmwalkError):

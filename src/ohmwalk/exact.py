@@ -34,15 +34,6 @@ CONDITION_LIMIT = 1e12
 
 
 @dataclass(frozen=True, eq=False)
-class Laplacian:
-    """Weighted Laplacian: C_y on the diagonal, -C_yz off it, with the
-    label -> row-index map used to build it."""
-
-    matrix: np.ndarray
-    index: dict[VertexId, int]
-
-
-@dataclass(frozen=True, eq=False)
 class HittingProfile:
     """Expected steps to reach ``target`` from every vertex, in walk steps.
 
@@ -71,11 +62,6 @@ def _laplacian(net: Network, ground: int | None = None):
     values = np.concatenate((-conductance, -conductance, diagonal))
     keep = (rows >= 0) & (cols >= 0)
     return csc_array((values[keep], (rows[keep], cols[keep])), shape=(size, size))
-
-
-def build_laplacian(net: Network) -> Laplacian:
-    """Dense weighted Laplacian of net, rows and columns in vertex order."""
-    return Laplacian(matrix=_laplacian(net).toarray(), index=dict(net.index))
 
 
 def _condition_number(A, lu) -> float:

@@ -22,11 +22,13 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import (
+    AmbiguousLabel,
     Disconnected,
     HasSelfLoopMass,
     NonPositiveConductance,
     NotIrreducible,
     NotReversible,
+    OhmwalkError,
     SelfLoop,
     UnknownVertex,
 )
@@ -178,9 +180,12 @@ def build_network(edge_list) -> Network:
     Parallel entries for the same vertex pair are merged by summing their
     conductances. Self-loops are rejected, as is any conductance that is
     not a finite positive real, and the resulting graph must be connected.
-    Sums that overflow are rejected too: a merged edge, a vertex
-    conductance C_z or the total C that is not finite raises
-    NonPositiveConductance naming the pair or vertex.
+    Labels that compare equal but differ in type (1, 1.0 and True) raise
+    AmbiguousLabel instead of silently naming one vertex. Sums that
+    overflow are rejected too: a merged edge, a vertex conductance C_z or
+    the total C that is not finite raises NonPositiveConductance naming
+    the pair or vertex. An error caused by one entry carries that entry's
+    index as ``edge``.
     """
     edge_list = list(edge_list)
     if not edge_list:
@@ -189,32 +194,35 @@ def build_network(edge_list) -> Network:
     index: dict[VertexId, int] = {}
     vertices: list[VertexId] = []
 
-    def intern(v: VertexId) -> None:
-        if v not in index:
-            index[v] = len(vertices)
+    def intern(v: VertexId) -> int:
+        i = index.setdefault(v, len(vertices))
+        if i == len(vertices):
             vertices.append(v)
+        elif type(vertices[i]) is not type(v):
+            raise AmbiguousLabel(f"labels {vertices[i]!r} and {v!r} are equal "
+                                 f"but of different types")
+        return i
 
-    merged: dict[tuple[int, int], float] = {}
-    pair_order: list[tuple[int, int]] = []
-    for u, v, c in edge_list:
-        value = _check_conductance(c)
-        if u == v:
-            raise SelfLoop(f"self-loop at vertex {u!r}")
-        intern(u)
-        intern(v)
-        iu, iv = index[u], index[v]
-        key = (iu, iv) if iu < iv else (iv, iu)
-        if key not in merged:
-            merged[key] = 0.0
-            pair_order.append(key)
-        merged[key] += value
+    merged: dict[tuple[int, int], float] = {}  # in first-appearance order
+    for i, (u, v, c) in enumerate(edge_list):
+        try:
+            value = _check_conductance(c)
+            iu, iv = intern(u), intern(v)
+            if iu == iv:
+                raise SelfLoop(f"self-loop at vertex {u!r}")
+            key = (iu, iv) if iu < iv else (iv, iu)
+            merged[key] = total = merged.get(key, 0.0) + value
+            if not math.isfinite(total):
+                raise NonPositiveConductance(f"conductance between {vertices[key[0]]!r} "
+                                             f"and {vertices[key[1]]!r} sums to {total!r}")
+        except OhmwalkError as exc:
+            exc.edge = i
+            raise
 
     adjacency: dict[VertexId, list[tuple[VertexId, float]]] = {v: [] for v in vertices}
     edges = []
-    for iu, iv in pair_order:
-        u, v, c = vertices[iu], vertices[iv], merged[(iu, iv)]
-        if not math.isfinite(c):
-            raise NonPositiveConductance(f"conductance between {u!r} and {v!r} sums to {c!r}")
+    for (iu, iv), c in merged.items():
+        u, v = vertices[iu], vertices[iv]
         edges.append((u, v, c))
         adjacency[u].append((v, c))
         adjacency[v].append((u, c))
@@ -255,14 +263,14 @@ def transition_distribution(net: Network, y: VertexId) -> Distribution:
 
 
 def transition_matrix(net: Network) -> np.ndarray:
-    """Row-stochastic kernel of the induced walk, rows in vertex order."""
-    n = net.n
-    P = np.zeros((n, n))
-    for y in net.vertices:
-        iy = net.index[y]
-        cy = net.vertex_conductance[y]
-        for z, c in net.neighbors[y]:
-            P[iy, net.index[z]] = c / cy
+    """Row-stochastic kernel of the induced walk, rows in vertex order.
+
+    Each entry is C_yz / C_y, one division, from the edge arrays.
+    """
+    tail, head, conductance, vertex_conductance = net.arrays
+    P = np.zeros((net.n, net.n))
+    P[tail, head] = conductance / vertex_conductance[tail]
+    P[head, tail] = conductance / vertex_conductance[head]
     return P
 
 

@@ -1,13 +1,15 @@
 """Step-by-step numeric verification of the pendant-vertex argument.
 
 The return-time identity E_z[T+_z] = C / C_z has a short derivation that
-runs through a pendant construction: hang a fresh unit-conductance vertex
-off z, then chain together the forced first step from the pendant, the
-pendant edge's resistance, the commute identity on the new edge, and the
-excursion decomposition of the trip from z to the pendant. ``replay``
-re-executes that chain on an arbitrary network, checking every
-intermediate identity against an independent grounded-Laplacian
-computation and reporting a structured trace.
+runs through a pendant construction (Doyle & Snell, *Random Walks and
+Electric Networks*, 1984): hang a fresh vertex off z by an edge of
+conductance c, then chain together the forced first step from the
+pendant, the pendant edge's resistance 1/c, the commute identity on the
+new edge, and the excursion decomposition of the trip from z to the
+pendant. ``replay`` re-executes that chain on an arbitrary network and
+any pendant conductance, checking every intermediate identity against an
+independent grounded-Laplacian computation and reporting a structured
+trace.
 """
 from __future__ import annotations
 
@@ -98,7 +100,9 @@ class ProofTrace:
 
 
 def _step(name: str, expected: float, computed: float, tolerance: float,
-          estimate=None, estimate_passed=None) -> ProofStep:
+          estimate: simulate.Estimate | None = None) -> ProofStep:
+    """Compare computed with expected; an estimate passes inside four
+    standard errors of expected."""
     r = rel_err(expected, computed)
     return ProofStep(
         name=name,
@@ -108,43 +112,49 @@ def _step(name: str, expected: float, computed: float, tolerance: float,
         rel_err=r,
         passed=r <= tolerance,
         estimate=estimate,
-        estimate_passed=estimate_passed,
+        estimate_passed=(None if estimate is None
+                         else abs(estimate.mean - expected) <= 4.0 * estimate.std_error),
     )
-
-
-def _band_ok(estimate: simulate.Estimate, expected: float) -> bool:
-    return abs(estimate.mean - expected) <= 4.0 * estimate.std_error
 
 
 def replay(
     net: Network,
     z: VertexId,
+    c: float = 1.0,
     tolerance: float = DEFAULT_TOLERANCE,
     simulate_with: tuple[int, int] | None = None,
     step_cap: int = simulate.DEFAULT_STEP_CAP,
 ) -> ProofTrace:
     """Re-run the pendant argument at z and check all six identities.
 
-    Steps, in order, with G~ the network plus a unit pendant at z:
+    Steps, in order, with G~ the network plus a pendant of conductance c
+    at z (c must be finite and > 0):
       1 pendant-first-step  E_pendant[time to z] = 1
-      2 pendant-resistance  R(z, pendant) = 1
+      2 pendant-resistance  R(z, pendant) = 1 / c
       3 commute-identity    both hitting times across the new edge sum to
                             total_conductance(G~) * R(z, pendant)
-      4 total-time          E_z[time to pendant] = C + 1
-      5 decomposition       E_z[time to pendant] = C_z * E_z[return] + 1,
+      4 total-time          E_z[time to pendant] = C / c + 1
+      5 decomposition       E_z[time to pendant] = (C_z / c) * E_z[return] + 1,
                             with the return time from first-step analysis
                             on the original network (not the closed form,
                             which would make the final step circular)
       6 conclusion          E_z[return] = C / C_z
 
+    At c = 1 every divide by c is exact, so the trace is that of the
+    unit pendant bit for bit.
+
     ``simulate_with`` = (trials, seed) additionally attaches Monte Carlo
     estimates to steps 4-6: the z -> pendant hitting time is simulated
-    with the given seed, the return time with seed + 1.
+    with the given seed, the return time with seed + 1. The trial count
+    and ``step_cap`` are checked before anything is solved.
     """
     net.require(z)
-    aug = attach_pendant(net, z, 1.0)
+    if simulate_with is not None:
+        simulate._check_trial_args(simulate_with[0], step_cap)
+    aug = attach_pendant(net, z, c)
     gt = aug.combined
     pendant = aug.pendant
+    c = aug.pendant_conductance
 
     to_z = exact.hitting_time(gt, z).values
     to_pendant = exact.hitting_time(gt, pendant).values
@@ -161,34 +171,22 @@ def replay(
 
     C = net.total_conductance
     Cz = net.vertex_conductance[z]
-    expected_total = C + 1.0
-    expected_decomp = Cz * return_first_step + 1.0
+    expected_total = C / c + 1.0
+    expected_decomp = Cz / c * return_first_step + 1.0
     formula = exact.return_time_formula(net, z)
 
     steps = (
         _step("pendant-first-step", 1.0, pendant_first, tolerance),
-        _step("pendant-resistance", 1.0, resistance, tolerance),
+        _step("pendant-resistance", 1.0 / c, resistance, tolerance),
         _step(
             "commute-identity",
             gt.total_conductance * resistance,
             pendant_first + z_to_pendant,
             tolerance,
         ),
-        _step(
-            "total-time", expected_total, z_to_pendant, tolerance,
-            estimate=hit_est,
-            estimate_passed=None if hit_est is None else _band_ok(hit_est, expected_total),
-        ),
-        _step(
-            "decomposition", expected_decomp, z_to_pendant, tolerance,
-            estimate=hit_est,
-            estimate_passed=None if hit_est is None else _band_ok(hit_est, expected_decomp),
-        ),
-        _step(
-            "conclusion", formula, return_first_step, tolerance,
-            estimate=ret_est,
-            estimate_passed=None if ret_est is None else _band_ok(ret_est, formula),
-        ),
+        _step("total-time", expected_total, z_to_pendant, tolerance, hit_est),
+        _step("decomposition", expected_decomp, z_to_pendant, tolerance, hit_est),
+        _step("conclusion", formula, return_first_step, tolerance, ret_est),
     )
     overall = all(s.passed for s in steps) and all(
         s.estimate_passed for s in steps if s.estimate_passed is not None
@@ -198,106 +196,7 @@ def replay(
         m=net.m,
         total_conductance=C,
         anchor=z,
-        pendant_conductance=1.0,
+        pendant_conductance=c,
         steps=steps,
         passed=overall,
     )
-
-
-@dataclass(frozen=True, eq=False)
-class FamilyCheck:
-    """Worst relative error over one family of identity checks."""
-
-    name: str
-    comparisons: int
-    max_rel_err: float
-    passed: bool
-
-
-@dataclass(frozen=True, eq=False)
-class TheoremReport:
-    families: tuple[FamilyCheck, ...]
-    passed: bool
-
-
-def verify_theorems(net: Network, tolerance: float = DEFAULT_TOLERANCE) -> TheoremReport:
-    """Sweep the network's identity families and report worst-case errors.
-
-    Families: first-step return time vs C / C_z at every vertex; summed
-    hitting times vs total conductance times resistance over every vertex
-    pair; and, when every conductance is exactly 1, return time vs
-    2 m / deg(z).
-    """
-    families = []
-
-    ratio_err = max(
-        rel_err(exact.return_time(net, z), exact.return_time_formula(net, z))
-        for z in net.vertices
-    )
-    families.append(FamilyCheck(
-        name="return-time-formula",
-        comparisons=net.n,
-        max_rel_err=ratio_err,
-        passed=ratio_err <= tolerance,
-    ))
-
-    profiles = {z: exact.hitting_time(net, z).values for z in net.vertices}
-    R = exact.resistance_matrix(net)
-    C = net.total_conductance
-    commute_err = 0.0
-    pairs = 0
-    for i, x in enumerate(net.vertices):
-        for y in net.vertices[i + 1:]:
-            commute = profiles[y][x] + profiles[x][y]
-            commute_err = max(commute_err, rel_err(commute, C * R[net.index[x], net.index[y]]))
-            pairs += 1
-    families.append(FamilyCheck(
-        name="commute-identity",
-        comparisons=pairs,
-        max_rel_err=commute_err,
-        passed=commute_err <= tolerance,
-    ))
-
-    if all(c == 1.0 for _, _, c in net.edges):
-        degree_err = max(
-            rel_err(exact.return_time(net, z), 2.0 * net.m / net.degree(z))
-            for z in net.vertices
-        )
-        families.append(FamilyCheck(
-            name="simple-walk-degree-formula",
-            comparisons=net.n,
-            max_rel_err=degree_err,
-            passed=degree_err <= tolerance,
-        ))
-
-    return TheoremReport(
-        families=tuple(families),
-        passed=all(f.passed for f in families),
-    )
-
-
-def generalized_pendant_check(
-    net: Network,
-    z: VertexId,
-    c: float,
-    tolerance: float = DEFAULT_TOLERANCE,
-    simulate_with: tuple[int, int] | None = None,
-    step_cap: int = simulate.DEFAULT_STEP_CAP,
-) -> bool:
-    """Check the pendant identities for an arbitrary pendant conductance c.
-
-    With conductance c on the pendant edge the resistance across it is
-    1/c and the augmented total conductance is C + 2c, so the trip from z
-    to the pendant takes C / c + 1 expected steps. When ``simulate_with``
-    is given, the mean excursion count is additionally required to land
-    within four standard errors of C_z / c.
-    """
-    aug = attach_pendant(net, z, c)
-    trip = exact.hitting_time(aug.combined, aug.pendant).values[z]
-    expected = net.total_conductance / c + 1.0
-    ok = rel_err(expected, trip) <= tolerance
-    if simulate_with is not None:
-        trials, seed = simulate_with
-        est = simulate.estimate_excursions(aug, trials, seed, step_cap)
-        ok = ok and _band_ok(est, net.vertex_conductance[z] / c)
-    return ok

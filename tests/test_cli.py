@@ -68,6 +68,11 @@ class TestParseNetworkFile:
         with pytest.raises(NonPositiveConductance, match="line 3"):
             parse_network_file("a b 1\nb c 1\nc d -2\n")
 
+    def test_merged_overflow_reports_the_line_that_overflows(self):
+        with pytest.raises(NonPositiveConductance, match="line 4") as exc:
+            parse_network_file("a b 1e308\nb c 1\n\nb a 1e308\n")
+        assert "'a' and 'b'" in str(exc.value)
+
     def test_wrong_field_count(self):
         with pytest.raises(ParseError, match="line 1"):
             parse_network_file("a b 1 9\n")
@@ -281,6 +286,25 @@ class TestVerifySubcommand:
         code, _, err = invoke(capsys, ["verify", tri_file, "--vertex", "zz"])
         assert code == 2
         assert "zz" in err
+
+    @pytest.mark.parametrize("flag", [["--trials", "0"], ["--step-cap", "0"]])
+    def test_bad_trial_arguments_exit_2_before_any_solve(self, capsys, monkeypatch,
+                                                          tri_file, flag):
+        from ohmwalk import exact
+
+        calls = []
+        solve = exact.hitting_time
+        monkeypatch.setattr(exact, "hitting_time", lambda *a: calls.append(a) or solve(*a))
+        code, out, err = invoke(capsys, ["verify", tri_file, "--simulate", *flag])
+        assert code == 2
+        assert out == ""
+        assert flag[0].lstrip("-").replace("-", "_") in err
+        assert calls == []
+
+    def test_trial_arguments_are_ignored_without_simulate(self, capsys, tri_file):
+        code, out, _ = invoke(capsys, ["verify", tri_file, "--trials", "0", "--step-cap", "0"])
+        assert code == 0
+        assert json.loads(out)["pass"] is True
 
 
 class TestExitCodes:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ohmwalk import (
+    AmbiguousLabel,
     Disconnected,
     Distribution,
     HasSelfLoopMass,
@@ -50,6 +51,32 @@ class TestBuildNetwork:
     def test_self_loop_rejected(self):
         with pytest.raises(SelfLoop):
             build_network([("a", "a", 1.0)])
+
+    @pytest.mark.parametrize("edges,first,second", [
+        ([(1, "b", 1.0), (True, "c", 1.0)], "1", "True"),
+        ([(1, "b", 1.0), (1.0, "c", 1.0)], "1", "1.0"),
+        ([(True, 1, 1.0)], "True", "1"),
+    ])
+    def test_hash_equal_labels_of_different_types_rejected(self, edges, first, second):
+        # they used to merge into one vertex, or pass for a self-loop
+        with pytest.raises(AmbiguousLabel, match=f"labels {first} and {second} "):
+            build_network(edges)
+
+    @pytest.mark.parametrize("edges,edge,error", [
+        ([("a", "b", 1.0), ("b", "c", -1.0)], 1, NonPositiveConductance),
+        ([("a", "b", 1.0), ("c", "c", 1.0), ("b", "c", 1.0)], 1, SelfLoop),
+        ([("a", "b", 1.0), ("c", "a", 1.0), (1, "c", 1.0), (True, "b", 1.0)], 3, AmbiguousLabel),
+        ([("a", "b", 1e308), ("b", "c", 1.0), ("b", "a", 1e308)], 2, NonPositiveConductance),
+    ])
+    def test_errors_name_the_edge_at_fault(self, edges, edge, error):
+        with pytest.raises(error) as exc:
+            build_network(edges)
+        assert exc.value.edge == edge
+
+    def test_whole_graph_errors_name_no_edge(self):
+        with pytest.raises(Disconnected) as exc:
+            build_network([("a", "b", 1.0), ("c", "d", 1.0)])
+        assert exc.value.edge is None
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"), "x", None])
     def test_bad_conductance_rejected(self, bad):
@@ -130,6 +157,22 @@ class TestTransitionDistribution:
             assert math.fsum(d.weights.values()) == pytest.approx(1.0, abs=1e-12)
             assert set(d.support()) == {z for z, _ in net.neighbors[y]}
             assert d.weight(y) == 0.0
+
+
+class TestTransitionMatrix:
+    @pytest.mark.parametrize("seed", range(15))
+    def test_entries_are_one_division_each(self, seed):
+        rng = np.random.default_rng(seed)
+        base = random_connected_network(rng)
+        # repeat some edges, reversed, so parallel entries merge
+        repeats = [(v, u, float(rng.uniform(0.1, 10.0)))
+                   for u, v, _ in base.edges if rng.random() < 0.5]
+        net = build_network(list(base.edges) + repeats)
+        want = np.zeros((net.n, net.n))
+        for y in net.vertices:
+            for z, c in net.neighbors[y]:
+                want[net.index[y], net.index[z]] = c / net.vertex_conductance[y]
+        assert transition_matrix(net).tolist() == want.tolist()
 
 
 class TestDistributionType:

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from ohmwalk import (
+    NonPositiveConductance,
     UnknownVertex,
     build_network,
-    generalized_pendant_check,
+    commute_time,
+    rel_err,
     replay,
+    resistance_matrix,
+    return_time,
     return_time_formula,
-    verify_theorems,
 )
 from ohmwalk.replay import STEP_NAMES
 
@@ -112,55 +115,81 @@ class TestTraceSerialization:
             assert "estimate" not in step_doc
 
 
+def _assert_identity_families(net, tolerance):
+    """Return time vs C / C_z at every vertex, commute time vs C * R over
+    every pair, and return time vs 2m / deg(z) when every conductance is 1."""
+    C = net.total_conductance
+    R = resistance_matrix(net)
+    unit = all(c == 1.0 for _, _, c in net.edges)
+    for z in net.vertices:
+        assert rel_err(return_time(net, z), return_time_formula(net, z)) <= tolerance
+        if unit:
+            assert rel_err(return_time(net, z), 2.0 * net.m / net.degree(z)) <= tolerance
+    for i, x in enumerate(net.vertices):
+        for y in net.vertices[i + 1:]:
+            want = C * R[net.index[x], net.index[y]]
+            assert rel_err(commute_time(net, x, y), want) <= tolerance
+
+
 class TestVerifyTheorems:
+    """The paper's identity families, swept over every vertex and pair."""
+
     def test_triangle_all_families_tight(self, triangle):
-        report = verify_theorems(triangle)
-        assert report.passed
-        names = [f.name for f in report.families]
-        assert names == [
-            "return-time-formula", "commute-identity", "simple-walk-degree-formula",
-        ]
-        assert all(f.max_rel_err <= 1e-12 for f in report.families)
+        _assert_identity_families(triangle, 1e-12)
 
     def test_weighted_path_family_values(self, weighted_path):
-        report = verify_theorems(weighted_path)
-        assert report.passed
-        assert [f.name for f in report.families] == [
-            "return-time-formula", "commute-identity",
-        ]
+        _assert_identity_families(weighted_path, 1e-9)
         values = [return_time_formula(weighted_path, z) for z in ("1", "2", "3")]
         assert values == [6.0, 2.0, 3.0]
 
     def test_star_unit_conductance(self, star3):
-        report = verify_theorems(star3)
-        assert report.passed
-        degree_family = {f.name: f for f in report.families}["simple-walk-degree-formula"]
-        assert degree_family.comparisons == 4
+        _assert_identity_families(star3, 1e-9)
+        assert [2.0 * star3.m / star3.degree(z) for z in star3.vertices] == [2.0, 6.0, 6.0, 6.0]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_networks(self, seed):
-        net = random_connected_network(np.random.default_rng(seed))
-        assert verify_theorems(net).passed
+        _assert_identity_families(random_connected_network(np.random.default_rng(seed)), 1e-9)
 
 
 class TestGeneralizedPendant:
+    """replay with a pendant of conductance c: R = 1/c, trip C/c + 1."""
+
     @pytest.mark.parametrize("c,expected_trip", [(1.0, 7.0), (2.0, 4.0), (0.5, 13.0)])
     def test_triangle_trip_lengths(self, triangle, c, expected_trip):
-        from ohmwalk import attach_pendant, hitting_time
-
-        aug = attach_pendant(triangle, "a", c)
-        trip = hitting_time(aug.combined, aug.pendant).values["a"]
-        assert trip == pytest.approx(expected_trip, rel=1e-12)
-        assert generalized_pendant_check(triangle, "a", c)
+        trace = replay(triangle, "a", c)
+        steps = {s.name: s for s in trace.steps}
+        assert trace.passed
+        assert trace.pendant_conductance == c
+        assert steps["pendant-resistance"].expected == 1.0 / c
+        assert steps["total-time"].expected == expected_trip
+        assert steps["total-time"].computed == pytest.approx(expected_trip, rel=1e-12)
+        # C_a / c excursions of expected length E_a[return] = 3, plus the last step
+        assert steps["decomposition"].expected == pytest.approx(expected_trip, rel=1e-12)
 
     @pytest.mark.parametrize("c", [0.1, 0.5, 1.0, 2.0, 10.0])
     @pytest.mark.parametrize("seed", [2, 5, 8])
     def test_random_networks_all_conductances(self, c, seed):
         net = random_connected_network(np.random.default_rng(seed), n_hi=9)
         z = net.vertices[0]
-        assert generalized_pendant_check(net, z, c)
+        trace = replay(net, z, c)
+        assert trace.passed, [(s.name, s.expected, s.computed) for s in trace.steps]
 
     def test_with_simulation_band(self, triangle):
-        assert generalized_pendant_check(
-            triangle, "a", 2.0, simulate_with=(20_000, 31)
-        )
+        trace = replay(triangle, "a", 2.0, simulate_with=(20_000, 31))
+        assert trace.passed
+        hit = {s.name: s for s in trace.steps}["total-time"]
+        assert hit.estimate.trials == 20_000
+        assert hit.estimate_passed is True
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_log_uniform_conductances(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        net = random_connected_network(rng)
+        c = float(10.0 ** rng.uniform(-3.0, 3.0))
+        trace = replay(net, net.vertices[-1], c)
+        assert trace.passed, (c, [(s.name, s.rel_err) for s in trace.steps])
+
+    @pytest.mark.parametrize("c", [0.0, -1.0, float("inf"), float("nan")])
+    def test_bad_conductance_rejected(self, triangle, c):
+        with pytest.raises(NonPositiveConductance):
+            replay(triangle, "a", c)
