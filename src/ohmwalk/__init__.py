@@ -26,12 +26,14 @@ from .errors import (
 )
 from .exact import (
     HittingProfile,
+    RoundTrip,
     commute_time,
     effective_resistance,
     hitting_time,
     resistance_matrix,
     return_time,
     return_time_formula,
+    round_trip,
     stationary_distribution,
 )
 from .network import (
@@ -86,6 +88,7 @@ __all__ = [
     "ParseError",
     "ProofStep",
     "ProofTrace",
+    "RoundTrip",
     "SameVertex",
     "SelfLoop",
     "SingularSystem",
@@ -106,6 +109,7 @@ __all__ = [
     "resistance_matrix",
     "return_time",
     "return_time_formula",
+    "round_trip",
     "stationary_distribution",
     "step",
     "trace_walk",

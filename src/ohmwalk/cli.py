@@ -17,9 +17,10 @@ import io
 import json
 import secrets
 import sys
+from dataclasses import asdict
 
 from . import exact, simulate
-from .errors import OhmwalkError, ParseError, SameVertex
+from .errors import OhmwalkError, ParseError
 from .network import Network, attach_pendant, build_network
 from .replay import DEFAULT_TOLERANCE, replay as replay_anchor
 
@@ -97,20 +98,6 @@ def _emit_csv(rows: list[dict]) -> None:
     writer.writeheader()
     writer.writerows(rows)
     sys.stdout.write(buf.getvalue())
-
-
-def _estimate_doc(kind: str, context: dict, est: simulate.Estimate) -> dict:
-    doc = {"kind": kind}
-    doc.update(context)
-    doc.update(
-        mean=est.mean,
-        std_error=est.std_error,
-        trials=est.trials,
-        seed=est.seed,
-        steps_total=est.steps_total,
-        steps_max=est.steps_max,
-    )
-    return doc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -208,19 +195,14 @@ def _run_return_time(ns, net: Network) -> int:
 
 
 def _run_commute(ns, net: Network) -> int:
-    net.require(ns.x)
-    net.require(ns.y)
-    if ns.x == ns.y:
-        raise SameVertex(f"commute needs two distinct vertices, got {ns.x!r} twice")
-    forward = exact.hitting_time(net, ns.y).values[ns.x]
-    backward = exact.hitting_time(net, ns.x).values[ns.y]
+    trip = exact.round_trip(net, ns.x, ns.y)
     _emit_json({
         "x": ns.x,
         "y": ns.y,
-        "x_to_y": forward,
-        "y_to_x": backward,
-        "commute_time": forward + backward,
-        "resistance": exact.effective_resistance(net, ns.x, ns.y),
+        "x_to_y": trip.x_to_y,
+        "y_to_x": trip.y_to_x,
+        "commute_time": trip.x_to_y + trip.y_to_x,
+        "resistance": trip.resistance,
     })
     return 0
 
@@ -234,21 +216,18 @@ def _run_stationary(ns, net: Network) -> int:
 def _run_simulate(ns, net: Network) -> int:
     if ns.estimator == "return":
         est = simulate.estimate_return_time(net, ns.z, ns.trials, ns.seed, ns.step_cap)
-        doc = _estimate_doc("return", {"vertex": ns.z}, est)
+        doc = {"kind": "return", "vertex": ns.z}
     elif ns.estimator == "hitting":
         est = simulate.estimate_hitting_time(net, ns.x, ns.y, ns.trials, ns.seed, ns.step_cap)
-        doc = _estimate_doc("hitting", {"from": ns.x, "to": ns.y}, est)
+        doc = {"kind": "hitting", "from": ns.x, "to": ns.y}
     else:
         aug = attach_pendant(net, ns.z, ns.pendant_conductance)
         est = simulate.estimate_excursions(aug, ns.trials, ns.seed, ns.step_cap)
-        doc = _estimate_doc(
-            "excursions",
-            {"anchor": ns.z, "pendant_conductance": aug.pendant_conductance},
-            est,
-        )
-        if ns.format == "json":
-            doc["counts"] = {str(k): v for k, v in est.counts.items()}
+        doc = {"kind": "excursions", "anchor": ns.z,
+               "pendant_conductance": aug.pendant_conductance}
+    doc.update(asdict(est))  # an excursion estimate's counts come last
     if ns.format == "csv":
+        doc.pop("counts", None)  # the histogram is JSON-only
         _emit_csv([doc])
     else:
         _emit_json(doc)

@@ -4,6 +4,8 @@ Everything here is computed by grounded solves, never by the closed-form
 conductance ratios, so the closed forms can be checked against an
 independent method. Grounding (deleting the row and column of one vertex)
 makes the singular Laplacian invertible without touching pseudoinverses.
+Each call factors each grounded matrix it needs once (``_solve_at``):
+``round_trip`` reads both hitting times and R(x, y) from two factors.
 
 Row z of a grounded Laplacian is nonzero only at z and its neighbours,
 so the matrix is assembled straight into sparse CSC form from the
@@ -12,9 +14,9 @@ SuperLU is single-threaded and deterministic, so repeated solves give
 identical bits. scipy is imported inside the solve path only: commands
 that never solve (stationary, simulate) do not pay for loading it.
 
-Each solve also computes the system's 1-norm condition number, not an
-estimate of it, at the cost of one extra solve: a grounded Laplacian A of
-a connected network is a symmetric nonsingular M-matrix, so A^-1 >= 0
+Each factorization also yields the system's 1-norm condition number, not
+an estimate of it, at the cost of one extra solve: a grounded Laplacian A
+of a connected network is a symmetric nonsingular M-matrix, so A^-1 >= 0
 entrywise and ||A^-1||_1 = max(A^-1 1). A system whose condition number
 exceeds 1e12 emits IllConditionedWarning instead of failing, since
 extreme conductance ratios are legal inputs.
@@ -98,6 +100,15 @@ def _solve_grounded(A, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def _solve_at(net: Network, ground: int, b: np.ndarray) -> np.ndarray:
+    """Solve L x = b with x[ground] = 0 for every column of b, from one factor.
+    b has a row per vertex; row ``ground``, the current the ground absorbs, is ignored."""
+    keep = np.arange(net.n) != ground
+    x = np.zeros(b.shape)
+    x[keep] = _solve_grounded(_laplacian(net, ground), b[keep])
+    return x
+
+
 def effective_resistance(net: Network, x: VertexId, y: VertexId) -> float:
     """Effective resistance between x and y (ohms, conductances as siemens).
 
@@ -109,13 +120,10 @@ def effective_resistance(net: Network, x: VertexId, y: VertexId) -> float:
     net.require(y)
     if x == y:
         return 0.0
-    iy = net.index[y]
     ix = net.index[x]
-    row = ix - 1 if ix > iy else ix
-    b = np.zeros(net.n - 1)
-    b[row] = 1.0
-    v = _solve_grounded(_laplacian(net, iy), b)
-    return float(v[row])
+    b = np.zeros(net.n)
+    b[ix] = 1.0
+    return float(_solve_at(net, net.index[y], b)[ix])
 
 
 def resistance_matrix(net: Network) -> np.ndarray:
@@ -125,12 +133,8 @@ def resistance_matrix(net: Network) -> np.ndarray:
     effective_resistance, amortized: with G the grounded inverse (ground =
     first vertex), R_xy = G_xx + G_yy - 2 G_xy.
     """
-    n = net.n
-    G = np.zeros((n, n))
-    if n > 1:
-        inv = _solve_grounded(_laplacian(net, 0), np.eye(n - 1))
-        inv = 0.5 * (inv + inv.T)
-        G[1:, 1:] = inv
+    G = _solve_at(net, 0, np.eye(net.n))
+    G = 0.5 * (G + G.T)
     d = np.diagonal(G)
     R = d[:, None] + d[None, :] - 2.0 * G
     np.fill_diagonal(R, 0.0)
@@ -146,21 +150,46 @@ def hitting_time(net: Network, target: VertexId) -> HittingProfile:
     the vertex conductances as right-hand side.
     """
     net.require(target)
-    it = net.index[target]
     *_, vertex_conductance = net.arrays
-    h = _solve_grounded(_laplacian(net, it), np.delete(vertex_conductance, it)).tolist()
-    values = {target: 0.0}
-    values.update(zip(net.vertices[:it] + net.vertices[it + 1:], h))
-    return HittingProfile(target=target, values=values)
+    h = _solve_at(net, net.index[target], vertex_conductance).tolist()
+    return HittingProfile(target=target, values=dict(zip(net.vertices, h)))
+
+
+@dataclass(frozen=True, eq=False)
+class RoundTrip:
+    """The trip x -> y -> x: both expected hitting times, in walk steps,
+    and the effective resistance R(x, y) from the solve grounded at y."""
+
+    x_to_y: float
+    y_to_x: float
+    resistance: float
+
+
+def round_trip(net: Network, x: VertexId, y: VertexId) -> RoundTrip:
+    """Both hitting times between x and y and R(x, y), from two factorizations.
+
+    The factor grounded at y solves the hitting-time right-hand side (the
+    vertex conductances) and a unit current at x together; the factor
+    grounded at x solves the hitting times back. Each value is bit for
+    bit what hitting_time and effective_resistance return.
+    """
+    net.require(x)
+    net.require(y)
+    if x == y:
+        raise SameVertex(f"a round trip needs two distinct vertices, got {x!r} twice")
+    ix, iy = net.index[x], net.index[y]
+    *_, vertex_conductance = net.arrays
+    unit_current = np.arange(net.n) == ix
+    to_y = _solve_at(net, iy, np.column_stack((vertex_conductance, unit_current)))
+    to_x = _solve_at(net, ix, vertex_conductance)
+    return RoundTrip(x_to_y=float(to_y[ix, 0]), y_to_x=float(to_x[iy]),
+                     resistance=float(to_y[ix, 1]))
 
 
 def commute_time(net: Network, x: VertexId, y: VertexId) -> float:
     """Expected round trip x -> y -> x, as the sum of the two hitting times."""
-    net.require(x)
-    net.require(y)
-    if x == y:
-        raise SameVertex(f"commute time needs two distinct vertices, got {x!r} twice")
-    return hitting_time(net, y).values[x] + hitting_time(net, x).values[y]
+    trip = round_trip(net, x, y)
+    return trip.x_to_y + trip.y_to_x
 
 
 def return_time(net: Network, z: VertexId) -> float:

@@ -70,7 +70,7 @@ class Network:
         return len(self.edges)
 
     def __contains__(self, v: VertexId) -> bool:
-        return v in self.index
+        return v in self.index and type(self.vertices[self.index[v]]) is type(v)
 
     def degree(self, z: VertexId) -> int:
         """Number of distinct neighbours of z (parallel edges were merged)."""
@@ -78,9 +78,14 @@ class Network:
         return len(self.neighbors[z])
 
     def require(self, v: VertexId) -> None:
-        """Raise UnknownVertex unless v belongs to this network."""
-        if v not in self.index:
+        """Raise UnknownVertex unless v belongs to this network, and
+        AmbiguousLabel if it only equals a vertex of another type (1 and True)."""
+        i = self.index.get(v)
+        if i is None:
             raise UnknownVertex(f"vertex {v!r} is not in the network")
+        if type(self.vertices[i]) is not type(v):
+            raise AmbiguousLabel(f"labels {self.vertices[i]!r} and {v!r} are equal "
+                                 f"but of different types")
 
     @cached_property
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -308,20 +313,6 @@ def _require_square_stochastic(P: np.ndarray) -> None:
         raise ValueError("kernel rows must sum to 1")
 
 
-def _require_irreducible(P: np.ndarray) -> None:
-    support = P > 0.0
-    for adj in (support, support.T):
-        seen = {0}
-        queue = deque(seen)
-        while queue:
-            for j in np.flatnonzero(adj[queue.popleft()]):
-                if int(j) not in seen:
-                    seen.add(int(j))
-                    queue.append(int(j))
-        if len(seen) != P.shape[0]:
-            raise NotIrreducible("kernel support is not strongly connected")
-
-
 def chain_to_network(P, scale: float = 1.0, states=None) -> Network:
     """Realize a reversible irreducible kernel as an electric network.
 
@@ -330,6 +321,8 @@ def chain_to_network(P, scale: float = 1.0, states=None) -> Network:
     the returned network has kernel P again. States default to 0..k-1;
     pass explicit labels to control vertex naming.
     """
+    from scipy.sparse.csgraph import connected_components
+
     P = np.asarray(P, dtype=float)
     _require_square_stochastic(P)
     if scale <= 0.0 or not math.isfinite(scale):
@@ -347,7 +340,8 @@ def chain_to_network(P, scale: float = 1.0, states=None) -> Network:
     loops = np.flatnonzero(np.diagonal(P) > 0.0)
     if loops.size:
         raise HasSelfLoopMass(f"kernel keeps mass in place at state {states[loops[0]]!r}")
-    _require_irreducible(P)
+    if connected_components(P > 0.0, connection="strong", return_labels=False) > 1:
+        raise NotIrreducible("kernel support is not strongly connected")
 
     # pi solves (P^T - I) pi = 0; swap in the normalization sum(pi) = 1
     # for the last (redundant) equation.

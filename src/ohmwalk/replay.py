@@ -13,7 +13,7 @@ trace.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import exact, simulate
 from .network import Network, VertexId, attach_pendant
@@ -61,14 +61,7 @@ class ProofStep:
             "pass": self.passed,
         }
         if self.estimate is not None:
-            doc["estimate"] = {
-                "mean": self.estimate.mean,
-                "std_error": self.estimate.std_error,
-                "trials": self.estimate.trials,
-                "seed": self.estimate.seed,
-                "steps_total": self.estimate.steps_total,
-                "steps_max": self.estimate.steps_max,
-            }
+            doc["estimate"] = asdict(self.estimate)
             doc["estimate_pass"] = self.estimate_passed
         return doc
 
@@ -156,11 +149,10 @@ def replay(
     pendant = aug.pendant
     c = aug.pendant_conductance
 
-    to_z = exact.hitting_time(gt, z).values
-    to_pendant = exact.hitting_time(gt, pendant).values
-    pendant_first = to_z[pendant]
-    z_to_pendant = to_pendant[z]
-    resistance = exact.effective_resistance(gt, z, pendant)
+    # R(z, pendant) is grounded at the pendant, so it rests on a solve of
+    # the whole network; grounded at z it would be the bare 1 / c.
+    trip = exact.round_trip(gt, z, pendant)
+    pendant_first, z_to_pendant, resistance = trip.y_to_x, trip.x_to_y, trip.resistance
     return_first_step = exact.return_time(net, z)
 
     hit_est = ret_est = None

@@ -34,3 +34,23 @@ def k4():
 @pytest.fixture
 def star3():
     return build_network([("hub", "l1", 1.0), ("hub", "l2", 1.0), ("hub", "l3", 1.0)])
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """Sizes of the matrices scipy's sparse LU factors while the test runs.
+
+    The exact layer imports splu at call time, so patching the module
+    attribute sees every factorization.
+    """
+    import scipy.sparse.linalg
+
+    calls = []
+    factor = scipy.sparse.linalg.splu
+
+    def spy(A, *args, **kwargs):
+        calls.append(A.shape[0])
+        return factor(A, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
+    return calls

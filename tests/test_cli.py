@@ -112,6 +112,18 @@ class TestSolverSubcommands:
         assert doc["commute_time"] == pytest.approx(4.0, rel=1e-12)
         assert doc["x_to_y"] + doc["y_to_x"] == pytest.approx(doc["commute_time"])
 
+    def test_commute_factors_two_grounded_matrices(self, capsys, k4_file, splu_calls):
+        code, out, _ = invoke(capsys, ["commute", k4_file, "a", "d"])
+        assert code == 0
+        assert json.loads(out)["resistance"] == pytest.approx(0.5, rel=1e-12)
+        assert splu_calls == [3, 3]
+
+    def test_commute_same_vertex_exits_2(self, capsys, tri_file):
+        code, out, err = invoke(capsys, ["commute", tri_file, "b", "b"])
+        assert code == 2
+        assert out == ""
+        assert "'b' twice" in err
+
     def test_stationary(self, capsys, tri_file):
         code, out, _ = invoke(capsys, ["stationary", tri_file])
         assert code == 0
@@ -293,8 +305,9 @@ class TestVerifySubcommand:
         from ohmwalk import exact
 
         calls = []
-        solve = exact.hitting_time
-        monkeypatch.setattr(exact, "hitting_time", lambda *a: calls.append(a) or solve(*a))
+        for name in ("hitting_time", "round_trip"):  # replay solves through both
+            solve = getattr(exact, name)
+            monkeypatch.setattr(exact, name, lambda *a, solve=solve: calls.append(a) or solve(*a))
         code, out, err = invoke(capsys, ["verify", tri_file, "--simulate", *flag])
         assert code == 2
         assert out == ""

@@ -16,6 +16,7 @@ from ohmwalk import (
     resistance_matrix,
     return_time,
     return_time_formula,
+    round_trip,
     stationary_distribution,
     transition_matrix,
     rel_err,
@@ -138,6 +139,72 @@ class TestCommuteTime:
             for y in net.vertices[i + 1:]:
                 commute = commute_time(net, x, y)
                 assert rel_err(commute, C * effective_resistance(net, x, y)) < 1e-9
+
+
+class TestRoundTrip:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_dense_oracles(self, seed):
+        net = random_connected_network(np.random.default_rng(seed))
+        to = {t: hitting_times_oracle(net, t) for t in net.vertices}
+        C = net.total_conductance
+        for x in net.vertices:
+            for y in net.vertices:
+                if x == y:
+                    continue
+                trip = round_trip(net, x, y)
+                assert rel_err(trip.x_to_y, to[y][x]) <= 1e-12
+                assert rel_err(trip.y_to_x, to[x][y]) <= 1e-12
+                # the oracle's resistance, from its commute time: R = (h_xy + h_yx) / C
+                assert rel_err(trip.resistance, (to[y][x] + to[x][y]) / C) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_bit_equal_to_separate_solves(self, seed):
+        rng = np.random.default_rng(seed)
+        net = random_connected_network(rng)
+        if seed % 2:  # conductances over twelve decades
+            net = build_network(
+                [(u, v, float(10.0 ** rng.uniform(-6.0, 6.0))) for u, v, _ in net.edges]
+            )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IllConditionedWarning)
+            for x in net.vertices:
+                for y in net.vertices:
+                    if x == y:
+                        continue
+                    trip = round_trip(net, x, y)
+                    assert trip.x_to_y == hitting_time(net, y).values[x]
+                    assert trip.y_to_x == hitting_time(net, x).values[y]
+                    assert trip.resistance == effective_resistance(net, x, y)
+                    assert commute_time(net, x, y) == trip.x_to_y + trip.y_to_x
+
+    def test_unit_path(self, unit_path):
+        trip = round_trip(unit_path, "a", "c")
+        assert trip.x_to_y == pytest.approx(4.0, rel=1e-12)
+        assert trip.y_to_x == pytest.approx(4.0, rel=1e-12)
+        assert trip.resistance == pytest.approx(2.0, rel=1e-12)
+
+    def test_same_vertex_rejected(self, triangle):
+        with pytest.raises(SameVertex):
+            round_trip(triangle, "b", "b")
+
+    @pytest.mark.parametrize("x,y", [("zz", "a"), ("a", "zz"), ("zz", "zz")])
+    def test_unknown_vertex(self, triangle, x, y):
+        with pytest.raises(UnknownVertex, match="zz"):
+            round_trip(triangle, x, y)
+
+    def test_factors_one_matrix_per_ground(self, splu_calls):
+        net = random_connected_network(np.random.default_rng(3))
+        x, y = net.vertices[0], net.vertices[-1]
+        round_trip(net, x, y)
+        assert splu_calls == [net.n - 1, net.n - 1]
+        splu_calls.clear()
+        commute_time(net, x, y)
+        assert len(splu_calls) == 2
+        splu_calls.clear()
+        hitting_time(net, y)
+        effective_resistance(net, x, y)
+        resistance_matrix(net)
+        assert len(splu_calls) == 3
 
 
 class TestReturnTime:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ohmwalk
 from ohmwalk import (
     AmbiguousLabel,
     Disconnected,
@@ -130,6 +131,44 @@ class TestNetworkInvariants:
     def test_degree_of_unknown_vertex(self, k2):
         with pytest.raises(UnknownVertex):
             k2.degree("zz")
+
+
+# Entry points of every layer, each given a label that only equals vertex 1.
+_LABEL_CALLS = {
+    "hitting_time": lambda net, v: ohmwalk.hitting_time(net, v),
+    "effective_resistance": lambda net, v: ohmwalk.effective_resistance(net, 3, v),
+    "round_trip": lambda net, v: ohmwalk.round_trip(net, v, 3),
+    "commute_time": lambda net, v: ohmwalk.commute_time(net, 3, v),
+    "return_time": lambda net, v: ohmwalk.return_time(net, v),
+    "return_time_formula": lambda net, v: ohmwalk.return_time_formula(net, v),
+    "estimate_return_time": lambda net, v: ohmwalk.estimate_return_time(net, v, 10, 0),
+    "estimate_hitting_time": lambda net, v: ohmwalk.estimate_hitting_time(net, 3, v, 10, 0),
+    "trace_walk": lambda net, v: ohmwalk.trace_walk(net, v, 3, np.random.default_rng(0)),
+    "replay": lambda net, v: ohmwalk.replay(net, v),
+    "attach_pendant": lambda net, v: ohmwalk.attach_pendant(net, v),
+    "degree": lambda net, v: net.degree(v),
+}
+
+
+class TestLabelTypes:
+    @pytest.mark.parametrize("call", list(_LABEL_CALLS))
+    @pytest.mark.parametrize("label", [True, 1.0])
+    def test_hash_equal_label_of_another_type_rejected(self, call, label):
+        # True and 1.0 used to be looked up as vertex 1: hitting_time(net, True)
+        # keyed its target True and estimate_return_time(net, True) walked
+        net = build_network([(1, 2, 1.0), (2, 3, 1.0)])
+        with pytest.raises(AmbiguousLabel, match=f"labels 1 and {label!r} "):
+            _LABEL_CALLS[call](net, label)
+
+    def test_membership_checks_the_type(self):
+        net = build_network([(1, 2, 1.0), (2, 3, 1.0), ("a", 3, 1.0)])
+        assert 1 in net and "a" in net
+        assert True not in net and 1.0 not in net and "1" not in net
+
+    def test_stored_labels_pass(self):
+        net = build_network([(1, 2, 1.0), (2, 3, 1.0)])
+        assert ohmwalk.hitting_time(net, 1).values == {1: 0.0, 2: 3.0, 3: 4.0}
+        assert ohmwalk.replay(net, 1).passed
 
 
 class TestTransitionDistribution:
@@ -262,6 +301,9 @@ class TestChainToNetwork:
         ]
         with pytest.raises(NotIrreducible):
             chain_to_network(P)
+        # one-way: state 0 is transient, and no state keeps mass in place
+        with pytest.raises(NotIrreducible):
+            chain_to_network([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
 
     def test_rejects_non_stochastic(self):
         with pytest.raises(ValueError):

@@ -57,6 +57,14 @@ class TestReplayFixtures:
         with pytest.raises(UnknownVertex):
             replay(triangle, "zz")
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_factors_three_grounded_matrices(self, seed, splu_calls):
+        # G~ grounded at the pendant and at z (n unknowns each), and the
+        # network grounded at z for the first-step return time
+        net = random_connected_network(np.random.default_rng(seed))
+        replay(net, net.vertices[-1], c=2.0)
+        assert sorted(splu_calls) == [net.n - 1, net.n, net.n]
+
 
 class TestReplayProperties:
     @pytest.mark.parametrize("seed", range(30))
