@@ -235,8 +235,6 @@ def _run_simulate(ns, net: Network) -> int:
 
 
 def _run_verify(ns, net: Network) -> int:
-    if ns.tolerance <= 0.0:
-        raise ValueError(f"tolerance must be > 0, got {ns.tolerance}")
     if ns.vertex is not None:
         net.require(ns.vertex)
         anchors = [ns.vertex]

@@ -6,6 +6,8 @@ independent method. Grounding (deleting the row and column of one vertex)
 makes the singular Laplacian invertible without touching pseudoinverses.
 Each call factors each grounded matrix it needs once (``_solve_at``):
 ``round_trip`` reads both hitting times and R(x, y) from two factors.
+It also solves net's Laplacian with c added to the diagonal at z, which is
+net plus a pendant edge c at z grounded at the pendant (used by ``replay``).
 
 Row z of a grounded Laplacian is nonzero only at z and its neighbours,
 so the matrix is assembled straight into sparse CSC form from the
@@ -47,12 +49,14 @@ class HittingProfile:
     values: dict[VertexId, float]
 
 
-def _laplacian(net: Network, ground: int | None = None):
+def _laplacian(net: Network, ground: int | None = None, diagonal=None):
     """Sparse (CSC) Laplacian of net, with row and column ``ground`` deleted
-    when it is given; the other rows keep their order."""
+    when it is given; the other rows keep their order. ``diagonal`` replaces
+    the diagonal C_z; where it exceeds C_z, z leaks the excess to ground."""
     from scipy.sparse import csc_array
 
-    tail, head, conductance, diagonal = net.arrays
+    tail, head, conductance, vertex_conductance = net.arrays
+    diagonal = vertex_conductance if diagonal is None else diagonal
     size = net.n
     pos = np.arange(size)
     if ground is not None:
@@ -100,12 +104,13 @@ def _solve_grounded(A, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _solve_at(net: Network, ground: int, b: np.ndarray) -> np.ndarray:
+def _solve_at(net: Network, ground: int | None, b: np.ndarray, diagonal=None) -> np.ndarray:
     """Solve L x = b with x[ground] = 0 for every column of b, from one factor.
-    b has a row per vertex; row ``ground``, the current the ground absorbs, is ignored."""
-    keep = np.arange(net.n) != ground
+    b has a row per vertex; row ``ground``, the current the ground absorbs, is ignored.
+    With ground None, L keeps every row and ``diagonal`` (see _laplacian) must leak."""
+    keep = np.arange(net.n) != ground  # every row when ground is None
     x = np.zeros(b.shape)
-    x[keep] = _solve_grounded(_laplacian(net, ground), b[keep])
+    x[keep] = _solve_grounded(_laplacian(net, ground, diagonal), b[keep])
     return x
 
 

@@ -9,14 +9,18 @@ new edge, and the excursion decomposition of the trip from z to the
 pendant. ``replay`` re-executes that chain on an arbitrary network and
 any pendant conductance, checking every intermediate identity against an
 independent grounded-Laplacian computation and reporting a structured
-trace.
+trace. Its exact side solves on the original network only (see replay).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 from . import exact, simulate
-from .network import Network, VertexId, attach_pendant
+from .errors import NonPositiveConductance
+from .network import Network, VertexId, _check_conductance, _sum, attach_pendant
 from .util import rel_err
 
 STEP_NAMES = (
@@ -133,62 +137,67 @@ def replay(
                             which would make the final step circular)
       6 conclusion          E_z[return] = C / C_z
 
-    At c = 1 every divide by c is exact, so the trace is that of the
-    unit pendant bit for bit.
+    G~ is never built for the exact side; two factorizations of net do:
+    net with C~_z on the diagonal at z is G~ grounded at the pendant (its
+    entries, in order, so the bits are those of G~) and gives steps 2-5,
+    and net grounded at z gives the return time. At c = 1 every divide by
+    c is exact, so the trace is that of the unit pendant bit for bit.
 
     ``simulate_with`` = (trials, seed) additionally attaches Monte Carlo
-    estimates to steps 4-6: the z -> pendant hitting time is simulated
-    with the given seed, the return time with seed + 1. The trial count
-    and ``step_cap`` are checked before anything is solved.
+    estimates to steps 4-6: the z -> pendant hitting time is simulated on
+    G~ with the given seed, the return time with seed + 1. One trial has
+    no standard error, hence an empty band, so at least 2 are needed.
+    A finite tolerance > 0, c, the trial count and ``step_cap`` are
+    checked before anything is solved.
     """
     net.require(z)
+    c = _check_conductance(c)
+    if not 0.0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and > 0, got {tolerance!r}")
     if simulate_with is not None:
         simulate._check_trial_args(simulate_with[0], step_cap)
-    aug = attach_pendant(net, z, c)
-    gt = aug.combined
-    pendant = aug.pendant
-    c = aug.pendant_conductance
+        if simulate_with[0] < 2:
+            raise ValueError(f"a simulated replay needs trials >= 2, got {simulate_with[0]}")
 
-    # R(z, pendant) is grounded at the pendant, so it rests on a solve of
-    # the whole network; grounded at z it would be the bare 1 / c.
-    trip = exact.round_trip(gt, z, pendant)
-    pendant_first, z_to_pendant, resistance = trip.y_to_x, trip.x_to_y, trip.resistance
+    # C~_z and C~ are summed over the terms build_network would sum for G~.
+    iz = net.index[z]
+    *_, vertex_conductance = net.arrays
+    leaky = vertex_conductance.copy()
+    leaky[iz] = _sum([*(w for _, w in net.neighbors[z]), c])
+    total = _sum([*leaky, c])
+    if not math.isfinite(total):
+        raise NonPositiveConductance(f"total conductance with a pendant of {c!r} "
+                                     f"at {z!r} is not finite")
+
+    # G~ grounded at the pendant, for its hitting times and R(z, pendant): R rests
+    # on a solve of the whole network; grounded at z it would be the bare 1 / c.
+    x = exact._solve_at(net, None, np.column_stack((leaky, np.arange(net.n) == iz)), leaky)
+    z_to_pendant, resistance = float(x[iz, 0]), float(x[iz, 1])
+    pendant_first = c / c  # G~ grounded at z: the pendant's row is c * h = C~_pendant = c
     return_first_step = exact.return_time(net, z)
 
     hit_est = ret_est = None
     if simulate_with is not None:
         trials, seed = simulate_with
-        hit_est = simulate.estimate_hitting_time(gt, z, pendant, trials, seed, step_cap)
+        aug = attach_pendant(net, z, c)
+        hit_est = simulate.estimate_hitting_time(aug.combined, z, aug.pendant, trials, seed,
+                                                 step_cap)
         ret_est = simulate.estimate_return_time(net, z, trials, seed + 1, step_cap)
 
     C = net.total_conductance
     Cz = net.vertex_conductance[z]
-    expected_total = C / c + 1.0
-    expected_decomp = Cz / c * return_first_step + 1.0
-    formula = exact.return_time_formula(net, z)
-
     steps = (
         _step("pendant-first-step", 1.0, pendant_first, tolerance),
         _step("pendant-resistance", 1.0 / c, resistance, tolerance),
-        _step(
-            "commute-identity",
-            gt.total_conductance * resistance,
-            pendant_first + z_to_pendant,
-            tolerance,
-        ),
-        _step("total-time", expected_total, z_to_pendant, tolerance, hit_est),
-        _step("decomposition", expected_decomp, z_to_pendant, tolerance, hit_est),
-        _step("conclusion", formula, return_first_step, tolerance, ret_est),
-    )
-    overall = all(s.passed for s in steps) and all(
-        s.estimate_passed for s in steps if s.estimate_passed is not None
+        _step("commute-identity", total * resistance, pendant_first + z_to_pendant,
+              tolerance),
+        _step("total-time", C / c + 1.0, z_to_pendant, tolerance, hit_est),
+        _step("decomposition", Cz / c * return_first_step + 1.0, z_to_pendant, tolerance,
+              hit_est),
+        _step("conclusion", exact.return_time_formula(net, z), return_first_step, tolerance,
+              ret_est),
     )
     return ProofTrace(
-        n=net.n,
-        m=net.m,
-        total_conductance=C,
-        anchor=z,
-        pendant_conductance=c,
-        steps=steps,
-        passed=overall,
+        n=net.n, m=net.m, total_conductance=C, anchor=z, pendant_conductance=c, steps=steps,
+        passed=all(s.passed and s.estimate_passed is not False for s in steps),
     )

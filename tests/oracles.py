@@ -7,6 +7,10 @@ left eigenvector, and the geometric goodness-of-fit statistic from first
 principles. The Monte Carlo references walk one trial at a time, each on
 its own ``SeedSequence((seed, i))`` generator, with sampling tables built
 from the network's neighbour lists rather than the library's.
+
+The one exception is ``pendant_network_steps``: it is not an independent
+oracle but the reference route that ``replay``'s bits are pinned to, the
+library's own solves on an explicitly built pendant network.
 """
 import math
 from bisect import bisect_right
@@ -16,7 +20,16 @@ from itertools import accumulate
 import numpy as np
 from scipy.stats import chi2
 
-from ohmwalk import CapExceeded, Network, transition_distribution, transition_matrix
+from ohmwalk import (
+    CapExceeded,
+    Network,
+    attach_pendant,
+    return_time,
+    return_time_formula,
+    round_trip,
+    transition_distribution,
+    transition_matrix,
+)
 
 
 def induced_kernel(net: Network, states) -> np.ndarray:
@@ -150,3 +163,25 @@ def excursions_mc_oracle(aug, trials: int, seed: int, cap: int) -> dict:
                                       trials, seed, cap)
     counts = Counter(returns)
     return dict(_summary(returns, steps), counts={k: counts[k] for k in sorted(counts)})
+
+
+def pendant_network_steps(net: Network, z, c: float) -> list:
+    """(expected, computed) of each replay step, in order, solved on G~.
+
+    G~ is built with attach_pendant; both hitting times across the pendant
+    edge and R(z, pendant) come from round_trip on it, and the return time
+    from first-step analysis on net.
+    """
+    aug = attach_pendant(net, z, c)
+    c = aug.pendant_conductance
+    trip = round_trip(aug.combined, z, aug.pendant)
+    ret = return_time(net, z)
+    C, Cz = net.total_conductance, net.vertex_conductance[z]
+    return [
+        (1.0, trip.y_to_x),
+        (1.0 / c, trip.resistance),
+        (aug.combined.total_conductance * trip.resistance, trip.y_to_x + trip.x_to_y),
+        (C / c + 1.0, trip.x_to_y),
+        (Cz / c * ret + 1.0, trip.x_to_y),
+        (return_time_formula(net, z), ret),
+    ]

@@ -290,29 +290,31 @@ class TestVerifySubcommand:
         assert json.loads(out)["pass"] is False
 
     def test_nonpositive_tolerance_exits_2(self, capsys, tri_file):
-        code, _, err = invoke(capsys, ["verify", tri_file, "--tolerance", "-1"])
-        assert code == 2
-        assert "tolerance" in err
+        # nan used to fail every step (exit 1) and inf to pass without checking
+        for tolerance in ("-1", "nan", "inf"):
+            code, out, err = invoke(capsys, ["verify", tri_file, "--tolerance", tolerance])
+            assert (code, out) == (2, "")
+            assert "tolerance" in err
 
     def test_unknown_vertex_exits_2(self, capsys, tri_file):
         code, _, err = invoke(capsys, ["verify", tri_file, "--vertex", "zz"])
         assert code == 2
         assert "zz" in err
 
-    @pytest.mark.parametrize("flag", [["--trials", "0"], ["--step-cap", "0"]])
-    def test_bad_trial_arguments_exit_2_before_any_solve(self, capsys, monkeypatch,
-                                                          tri_file, flag):
-        from ohmwalk import exact
-
-        calls = []
-        for name in ("hitting_time", "round_trip"):  # replay solves through both
-            solve = getattr(exact, name)
-            monkeypatch.setattr(exact, name, lambda *a, solve=solve: calls.append(a) or solve(*a))
+    # one trial has no standard error, so every four-standard-error band is empty
+    @pytest.mark.parametrize("flag", [["--trials", "0"], ["--step-cap", "0"], ["--trials", "1"]])
+    def test_bad_trial_arguments_exit_2_before_any_solve(self, capsys, tri_file, flag,
+                                                          splu_calls):
         code, out, err = invoke(capsys, ["verify", tri_file, "--simulate", *flag])
         assert code == 2
         assert out == ""
         assert flag[0].lstrip("-").replace("-", "_") in err
-        assert calls == []
+        assert splu_calls == []
+
+    def test_one_trial_simulation_is_legal(self, capsys, tri_file):
+        code, out, _ = invoke(capsys, ["simulate", "return", tri_file, "a", "--trials", "1"])
+        assert code == 0
+        assert json.loads(out)["std_error"] == 0.0
 
     def test_trial_arguments_are_ignored_without_simulate(self, capsys, tri_file):
         code, out, _ = invoke(capsys, ["verify", tri_file, "--trials", "0", "--step-cap", "0"])

@@ -1,9 +1,12 @@
+import importlib
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from ohmwalk import (
+    IllConditionedWarning,
     NonPositiveConductance,
     UnknownVertex,
     build_network,
@@ -17,6 +20,7 @@ from ohmwalk import (
 from ohmwalk.replay import STEP_NAMES
 
 from netgen import random_connected_network
+from oracles import pendant_network_steps
 
 
 class TestReplayFixtures:
@@ -58,12 +62,38 @@ class TestReplayFixtures:
             replay(triangle, "zz")
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_factors_three_grounded_matrices(self, seed, splu_calls):
-        # G~ grounded at the pendant and at z (n unknowns each), and the
-        # network grounded at z for the first-step return time
+    def test_factors_two_grounded_matrices(self, seed, splu_calls):
+        # the network with a leak at z (G~ grounded at the pendant, n
+        # unknowns) and the network grounded at z for the return time
         net = random_connected_network(np.random.default_rng(seed))
         replay(net, net.vertices[-1], c=2.0)
-        assert sorted(splu_calls) == [net.n - 1, net.n, net.n]
+        assert sorted(splu_calls) == [net.n - 1, net.n]
+        splu_calls.clear()
+        replay(net, net.vertices[-1], c=2.0, simulate_with=(50, 0))
+        assert sorted(splu_calls) == [net.n - 1, net.n]
+
+    def test_builds_no_pendant_network_without_simulation(self, monkeypatch, triangle):
+        from ohmwalk import exact
+
+        replay_module = importlib.import_module("ohmwalk.replay")  # ohmwalk.replay is the function
+        calls = []
+        for module, name in ((replay_module, "attach_pendant"), (exact, "round_trip")):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, fn=fn: calls.append(a) or fn(*a))
+        assert replay(triangle, "a", 2.0).passed
+        assert calls == []
+        replay(triangle, "a", 2.0, simulate_with=(50, 0))
+        assert len(calls) == 1  # the simulated z -> pendant walk needs G~
+
+    @pytest.mark.parametrize("kwargs", [
+        {"tolerance": 0.0}, {"tolerance": -1.0},
+        {"tolerance": float("nan")}, {"tolerance": float("inf")},
+        {"simulate_with": (1, 0)},  # one trial has no standard error: every band is empty
+    ])
+    def test_bad_arguments_rejected_before_any_solve(self, triangle, splu_calls, kwargs):
+        with pytest.raises(ValueError):
+            replay(triangle, "a", **kwargs)
+        assert splu_calls == []
 
 
 class TestReplayProperties:
@@ -99,6 +129,13 @@ class TestReplaySimulation:
         for name in ("pendant-first-step", "pendant-resistance", "commute-identity"):
             assert by_name[name].estimate is None
         assert trace.passed
+
+    def test_a_band_that_misses_fails_the_trace(self, triangle):
+        # two trials at seed 4 both reach the pendant in 1 step: mean 1, no spread
+        trace = replay(triangle, "a", simulate_with=(2, 4))
+        assert all(s.passed for s in trace.steps)
+        assert [s.estimate_passed for s in trace.steps][3:] == [False, False, True]
+        assert trace.passed is False
 
     def test_simulated_trace_is_deterministic(self, k2):
         a = replay(k2, "a", simulate_with=(500, 3)).to_json_dict()
@@ -201,3 +238,47 @@ class TestGeneralizedPendant:
     def test_bad_conductance_rejected(self, triangle, c):
         with pytest.raises(NonPositiveConductance):
             replay(triangle, "a", c)
+
+
+def _assert_pendant_network_bits(net, c):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        for z in net.vertices:
+            got = [(s.expected, s.computed) for s in replay(net, z, c).steps]
+            assert got == pendant_network_steps(net, z, c), (z, c)
+
+
+def _extreme(r):
+    """a-b 1, b-c r, c-d 1, d-a 1/r, a-c 1: conductance ratio r**2."""
+    return build_network([("a", "b", 1.0), ("b", "c", r), ("c", "d", 1.0),
+                          ("d", "a", 1.0 / r), ("a", "c", 1.0)])
+
+
+class TestPendantNetworkBits:
+    """replay solves on the network with a leak; every step must be bit for
+    bit what solving on the explicitly built pendant network gives."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_networks(self, seed):
+        net = random_connected_network(np.random.default_rng(2000 + seed))
+        for c in (0.1, 1.0, 2.0, 10.0):
+            _assert_pendant_network_bits(net, c)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_log_uniform_conductances(self, seed):
+        rng = np.random.default_rng(400 + seed)
+        net = random_connected_network(rng)
+        net = build_network(
+            [(u, v, float(10.0 ** rng.uniform(-6.0, 6.0))) for u, v, _ in net.edges]
+        )
+        _assert_pendant_network_bits(net, float(10.0 ** rng.uniform(-3.0, 3.0)))
+
+    @pytest.mark.parametrize("r", [1e8, 1e10, 1e12])
+    def test_extreme_networks(self, r):
+        # steps fail here at 1e-9 (rounding in the solves), but the bits match
+        _assert_pendant_network_bits(_extreme(r), 1.0)
+
+    def test_total_conductance_overflow_rejected(self):
+        # C = 8e307 is finite, C + 2c = 2e308 is not
+        with pytest.raises(NonPositiveConductance):
+            replay(build_network([("a", "b", 4e307)]), "a", 6e307)
