@@ -36,10 +36,11 @@ class SameVertex(OhmwalkError):
 
 
 class SingularSystem(OhmwalkError):
-    """A grounded linear system was singular.
+    """A grounded linear system was singular, or its solve was not finite.
 
-    Cannot happen for a validated connected network; seeing this error
-    signals a bug, not a bad input.
+    Rounding can make a legal network's stored system singular: with edges
+    a-b 1 and b-c 1e-300, b's diagonal 1 + 1e-300 rounds to 1, so R(a, c)
+    raises this instead of returning 1 + 1e300 (and warns of its span).
     """
 
 
@@ -68,8 +69,7 @@ class ParseError(OhmwalkError):
 
 
 class IllConditionedWarning(RuntimeWarning):
-    """Grounded system's condition estimate exceeded the trust threshold.
-
-    Results are still returned; extreme conductance ratios are legal
-    inputs, so this flags reduced accuracy instead of failing.
+    """A grounded system's conductance span (largest over smallest
+    conductance in it) exceeded 1e6, so results may have lost precision.
+    They are still returned: extreme conductance ratios are legal inputs.
     """

@@ -126,7 +126,8 @@ def replay(
 
     Steps, in order, with G~ the network plus a pendant of conductance c
     at z (c must be finite and > 0):
-      1 pendant-first-step  E_pendant[time to z] = 1
+      1 pendant-first-step  E_pendant[time to z] = 1, true by construction
+                            (its only edge goes to z), kept for the argument
       2 pendant-resistance  R(z, pendant) = 1 / c
       3 commute-identity    both hitting times across the new edge sum to
                             total_conductance(G~) * R(z, pendant)
@@ -173,7 +174,7 @@ def replay(
     # on a solve of the whole network; grounded at z it would be the bare 1 / c.
     x = exact._solve_at(net, None, np.column_stack((leaky, np.arange(net.n) == iz)), leaky)
     z_to_pendant, resistance = float(x[iz, 0]), float(x[iz, 1])
-    pendant_first = c / c  # G~ grounded at z: the pendant's row is c * h = C~_pendant = c
+    pendant_first = 1.0  # by construction: the pendant's only edge goes to z
     return_first_step = exact.return_time(net, z)
 
     hit_est = ret_est = None

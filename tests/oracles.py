@@ -8,6 +8,9 @@ principles. The Monte Carlo references walk one trial at a time, each on
 its own ``SeedSequence((seed, i))`` generator, with sampling tables built
 from the network's neighbour lists rather than the library's.
 
+``grounded_solve_exact`` solves a stored floating-point system exactly, in
+rationals, so a floating-point solve's own rounding error can be measured.
+
 The one exception is ``pendant_network_steps``: it is not an independent
 oracle but the reference route that ``replay``'s bits are pinned to, the
 library's own solves on an explicitly built pendant network.
@@ -15,6 +18,7 @@ library's own solves on an explicitly built pendant network.
 import math
 from bisect import bisect_right
 from collections import Counter
+from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
@@ -42,6 +46,36 @@ def induced_kernel(net: Network, states) -> np.ndarray:
         for j, t in enumerate(states):
             P[i, j] = d.weight(t)
     return P
+
+
+def grounded_solve_exact(A, b) -> list:
+    """Exact solution of A x = b by Gaussian elimination in ``Fraction``.
+
+    Every float converts to a Fraction without rounding, so this is the
+    exact solution of the system as stored. b is a vector, or a matrix with
+    one column per right-hand side; the result has b's shape, as nested
+    lists of Fractions. Raises ZeroDivisionError if the stored A is singular.
+    """
+    b = np.asarray(b, dtype=float)
+    rhs = b.reshape(len(b), -1).tolist()
+    rows = [[Fraction(v) for v in a + r] for a, r in zip(np.asarray(A, dtype=float).tolist(), rhs)]
+    n = len(rows)
+    for k in range(n):
+        p = next((i for i in range(k, n) if rows[i][k]), None)
+        if p is None:
+            raise ZeroDivisionError("the stored system is singular")
+        rows[k], rows[p] = rows[p], rows[k]
+        pivot = rows[k]
+        for i in range(k + 1, n):
+            f = rows[i][k] / pivot[k]
+            if f:
+                rows[i] = [v - f * w for v, w in zip(rows[i], pivot)]
+    x = [None] * n
+    for k in reversed(range(n)):
+        row = rows[k]
+        x[k] = [(row[n + j] - sum(row[i] * x[i][j] for i in range(k + 1, n))) / row[k]
+                for j in range(len(rhs[0]))]
+    return x if b.ndim > 1 else [v for v, in x]
 
 
 def hitting_times_oracle(net: Network, target) -> dict:

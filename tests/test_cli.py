@@ -9,6 +9,7 @@ import pytest
 import ohmwalk
 from ohmwalk import (
     Disconnected,
+    IllConditionedWarning,
     NonPositiveConductance,
     ParseError,
     SelfLoop,
@@ -147,6 +148,15 @@ class TestSolverSubcommands:
         assert code == 2
         assert out == ""
         assert "zz" in err
+
+    def test_denormal_conductance_resolves_with_a_warning(self, capsys, tmp_path):
+        # a wide span is a warning on stderr, not an error: the system is nonsingular
+        path = tmp_path / "denormal.edges"
+        path.write_text("a b 1\nb c 5e-324\n")
+        with pytest.warns(IllConditionedWarning):
+            code, out, _ = invoke(capsys, ["resistance", str(path), "a", "b"])
+        assert code == 0
+        assert json.loads(out)["resistance"] == 1.0
 
     def test_stdin_input(self, capsys, monkeypatch):
         import io
