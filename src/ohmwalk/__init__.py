@@ -13,7 +13,6 @@ from .errors import (
     CapExceeded,
     Disconnected,
     HasSelfLoopMass,
-    IllConditionedWarning,
     NonPositiveConductance,
     NotIrreducible,
     NotReversible,
@@ -79,7 +78,6 @@ __all__ = [
     "ExcursionEstimate",
     "HasSelfLoopMass",
     "HittingProfile",
-    "IllConditionedWarning",
     "Network",
     "NonPositiveConductance",
     "NotIrreducible",

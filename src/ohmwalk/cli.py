@@ -22,7 +22,7 @@ from dataclasses import asdict
 from . import exact, simulate
 from .errors import OhmwalkError, ParseError
 from .network import Network, attach_pendant, build_network
-from .replay import DEFAULT_TOLERANCE, replay as replay_anchor
+from .replay import DEFAULT_TOLERANCE, _replay_batch
 
 DEFAULT_TRIALS = 100_000
 DEFAULT_SEED = 0
@@ -235,17 +235,10 @@ def _run_simulate(ns, net: Network) -> int:
 
 
 def _run_verify(ns, net: Network) -> int:
-    if ns.vertex is not None:
-        net.require(ns.vertex)
-        anchors = [ns.vertex]
-    else:
-        anchors = list(net.vertices)
+    anchors = list(net.vertices) if ns.vertex is None else [ns.vertex]
     sim_args = (ns.trials, ns.seed) if ns.simulate else None
-    traces = [
-        replay_anchor(net, z, tolerance=ns.tolerance,
-                      simulate_with=sim_args, step_cap=ns.step_cap)
-        for z in anchors
-    ]
+    traces = _replay_batch(net, anchors, tolerance=ns.tolerance, simulate_with=sim_args,
+                           step_cap=ns.step_cap)
     verdict = all(t.passed for t in traces)
     _emit_json({
         "network": {"n": net.n, "m": net.m, "total_conductance": net.total_conductance},

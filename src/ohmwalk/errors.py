@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class OhmwalkError(Exception):
@@ -36,11 +36,15 @@ class SameVertex(OhmwalkError):
 
 
 class SingularSystem(OhmwalkError):
-    """A grounded linear system was singular, or its solve was not finite.
+    """A grounded solve left the floating-point range.
 
-    Rounding can make a legal network's stored system singular: with edges
-    a-b 1 and b-c 1e-300, b's diagonal 1 + 1e-300 rounds to 1, so R(a, c)
-    raises this instead of returning 1 + 1e300 (and warns of its span).
+    The exact layer's elimination never subtracts, so rounding cannot make
+    a pivot cancel to 0. A pivot is still 0 when the leak that should
+    reach it underflows on the way, and a result overflows past about
+    1.8e308 (edges a-b 1e-308 and b-c 1e-308 give R(a, c) = 2e308); a
+    pendant of 5e-324 on a triangle does one or the other, depending on
+    where its vertex falls in the elimination order. Either raises this,
+    naming the range problem, instead of returning 0, inf or nan.
     """
 
 
@@ -67,9 +71,3 @@ class ParseError(OhmwalkError):
         super().__init__(f"line {line}: {message}")
         self.line = line
 
-
-class IllConditionedWarning(RuntimeWarning):
-    """A grounded system's conductance span (largest over smallest
-    conductance in it) exceeded 1e6, so results may have lost precision.
-    They are still returned: extreme conductance ratios are legal inputs.
-    """

@@ -2,40 +2,48 @@
 
 Everything here is computed by grounded solves, never by the closed-form
 conductance ratios, so the closed forms can be checked against an
-independent method. Grounding (deleting the row and column of one vertex)
-makes the singular Laplacian invertible without touching pseudoinverses.
-Each call factors each grounded matrix it needs once (``_solve_at``):
-``round_trip`` reads both hitting times and R(x, y) from two factors.
-It also solves net's Laplacian with c added to the diagonal at z, which is
-net plus a pendant edge c at z grounded at the pendant (used by ``replay``).
+independent method. Grounding a vertex (holding it at potential 0) makes
+the singular Laplacian invertible without touching pseudoinverses.
 
-Row z of a grounded Laplacian is nonzero only at z and its neighbours,
-so the matrix is assembled straight into sparse CSC form from the
-network's edge arrays and factored by SuperLU (scipy.sparse.linalg.splu).
-SuperLU is single-threaded and deterministic, so repeated solves give
-identical bits. scipy is imported inside the solve path only: commands
-that never solve (stationary, simulate) do not pay for loading it.
+Every solve goes through one numpy kernel, ``_eliminate``: Gaussian
+elimination in the subtraction-free form of Grassmann, Taksar and Heyman
+(GTH). A system is a network with a *leak* (a conductance to ground) at
+some vertices. Eliminating a vertex is a Kron reduction: its neighbours
+gain couplings and leak in proportion to theirs, and each pivot is the sum
+of a vertex's remaining couplings and its leak, never a difference. Every
+update and the back-substitution add nonnegative terms only, so with the
+nonnegative right-hand sides used here (vertex conductances, unit
+currents) every entry of the solution is accurate to a few ulps whatever
+the conductance ratios. A grounded vertex moves its couplings into its
+neighbours' leak and keeps an empty unit row.
 
-LU loses entrywise accuracy where conductances of very different sizes
-meet at a pivot: the small one is rounded away. The conductance span
-(largest over smallest conductance in the solved system, a replay leak's c
-included) predicts that loss for one pass over the edge array; a span above
-1e6 emits IllConditionedWarning instead of failing, since extreme ratios
-are legal inputs. The 1-norm condition number, which bounds only the
-normwise error, missed many such systems.
+Vertices are eliminated in reverse Cuthill-McKee order
+(``Network.ordering``), in which the Laplacian is a band; the kernel
+stores each system's band as ``U[k, q] = W(k, k + q)`` and runs a batch
+of systems over a leading axis, with elementwise updates and plain sums
+along the last axis only, so each member's bits do not depend on the
+batch it ran in. Each call eliminates each system it needs once
+(``_solve_at``): ``round_trip`` reads both hitting times and R(x, y) from
+one batch of two. ``replay`` runs its anchors in batches of up to
+``_batch_limit`` systems.
+
+A zero or non-finite pivot, or a non-finite result, raises SingularSystem:
+with no cancellation, that happens only when conductances leave the
+floating-point range (products underflowing to 0 or results overflowing).
+Only numpy is imported.
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
-from .errors import IllConditionedWarning, SameVertex, SingularSystem
+from .errors import SameVertex, SingularSystem
 from .network import Distribution, Network, VertexId
 
-SPAN_LIMIT = 1e6
+_BAND_BYTES = 16 * 2**20  # the largest band one batch of systems may hold
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,69 +58,126 @@ class HittingProfile:
     values: dict[VertexId, float]
 
 
-def _laplacian(net: Network, ground: int | None = None, diagonal=None):
-    """Sparse (CSC) Laplacian of net, with row and column ``ground`` deleted
-    when it is given; the other rows keep their order. ``diagonal`` replaces
-    the diagonal C_z; where it exceeds C_z, z leaks the excess to ground."""
-    from scipy.sparse import csc_array
+def _band(net: Network):
+    """net's couplings in elimination order: (order, place, lo, hi, width).
 
-    tail, head, conductance, vertex_conductance = net.arrays
-    diagonal = vertex_conductance if diagonal is None else diagonal
-    size = net.n
-    pos = np.arange(size)
-    if ground is not None:
-        size -= 1
-        pos[ground] = -1
-        pos[ground + 1:] -= 1
-    rows = np.concatenate((pos[tail], pos[head], pos))
-    cols = np.concatenate((pos[head], pos[tail], pos))
-    values = np.concatenate((-conductance, -conductance, diagonal))
-    keep = (rows >= 0) & (cols >= 0)
-    return csc_array((values[keep], (rows[keep], cols[keep])), shape=(size, size))
-
-
-def _solve_grounded(A, b: np.ndarray) -> np.ndarray:
-    """Solve a grounded system A x = b from one factor, with the singularity guards."""
-    from scipy.sparse.linalg import splu
-
-    try:
-        lu = splu(A)
-    except RuntimeError as exc:
-        raise SingularSystem(f"grounded system is singular: {exc}") from exc
-    x = lu.solve(b)
-    if not np.all(np.isfinite(x)):
-        raise SingularSystem("grounded solve produced non-finite values")
-    return x
+    Vertex ``order[k]`` is eliminated k-th and ``place`` inverts order; each
+    edge joins places lo < hi. ``width[k]`` bounds how far past k row k
+    reaches once the rows before it are eliminated: fill stays inside the
+    envelope, the running maximum of each row's furthest coupling.
+    """
+    order = np.array(net.ordering, dtype=np.intp)
+    place = np.empty(net.n, dtype=np.intp)
+    place[order] = np.arange(net.n)
+    tail, head, _, _ = net.arrays
+    lo = np.minimum(place[tail], place[head])
+    hi = np.maximum(place[tail], place[head])
+    reach = np.arange(net.n)
+    np.maximum.at(reach, lo, hi)
+    width = np.maximum.accumulate(reach) - np.arange(net.n)
+    return order, place, lo, hi, width
 
 
-def _solve_at(net: Network, ground: int | None, b: np.ndarray, diagonal=None) -> np.ndarray:
-    """Solve L x = b with x[ground] = 0 for every column of b, from one factor.
-    b has a row per vertex; row ``ground``, the current the ground absorbs, is ignored.
-    With ground None, L keeps every row and ``diagonal`` (see _laplacian) must leak.
-    Warns when the system's conductance span exceeds SPAN_LIMIT."""
-    _, _, conductance, vertex_conductance = net.arrays
-    lo, hi = float(conductance.min()), float(conductance.max())
-    if diagonal is not None:  # the leak: 0 when it was rounded away, an infinite span
-        leak = float((diagonal - vertex_conductance).max())
-        lo, hi = min(lo, leak), max(hi, leak)
-    if hi > SPAN_LIMIT * lo:  # no division, in Python floats: lo may be 0, hi / lo inf
-        warnings.warn(
-            f"grounded system conductances span {lo:.3e} to {hi:.3e}, a ratio above "
-            f"{SPAN_LIMIT:.0e}; results may lose precision",
-            IllConditionedWarning,
-            stacklevel=2,
-        )
-    keep = np.arange(net.n) != ground  # every row when ground is None
-    x = np.zeros(b.shape)
-    x[keep] = _solve_grounded(_laplacian(net, ground, diagonal), b[keep])
-    return x
+def _batch_limit(net: Network) -> int:
+    """How many of net's systems one batch may hold within _BAND_BYTES (at least 1)."""
+    width = int(_band(net)[4].max())
+    return max(1, _BAND_BYTES // ((net.n + width) * (width + 1) * 8))
+
+
+def _eliminate(U: np.ndarray, R: np.ndarray, width) -> tuple[np.ndarray, np.ndarray]:
+    """GTH elimination and back-substitution for a batch of banded systems.
+
+    For each member s, with w = U.shape[2] - 1 and n rows followed by w rows
+    of zero padding: U[s, k, q] (1 <= q <= w) is the coupling W(k, k + q),
+    R[s, 0, k] the leak at k and R[s, 1:, k] the right-hand sides, all >= 0
+    and finite. Row k holds nothing past width[k]. U and R are overwritten.
+    Returns x with x[s, j, k] solving right-hand side j, and the pivots (n, S).
+    """
+    S, N, L = U.shape
+    w = L - 1
+    n = N - w
+    pivots = np.empty((n, S))
+    # The update of pivot k adds to W(k + a, k + b), 1 <= a < b <= w, which
+    # is U[k + a, b - a]: stride L - 1 in a and 1 in b from U[k + 1, 0]. Where
+    # b <= a the view lands on column 0 or on other entries, so those get + 0
+    # (b = a is the self-loop term GTH drops).
+    step, member, col = U.strides[1], U.strides[0], U.strides[2]
+    schur = as_strided(U[:, 1:], shape=(n, S, w, w), strides=(step, member, step - col, col),
+                       writeable=True)
+    upper = np.triu(np.ones((w, w)), 1)
+    for k, e in enumerate(width):
+        row = U[:, k, 1:e + 1]
+        p = row.sum(-1)
+        p += R[:, 0, k]
+        pivots[k] = p
+        if e:
+            f = row / p[:, None]
+            t = f[:, :, None] * row[:, None, :]
+            t *= upper[:e, :e]
+            schur[k, :, :e, :e] += t
+            R[:, :, k + 1:k + e + 1] += f[:, None, :] * R[:, :, k, None]
+    x = np.zeros((S, R.shape[1] - 1, N))
+    for k in range(n - 1, -1, -1):
+        e = width[k]
+        s = (U[:, k, None, 1:e + 1] * x[:, :, k + 1:k + e + 1]).sum(-1)
+        s += R[:, 1:, k]
+        s /= pivots[k][:, None]
+        x[:, :, k] = s
+    return x[:, :, :n], pivots
+
+
+def _solve_at(net: Network, grounds, b: np.ndarray, leak: np.ndarray | None = None) -> np.ndarray:
+    """Solve a batch of net's grounded systems, eliminating each once.
+
+    Member s is net's Laplacian plus ``leak[s]`` (a conductance from each
+    vertex to ground; none when leak is None) with vertex row ``grounds[s]``
+    held at 0, or no vertex when it is None (the leak must then reach
+    ground). b[s] has a row per vertex and a column per right-hand side, all
+    >= 0; row grounds[s], the current the ground absorbs, is ignored.
+    Returns x of b's shape, with x[s, grounds[s]] = 0.
+    """
+    order, place, lo, hi, width = _band(net)
+    _, _, conductance, _ = net.arrays
+    S, n, m = b.shape
+    w = int(width.max())
+    U = np.zeros((S, n + w, w + 1))
+    U[:, lo, hi - lo] = conductance
+    R = np.zeros((S, m + 1, n + w))
+    R[:, 1:, :n] = b[:, order].transpose(0, 2, 1)
+    if leak is not None:
+        R[:, 0, :n] = leak[:, order]
+    held = [s for s, g in enumerate(grounds) if g is not None]
+    if held:
+        s = np.array(held)[:, None]
+        g = place[[grounds[i] for i in held]][:, None]
+        q = np.arange(1, w + 1)
+        above = np.where(g >= q, g - q, n)  # a padding row where there is none
+        R[s, 0, g + q] += U[s, g, q]  # couplings to g become leak, after g
+        R[s, 0, above] += U[s, above, q]  # and before it
+        U[s, g, q] = 0.0
+        U[s, above, q] = 0.0
+        R[s[:, 0], :, g[:, 0]] = 0.0
+        R[s[:, 0], 0, g[:, 0]] = 1.0  # an empty unit row: pivot 1, value 0
+    with np.errstate(all="ignore"):
+        x, pivots = _eliminate(U, R, width.tolist())
+    if not (np.all(pivots > 0.0) and np.all(np.isfinite(x))):
+        raise SingularSystem(
+            "grounded solve left the floating-point range: a pivot underflowed to 0 or "
+            "a result overflowed, so the conductances are too far apart for doubles")
+    return x[:, :, place].transpose(0, 2, 1)
+
+
+def _first_return(net: Network, z: VertexId, h) -> float:
+    """One step from z plus the conductance-weighted hitting times h (by row) back to z."""
+    cz = net.vertex_conductance[z]
+    return 1.0 + math.fsum(c / cz * h[net.index[y]] for y, c in net.neighbors[z])
 
 
 def effective_resistance(net: Network, x: VertexId, y: VertexId) -> float:
     """Effective resistance between x and y (ohms, conductances as siemens).
 
-    Solves the grounded system: column/row y deleted, unit current pushed
-    in at x and pulled out at the ground. Symmetric in its arguments and
+    Solves the system grounded at y, with a unit current pushed in at x
+    and pulled out at the ground. Symmetric in its arguments and
     zero exactly when x == y.
     """
     net.require(x)
@@ -120,19 +185,19 @@ def effective_resistance(net: Network, x: VertexId, y: VertexId) -> float:
     if x == y:
         return 0.0
     ix = net.index[x]
-    b = np.zeros(net.n)
-    b[ix] = 1.0
-    return float(_solve_at(net, net.index[y], b)[ix])
+    b = np.zeros((1, net.n, 1))
+    b[0, ix] = 1.0
+    return float(_solve_at(net, [net.index[y]], b)[0, ix, 0])
 
 
 def resistance_matrix(net: Network) -> np.ndarray:
-    """All-pairs effective resistances from one grounded factorization.
+    """All-pairs effective resistances from one grounded elimination.
 
     Entry (i, j) follows vertex order. Same grounded-solve method as
     effective_resistance, amortized: with G the grounded inverse (ground =
     first vertex), R_xy = G_xx + G_yy - 2 G_xy.
     """
-    G = _solve_at(net, 0, np.eye(net.n))
+    G = _solve_at(net, [0], np.eye(net.n)[None])[0]
     G = 0.5 * (G + G.T)
     d = np.diagonal(G)
     R = d[:, None] + d[None, :] - 2.0 * G
@@ -150,7 +215,7 @@ def hitting_time(net: Network, target: VertexId) -> HittingProfile:
     """
     net.require(target)
     *_, vertex_conductance = net.arrays
-    h = _solve_at(net, net.index[target], vertex_conductance).tolist()
+    h = _solve_at(net, [net.index[target]], vertex_conductance[None, :, None])[0, :, 0].tolist()
     return HittingProfile(target=target, values=dict(zip(net.vertices, h)))
 
 
@@ -165,11 +230,11 @@ class RoundTrip:
 
 
 def round_trip(net: Network, x: VertexId, y: VertexId) -> RoundTrip:
-    """Both hitting times between x and y and R(x, y), from two factorizations.
+    """Both hitting times between x and y and R(x, y), from two eliminations.
 
-    The factor grounded at y solves the hitting-time right-hand side (the
-    vertex conductances) and a unit current at x together; the factor
-    grounded at x solves the hitting times back. Each value is bit for
+    One batch of two systems: grounded at y, it solves the hitting-time
+    right-hand side (the vertex conductances) and a unit current at x
+    together; grounded at x, the hitting times back. Each value is bit for
     bit what hitting_time and effective_resistance return.
     """
     net.require(x)
@@ -178,11 +243,12 @@ def round_trip(net: Network, x: VertexId, y: VertexId) -> RoundTrip:
         raise SameVertex(f"a round trip needs two distinct vertices, got {x!r} twice")
     ix, iy = net.index[x], net.index[y]
     *_, vertex_conductance = net.arrays
-    unit_current = np.arange(net.n) == ix
-    to_y = _solve_at(net, iy, np.column_stack((vertex_conductance, unit_current)))
-    to_x = _solve_at(net, ix, vertex_conductance)
-    return RoundTrip(x_to_y=float(to_y[ix, 0]), y_to_x=float(to_x[iy]),
-                     resistance=float(to_y[ix, 1]))
+    b = np.zeros((2, net.n, 2))
+    b[:, :, 0] = vertex_conductance
+    b[0, ix, 1] = 1.0  # the unit current, grounded at y
+    x = _solve_at(net, [iy, ix], b)
+    return RoundTrip(x_to_y=float(x[0, ix, 0]), y_to_x=float(x[1, iy, 0]),
+                     resistance=float(x[0, ix, 1]))
 
 
 def commute_time(net: Network, x: VertexId, y: VertexId) -> float:
@@ -199,9 +265,9 @@ def return_time(net: Network, z: VertexId) -> float:
     ratio, so it serves as the independent oracle for it.
     """
     net.require(z)
-    profile = hitting_time(net, z).values
-    cz = net.vertex_conductance[z]
-    return 1.0 + math.fsum(c / cz * profile[y] for y, c in net.neighbors[z])
+    *_, vertex_conductance = net.arrays
+    h = _solve_at(net, [net.index[z]], vertex_conductance[None, :, None])[0, :, 0]
+    return _first_return(net, z, h)
 
 
 def return_time_formula(net: Network, z: VertexId) -> float:

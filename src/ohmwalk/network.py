@@ -123,6 +123,30 @@ class Network:
             indptr.append(len(row))
         return tuple(indptr), tuple(row), tuple(cumulative)
 
+    @cached_property
+    def ordering(self) -> tuple[int, ...]:
+        """Row indices in reverse Cuthill-McKee order, the exact solver's elimination order.
+
+        Breadth-first from the first row of least degree, each vertex's unvisited
+        neighbours taken by increasing degree (ties in stored order), then
+        reversed. Neighbours land close together in the order, so the Laplacian
+        is a narrow band in it. Read from ``walk``'s tables; built on first use
+        and kept.
+        """
+        indptr, row, _ = self.walk
+        degree = [indptr[v + 1] - indptr[v] for v in range(self.n)]
+        start = min(range(self.n), key=degree.__getitem__)
+        order = [start]
+        seen = [False] * self.n
+        seen[start] = True
+        for v in order:  # grows while it is read: a breadth-first queue
+            fresh = sorted((u for u in row[indptr[v]:indptr[v + 1]] if not seen[u]),
+                           key=degree.__getitem__)
+            for u in fresh:
+                seen[u] = True
+            order.extend(fresh)
+        return tuple(reversed(order))
+
 
 @dataclass(frozen=True, eq=False)
 class AugmentedNetwork:

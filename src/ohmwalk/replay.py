@@ -9,7 +9,9 @@ new edge, and the excursion decomposition of the trip from z to the
 pendant. ``replay`` re-executes that chain on an arbitrary network and
 any pendant conductance, checking every intermediate identity against an
 independent grounded-Laplacian computation and reporting a structured
-trace. Its exact side solves on the original network only (see replay).
+trace. Its exact side solves on the original network only, two systems
+per anchor, and a sweep over many anchors runs their systems through the
+exact layer's kernel in batches (see replay and _replay_batch).
 """
 from __future__ import annotations
 
@@ -138,11 +140,12 @@ def replay(
                             which would make the final step circular)
       6 conclusion          E_z[return] = C / C_z
 
-    G~ is never built for the exact side; two factorizations of net do:
-    net with C~_z on the diagonal at z is G~ grounded at the pendant (its
-    entries, in order, so the bits are those of G~) and gives steps 2-5,
-    and net grounded at z gives the return time. At c = 1 every divide by
-    c is exact, so the trace is that of the unit pendant bit for bit.
+    G~ is never built for the exact side; two eliminations of net, run as
+    one batch, do: net with a leak c to ground at z is G~ grounded at the
+    pendant and gives steps 2-5, and net grounded at z gives the return
+    time. The leak is c itself, never C_z + c, so a pendant far smaller
+    than C_z still counts. ``cli`` verify runs every anchor through the
+    same batches (``_replay_batch``), so a trace has the same bits there.
 
     ``simulate_with`` = (trials, seed) additionally attaches Monte Carlo
     estimates to steps 4-6: the z -> pendant hitting time is simulated on
@@ -151,7 +154,16 @@ def replay(
     A finite tolerance > 0, c, the trial count and ``step_cap`` are
     checked before anything is solved.
     """
-    net.require(z)
+    return _replay_batch(net, [z], c, tolerance, simulate_with, step_cap)[0]
+
+
+def _replay_batch(net: Network, anchors, c: float = 1.0, tolerance: float = DEFAULT_TOLERANCE,
+                  simulate_with: tuple[int, int] | None = None,
+                  step_cap: int = simulate.DEFAULT_STEP_CAP) -> list[ProofTrace]:
+    """``replay`` at each anchor in turn, its eliminations run in batches of
+    up to ``exact._batch_limit`` systems. Every argument is checked first."""
+    for z in anchors:
+        net.require(z)
     c = _check_conductance(c)
     if not 0.0 < tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and > 0, got {tolerance!r}")
@@ -161,21 +173,56 @@ def replay(
             raise ValueError(f"a simulated replay needs trials >= 2, got {simulate_with[0]}")
 
     # C~_z and C~ are summed over the terms build_network would sum for G~.
-    iz = net.index[z]
-    *_, vertex_conductance = net.arrays
-    leaky = vertex_conductance.copy()
-    leaky[iz] = _sum([*(w for _, w in net.neighbors[z]), c])
-    total = _sum([*leaky, c])
-    if not math.isfinite(total):
-        raise NonPositiveConductance(f"total conductance with a pendant of {c!r} "
-                                     f"at {z!r} is not finite")
+    vertex_conductance = net.arrays[3].tolist()
+    rows = [net.index[z] for z in anchors]
+    leaky = [_sum([*(w for _, w in net.neighbors[z]), c]) for z in anchors]
+    totals = []
+    for z, iz, cz in zip(anchors, rows, leaky):
+        total = _sum([*vertex_conductance[:iz], cz, *vertex_conductance[iz + 1:], c])
+        if not math.isfinite(total):
+            raise NonPositiveConductance(f"total conductance with a pendant of {c!r} "
+                                         f"at {z!r} is not finite")
+        totals.append(total)
 
+    traces = []
+    chunk = max(1, exact._batch_limit(net) // 2)
+    for start in range(0, len(anchors), chunk):
+        part = slice(start, start + chunk)
+        x = _solve_anchors(net, rows[part], leaky[part], c)
+        for i, (z, total) in enumerate(zip(anchors[part], totals[part])):
+            traces.append(_trace(net, z, c, total, x[2 * i], x[2 * i + 1], tolerance,
+                                 simulate_with, step_cap))
+    return traces
+
+
+def _solve_anchors(net: Network, rows: list[int], leaky: list[float], c: float) -> np.ndarray:
+    """Both eliminations of each anchor row, interleaved: member 2i is net
+    with a leak c at rows[i], solving G~'s hitting times to the pendant
+    (C~_z = leaky[i] at rows[i]) and a unit current at rows[i]; member 2i + 1
+    is net grounded at rows[i], solving its hitting times."""
+    *_, vertex_conductance = net.arrays
+    A = len(rows)
+    leak_at = 2 * np.arange(A)
+    b = np.zeros((2 * A, net.n, 2))
+    b[:, :, 0] = vertex_conductance
+    b[leak_at, rows, 0] = leaky
+    b[leak_at, rows, 1] = 1.0
+    leak = np.zeros((2 * A, net.n))
+    leak[leak_at, rows] = c
+    grounds = [None] * (2 * A)
+    grounds[1::2] = rows
+    return exact._solve_at(net, grounds, b, leak)
+
+
+def _trace(net: Network, z: VertexId, c: float, total: float, leaked: np.ndarray,
+           grounded: np.ndarray, tolerance: float, simulate_with, step_cap: int) -> ProofTrace:
+    """One anchor's steps from its two solves (see _solve_anchors)."""
+    iz = net.index[z]
     # G~ grounded at the pendant, for its hitting times and R(z, pendant): R rests
     # on a solve of the whole network; grounded at z it would be the bare 1 / c.
-    x = exact._solve_at(net, None, np.column_stack((leaky, np.arange(net.n) == iz)), leaky)
-    z_to_pendant, resistance = float(x[iz, 0]), float(x[iz, 1])
+    z_to_pendant, resistance = float(leaked[iz, 0]), float(leaked[iz, 1])
     pendant_first = 1.0  # by construction: the pendant's only edge goes to z
-    return_first_step = exact.return_time(net, z)
+    return_first_step = exact._first_return(net, z, grounded[:, 0])
 
     hit_est = ret_est = None
     if simulate_with is not None:

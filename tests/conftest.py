@@ -37,20 +37,21 @@ def star3():
 
 
 @pytest.fixture
-def splu_calls(monkeypatch):
-    """Sizes of the matrices scipy's sparse LU factors while the test runs.
+def eliminations(monkeypatch):
+    """Sizes of the systems the exact layer eliminates while the test runs,
+    one entry per system (a grounded vertex keeps a unit row, so each is n).
 
-    The exact layer imports splu at call time, so patching the module
-    attribute sees every factorization.
+    Every solve goes through ``exact._eliminate``, which takes a batch of
+    systems, so patching the module attribute sees every elimination.
     """
-    import scipy.sparse.linalg
+    from ohmwalk import exact
 
     calls = []
-    factor = scipy.sparse.linalg.splu
+    kernel = exact._eliminate
 
-    def spy(A, *args, **kwargs):
-        calls.append(A.shape[0])
-        return factor(A, *args, **kwargs)
+    def spy(U, R, width):
+        calls.extend([len(width)] * U.shape[0])
+        return kernel(U, R, width)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
+    monkeypatch.setattr(exact, "_eliminate", spy)
     return calls

@@ -52,13 +52,15 @@ def grounded_solve_exact(A, b) -> list:
     """Exact solution of A x = b by Gaussian elimination in ``Fraction``.
 
     Every float converts to a Fraction without rounding, so this is the
-    exact solution of the system as stored. b is a vector, or a matrix with
-    one column per right-hand side; the result has b's shape, as nested
-    lists of Fractions. Raises ZeroDivisionError if the stored A is singular.
+    exact solution of the system as stored. A is a float array, or nested
+    lists of floats or Fractions (see dense_laplacian). b is a vector, or a
+    matrix with one column per right-hand side; the result has b's shape,
+    as nested lists of Fractions. Raises ZeroDivisionError if A is singular.
     """
     b = np.asarray(b, dtype=float)
     rhs = b.reshape(len(b), -1).tolist()
-    rows = [[Fraction(v) for v in a + r] for a, r in zip(np.asarray(A, dtype=float).tolist(), rhs)]
+    A = A.tolist() if isinstance(A, np.ndarray) else A
+    rows = [[Fraction(v) for v in a + r] for a, r in zip(A, rhs)]
     n = len(rows)
     for k in range(n):
         p = next((i for i in range(k, n) if rows[i][k]), None)
@@ -76,6 +78,29 @@ def grounded_solve_exact(A, b) -> list:
         x[k] = [(row[n + j] - sum(row[i] * x[i][j] for i in range(k + 1, n))) / row[k]
                 for j in range(len(rhs[0]))]
     return x if b.ndim > 1 else [v for v, in x]
+
+
+def dense_laplacian(net: Network, ground=None, leak=None) -> list:
+    """Exact Laplacian of net plus ``leak`` on the diagonal, as nested lists
+    of Fractions, built from the edge list; row and column ``ground`` are
+    deleted when it is given, and the other rows keep vertex order.
+
+    Each diagonal entry is the exact sum of the vertex's conductances and
+    its leak (a conductance to ground per vertex row), so a leak far below
+    C_z is not rounded away as it would be in a float matrix.
+    """
+    n = net.n
+    L = [[Fraction(0)] * n for _ in range(n)]
+    for u, v, c in net.edges:
+        i, j = net.index[u], net.index[v]
+        L[i][j] = L[j][i] = -Fraction(c)
+        L[i][i] += Fraction(c)
+        L[j][j] += Fraction(c)
+    if leak is not None:
+        for i, c in enumerate(np.asarray(leak, dtype=float).tolist()):
+            L[i][i] += Fraction(c)
+    keep = [i for i in range(n) if i != ground]
+    return [[L[i][j] for j in keep] for i in keep]
 
 
 def hitting_times_oracle(net: Network, target) -> dict:

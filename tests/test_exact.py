@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from ohmwalk import (
-    IllConditionedWarning,
     SameVertex,
     SingularSystem,
     UnknownVertex,
@@ -24,11 +23,12 @@ from ohmwalk import (
     rel_err,
     replay,
 )
-from ohmwalk.exact import SPAN_LIMIT, _laplacian, _solve_at, _solve_grounded
+from ohmwalk.exact import _solve_at
 from ohmwalk.network import _sum
 
 from netgen import random_connected_network
 from oracles import (
+    dense_laplacian,
     grounded_solve_exact,
     hitting_times_oracle,
     return_time_oracle,
@@ -40,7 +40,7 @@ class TestLaplacian:
     @pytest.mark.parametrize("seed", range(10))
     def test_structure(self, seed):
         net = random_connected_network(np.random.default_rng(seed))
-        L = _laplacian(net).toarray()
+        L = np.array(dense_laplacian(net), dtype=float)
         assert np.allclose(L, L.T)
         assert np.max(np.abs(L.sum(axis=1))) < 1e-12
         off = L[~np.eye(net.n, dtype=bool)]
@@ -48,7 +48,7 @@ class TestLaplacian:
         assert np.linalg.matrix_rank(L) == net.n - 1
 
     def test_index_map_matches_network(self, weighted_path):
-        L = _laplacian(weighted_path).toarray()
+        L = np.array(dense_laplacian(weighted_path), dtype=float)
         index = weighted_path.index
         assert index == {"1": 0, "2": 1, "3": 2}
         assert L[index["2"], index["2"]] == 3.0
@@ -174,17 +174,15 @@ class TestRoundTrip:
             net = build_network(
                 [(u, v, float(10.0 ** rng.uniform(-6.0, 6.0))) for u, v, _ in net.edges]
             )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IllConditionedWarning)
-            for x in net.vertices:
-                for y in net.vertices:
-                    if x == y:
-                        continue
-                    trip = round_trip(net, x, y)
-                    assert trip.x_to_y == hitting_time(net, y).values[x]
-                    assert trip.y_to_x == hitting_time(net, x).values[y]
-                    assert trip.resistance == effective_resistance(net, x, y)
-                    assert commute_time(net, x, y) == trip.x_to_y + trip.y_to_x
+        for x in net.vertices:
+            for y in net.vertices:
+                if x == y:
+                    continue
+                trip = round_trip(net, x, y)
+                assert trip.x_to_y == hitting_time(net, y).values[x]
+                assert trip.y_to_x == hitting_time(net, x).values[y]
+                assert trip.resistance == effective_resistance(net, x, y)
+                assert commute_time(net, x, y) == trip.x_to_y + trip.y_to_x
 
     def test_unit_path(self, unit_path):
         trip = round_trip(unit_path, "a", "c")
@@ -201,19 +199,23 @@ class TestRoundTrip:
         with pytest.raises(UnknownVertex, match="zz"):
             round_trip(triangle, x, y)
 
-    def test_factors_one_matrix_per_ground(self, splu_calls):
+    def test_factors_one_matrix_per_ground(self, eliminations):
         net = random_connected_network(np.random.default_rng(3))
         x, y = net.vertices[0], net.vertices[-1]
         round_trip(net, x, y)
-        assert splu_calls == [net.n - 1, net.n - 1]
-        splu_calls.clear()
+        assert eliminations == [net.n, net.n]
+        eliminations.clear()
         commute_time(net, x, y)
-        assert len(splu_calls) == 2
-        splu_calls.clear()
+        assert len(eliminations) == 2
+        eliminations.clear()
         hitting_time(net, y)
         effective_resistance(net, x, y)
         resistance_matrix(net)
-        assert len(splu_calls) == 3
+        return_time(net, x)
+        assert len(eliminations) == 4
+        eliminations.clear()
+        replay(net, x)
+        assert len(eliminations) == 2
 
 
 class TestReturnTime:
@@ -313,11 +315,10 @@ class TestResistanceGeometry:
 
 
 class TestConditioning:
-    def test_extreme_ratio_warns_but_returns(self):
+    def test_extreme_ratio_solves_accurately(self):
         net = build_network([("a", "b", 1e-9), ("b", "c", 1e9)])
-        with pytest.warns(IllConditionedWarning):
-            r = effective_resistance(net, "a", "c")
-        assert r == pytest.approx(1e9 + 1e-9, rel=1e-6)
+        want = Fraction(1) / Fraction(1e-9) + Fraction(1) / Fraction(1e9)
+        assert abs(Fraction(effective_resistance(net, "a", "c")) - want) <= 1e-15 * want
 
     def test_normal_network_stays_silent(self, triangle):
         with warnings.catch_warnings():
@@ -325,144 +326,121 @@ class TestConditioning:
             effective_resistance(triangle, "a", "b")
             hitting_time(triangle, "a")
 
-    def test_singular_system_is_a_bug_signal(self):
-        from scipy.sparse import csc_array
-
-        with pytest.raises(SingularSystem):
-            _solve_grounded(csc_array((2, 2)), np.ones(2))
+    def test_out_of_range_raises_singular_system(self, triangle):
+        # R(a, c) = 2e308 overflows. A 5e-324 pendant leak makes the results
+        # overflow where it is eliminated last (a) and halves to 0, leaving a
+        # zero pivot, where it is eliminated first (c).
+        net = build_network([("a", "b", 1e-308), ("b", "c", 1e-308)])
+        with pytest.raises(SingularSystem, match="floating-point range"):
+            effective_resistance(net, "a", "c")
+        assert triangle.ordering == (2, 1, 0)
+        for z in "ac":
+            with pytest.raises(SingularSystem, match="floating-point range"):
+                replay(triangle, z, 5e-324)
 
     def test_grounded_drops_row_and_column(self):
+        # grounding g solves L with row and column g deleted, and x[g] is 0
         net = random_connected_network(np.random.default_rng(0))
-        L = _laplacian(net).toarray()
+        *_, vertex_conductance = net.arrays
         for ground in range(net.n):
-            A = _laplacian(net, ground).toarray()
-            assert A.tolist() == np.delete(np.delete(L, ground, 0), ground, 1).tolist()
+            x = _solve_at(net, [ground], vertex_conductance[None, :, None])[0, :, 0]
+            keep = np.arange(net.n) != ground
+            want = [e for e, in grounded_solve_exact(dense_laplacian(net, ground),
+                                                      vertex_conductance[keep, None])]
+            assert x[ground] == 0.0
+            assert all(abs(Fraction(float(v)) - e) <= 1e-13 * e for v, e in zip(x[keep], want))
 
-    def test_denormal_conductance_warns_and_returns(self):
-        # The stored systems are nonsingular, so the span warns and the values are exact.
+    def test_denormal_conductance_solves_exactly(self):
         net = build_network([("a", "b", 1.0), ("b", "c", 5e-324)])
-        with pytest.warns(IllConditionedWarning):
-            assert effective_resistance(net, "a", "b") == 1.0
-        with pytest.warns(IllConditionedWarning):
-            assert hitting_time(net, "b").values == {"a": 1.0, "b": 0.0, "c": 1.0}
-        with pytest.warns(IllConditionedWarning):
-            assert return_time(net, "b") == 2.0
+        assert effective_resistance(net, "a", "b") == 1.0
+        assert hitting_time(net, "b").values == {"a": 1.0, "b": 0.0, "c": 1.0}
+        assert return_time(net, "b") == 2.0
 
-    @pytest.mark.xfail(strict=True, raises=SingularSystem,
-                       reason="b's diagonal 1 + 1e-300 rounds to 1, so the system is singular")
     def test_conductance_rounded_away_still_solves(self):
+        # b's C_b = 1 + 1e-300 rounds to 1; the elimination never forms it
         net = build_network([("a", "b", 1.0), ("b", "c", 1e-300)])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IllConditionedWarning)
-            assert effective_resistance(net, "a", "c") == pytest.approx(1.0 + 1e300, rel=1e-9)
-
-
-def _warned(solve) -> bool:
-    """Run solve() and report whether it emitted IllConditionedWarning."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        solve()
-    return any(issubclass(w.category, IllConditionedWarning) for w in caught)
+        assert effective_resistance(net, "a", "c") == pytest.approx(1.0 + 1e300, rel=1e-9)
 
 
 @lru_cache(maxsize=None)
-def _span_sample() -> tuple:
-    """(entrywise relative error, warned, conductance span) of every system in
-    a seeded sample: 6-12-vertex networks with log-uniform conductances over
-    spans 1e2..1e18, grounded at every vertex (hitting-time right-hand side),
-    and each anchor's replay leak system with a log-uniform pendant c. The
-    error is against the exact rational solve of the stored system; a system
-    that is singular as stored errs infinitely."""
+def _accuracy_sample() -> tuple:
+    """(entrywise relative errors, warnings emitted) over a seeded sample:
+    6-12-vertex networks with log-uniform conductances over spans 1e2..1e18,
+    grounded at every vertex (hitting-time right-hand side), and each
+    anchor's replay leak system with a log-uniform pendant c. The error is
+    against the exact rational solve of the system its couplings and leak
+    define."""
     rng = np.random.default_rng(0)
-    sample = []
-    for _ in range(20):
-        span = 10.0 ** rng.uniform(2.0, 18.0)
-        shape = random_connected_network(rng, n_lo=6, n_hi=12)
-        net = build_network([(u, v, float(span ** rng.uniform(0.0, 1.0)))
-                             for u, v, _ in shape.edges])
-        *_, vertex_conductance = net.arrays
-        conductances = [w for _, _, w in net.edges]
-        lo, hi = math.log10(min(conductances)), math.log10(max(conductances))
-        systems = [(g, vertex_conductance, None, conductances) for g in range(net.n)]
-        for z in net.vertices:
-            c = float(10.0 ** rng.uniform(lo - 3.0, hi + 3.0))
-            leaky = vertex_conductance.copy()
-            leaky[net.index[z]] = _sum([*(w for _, w in net.neighbors[z]), c])
-            b = np.column_stack((leaky, np.arange(net.n) == net.index[z]))
-            systems.append((None, b, leaky, conductances + [c]))
-        for ground, b, diagonal, cs in systems:
-            keep = np.arange(net.n) != ground
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                try:
-                    got = _solve_at(net, ground, b, diagonal)[keep].ravel()
-                except SingularSystem:
-                    got = None
-            warned = any(issubclass(w.category, IllConditionedWarning) for w in caught)
-            try:
+    errors = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for _ in range(20):
+            span = 10.0 ** rng.uniform(2.0, 18.0)
+            shape = random_connected_network(rng, n_lo=6, n_hi=12)
+            net = build_network([(u, v, float(span ** rng.uniform(0.0, 1.0)))
+                                 for u, v, _ in shape.edges])
+            *_, vertex_conductance = net.arrays
+            conductances = [w for _, _, w in net.edges]
+            lo, hi = math.log10(min(conductances)), math.log10(max(conductances))
+            systems = [(g, vertex_conductance[:, None], None) for g in range(net.n)]
+            for z in net.vertices:
+                c = float(10.0 ** rng.uniform(lo - 3.0, hi + 3.0))
+                iz = net.index[z]
+                leaky = vertex_conductance.copy()
+                leaky[iz] = _sum([*(w for _, w in net.neighbors[z]), c])
+                leak = np.zeros(net.n)
+                leak[iz] = c
+                systems.append((None, np.column_stack((leaky, np.arange(net.n) == iz)), leak))
+            for ground, b, leak in systems:
+                keep = np.arange(net.n) != ground
+                got = _solve_at(net, [ground], b[None],
+                                None if leak is None else leak[None])[0][keep].ravel()
                 want = np.ravel(np.array(grounded_solve_exact(
-                    _laplacian(net, ground, diagonal).toarray(), b[keep]), dtype=object))
-            except ZeroDivisionError:
-                want = None
-            err = (math.inf if got is None or want is None else
-                   max(float(abs(Fraction(float(x)) - e) / e) for x, e in zip(got, want)))
-            sample.append((err, warned, max(cs) / min(cs)))
-    return tuple(sample)
+                    dense_laplacian(net, ground, leak), b[keep]), dtype=object))
+                errors.append(max(float(abs(Fraction(float(x)) - e) / e)
+                                  for x, e in zip(got, want)))
+    return tuple(errors), len(caught)
 
 
-class TestSpanWarning:
-    def test_every_solve_off_by_more_than_the_replay_tolerance_warned(self):
-        # 1e-9 is replay's tolerance. The rule is not sharp below it: samples
-        # crowded just under span 1e6 erred up to 5.7e-10 on 12 vertices.
-        bad = [warned for err, warned, _ in _span_sample() if err > 1e-9]
-        assert bad
-        assert all(bad)
+class TestAccuracy:
+    """Subtraction-free elimination is entrywise accurate at any conductance
+    ratio, so there is nothing to warn of."""
 
-    def test_warns_exactly_when_span_exceeds_limit(self):
-        sample = _span_sample()
-        assert [warned for _, warned, _ in sample] == [s > SPAN_LIMIT for *_, s in sample]
+    def test_every_system_within_1e_13_of_exact(self):
+        errors, _ = _accuracy_sample()
+        assert len(errors) > 300
+        assert max(errors) <= 1e-13
 
-    @pytest.mark.parametrize("big,warns", [(1e6, False), (1.01e6, True)])
-    def test_limit_is_a_span_of_1e6(self, big, warns):
+    def test_sample_emits_no_warning(self):
+        assert _accuracy_sample()[1] == 0
+
+    @pytest.mark.parametrize("big", [1e6, 1.01e6, 1e18])  # either side of the old 1e6 limit
+    def test_wide_spans_solve_accurately(self, big):
         net = build_network([("a", "b", 1.0), ("b", "c", big)])
-        assert _warned(lambda: effective_resistance(net, "a", "c")) is warns
-        assert _warned(lambda: hitting_time(net, "b")) is warns
+        want = 1 + Fraction(1) / Fraction(big)
+        assert abs(Fraction(effective_resistance(net, "a", "c")) - want) <= 1e-15 * want
+        assert hitting_time(net, "b").values == {"a": 1.0, "b": 0.0, "c": 1.0}
 
-    def test_replay_counts_the_pendant_conductance(self, triangle):
-        assert not _warned(lambda: replay(triangle, "a"))
-        assert _warned(lambda: replay(triangle, "a", 1e-7))
+    @pytest.mark.parametrize("c", [1e-7, 1e-30])
+    def test_small_pendants_pass(self, triangle, c):
+        # the leak is c itself: C_a + c rounds to C_a at 1e-30, but is never formed
+        trace = replay(triangle, "a", c)
+        assert trace.passed, [(s.name, s.rel_err) for s in trace.steps]
 
-    def test_pendant_rounded_away_is_an_infinite_span(self, triangle):
-        # 2 + 1e-30 == 2, so nothing leaks and the system is the singular Laplacian
-        with pytest.warns(IllConditionedWarning, match="span 0.000e"):
-            with pytest.raises(SingularSystem):
-                replay(triangle, "a", 1e-30)
-
-    def test_one_solve_per_factorization(self, monkeypatch):
-        import scipy.sparse.linalg
-
-        solves = []  # one counter per factorization
-        factor = scipy.sparse.linalg.splu
-
-        class Counted:
-            def __init__(self, lu):
-                self.lu = lu
-                solves.append(0)
-
-            def solve(self, rhs, *args, **kwargs):
-                solves[-1] += 1
-                return self.lu.solve(rhs, *args, **kwargs)
-
-        monkeypatch.setattr(scipy.sparse.linalg, "splu",
-                            lambda A, *args, **kwargs: Counted(factor(A, *args, **kwargs)))
-        net = random_connected_network(np.random.default_rng(3))
-        x, y = net.vertices[0], net.vertices[-1]
-        hitting_time(net, y)
-        effective_resistance(net, x, y)
-        resistance_matrix(net)
-        round_trip(net, x, y)
-        replay(net, x)
-        assert solves == [1] * 7
+    def test_batch_members_match_single_solves(self):
+        # elementwise updates and last-axis sums: a member's bits ignore its batch
+        net = _log_uniform_network(np.random.default_rng(5))
+        *_, vertex_conductance = net.arrays
+        grounds = [None, *range(net.n)]
+        b = np.broadcast_to(vertex_conductance[None, :, None], (len(grounds), net.n, 2)).copy()
+        b[0, 0, 1] = 1.0
+        leak = np.zeros((len(grounds), net.n))
+        leak[0, 0] = 0.5
+        batch = _solve_at(net, grounds, b, leak)
+        for s, ground in enumerate(grounds):
+            one = _solve_at(net, [ground], b[s:s + 1], leak[s:s + 1])
+            assert batch[s].tolist() == one[0].tolist()
+        assert _solve_at(net, grounds[:3], b[:3], leak[:3]).tolist() == batch[:3].tolist()
 
 
 def _log_uniform_network(rng: np.random.Generator):
@@ -474,15 +452,13 @@ def _log_uniform_network(rng: np.random.Generator):
 
 def _assert_solves_match_oracles(net, tolerance):
     C = net.total_conductance
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IllConditionedWarning)
-        got = {t: hitting_time(net, t).values for t in net.vertices}
-        returns = {z: return_time(net, z) for z in net.vertices}
-        resistances = {
-            (x, y): effective_resistance(net, x, y)
-            for i, x in enumerate(net.vertices)
-            for y in net.vertices[i + 1:]
-        }
+    got = {t: hitting_time(net, t).values for t in net.vertices}
+    returns = {z: return_time(net, z) for z in net.vertices}
+    resistances = {
+        (x, y): effective_resistance(net, x, y)
+        for i, x in enumerate(net.vertices)
+        for y in net.vertices[i + 1:]
+    }
     want = {t: hitting_times_oracle(net, t) for t in net.vertices}
     for t in net.vertices:
         assert all(rel_err(got[t][v], want[t][v]) <= tolerance for v in net.vertices)
@@ -505,5 +481,6 @@ class TestSparseSolves:
         # oracle's included, is then only good to about cond * eps, so the
         # 1e-12 agreement applies where that bound is below it.
         net = _log_uniform_network(np.random.default_rng(seed))
-        cond = max(np.linalg.cond(_laplacian(net, g).toarray(), 1) for g in range(net.n))
+        cond = max(np.linalg.cond(np.array(dense_laplacian(net, g), dtype=float), 1)
+                   for g in range(net.n))
         _assert_solves_match_oracles(net, max(1e-12, cond * np.finfo(float).eps))

@@ -1,12 +1,12 @@
 import importlib
 import json
-import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ohmwalk import (
-    IllConditionedWarning,
     NonPositiveConductance,
     UnknownVertex,
     build_network,
@@ -62,15 +62,15 @@ class TestReplayFixtures:
             replay(triangle, "zz")
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_factors_two_grounded_matrices(self, seed, splu_calls):
-        # the network with a leak at z (G~ grounded at the pendant, n
-        # unknowns) and the network grounded at z for the return time
+    def test_factors_two_grounded_matrices(self, seed, eliminations):
+        # the network with a leak at z (G~ grounded at the pendant) and the
+        # network grounded at z for the return time
         net = random_connected_network(np.random.default_rng(seed))
         replay(net, net.vertices[-1], c=2.0)
-        assert sorted(splu_calls) == [net.n - 1, net.n]
-        splu_calls.clear()
+        assert eliminations == [net.n, net.n]
+        eliminations.clear()
         replay(net, net.vertices[-1], c=2.0, simulate_with=(50, 0))
-        assert sorted(splu_calls) == [net.n - 1, net.n]
+        assert eliminations == [net.n, net.n]
 
     def test_builds_no_pendant_network_without_simulation(self, monkeypatch, triangle):
         from ohmwalk import exact
@@ -90,10 +90,10 @@ class TestReplayFixtures:
         {"tolerance": float("nan")}, {"tolerance": float("inf")},
         {"simulate_with": (1, 0)},  # one trial has no standard error: every band is empty
     ])
-    def test_bad_arguments_rejected_before_any_solve(self, triangle, splu_calls, kwargs):
+    def test_bad_arguments_rejected_before_any_solve(self, triangle, eliminations, kwargs):
         with pytest.raises(ValueError):
             replay(triangle, "a", **kwargs)
-        assert splu_calls == []
+        assert eliminations == []
 
 
 class TestReplayProperties:
@@ -241,11 +241,14 @@ class TestGeneralizedPendant:
 
 
 def _assert_pendant_network_bits(net, c):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IllConditionedWarning)
-        for z in net.vertices:
-            got = [(s.expected, s.computed) for s in replay(net, z, c).steps]
-            assert got == pendant_network_steps(net, z, c), (z, c)
+    """replay's steps against the pendant-network route. The two eliminate
+    different graphs in different orders, so each value may differ in its
+    last bits; both are entrywise accurate, so they agree within 1e-13."""
+    for z in net.vertices:
+        got = [(s.expected, s.computed) for s in replay(net, z, c).steps]
+        want = pendant_network_steps(net, z, c)
+        assert all(rel_err(g, w) <= 1e-13 for pair, ref in zip(got, want)
+                   for g, w in zip(pair, ref)), (z, c, got, want)
 
 
 def _extreme(r):
@@ -255,8 +258,8 @@ def _extreme(r):
 
 
 class TestPendantNetworkBits:
-    """replay solves on the network with a leak; every step must be bit for
-    bit what solving on the explicitly built pendant network gives."""
+    """replay solves on the network with a leak; every step must agree with
+    solving on the explicitly built pendant network, to 1e-13."""
 
     @pytest.mark.parametrize("seed", range(30))
     def test_random_networks(self, seed):
@@ -275,10 +278,33 @@ class TestPendantNetworkBits:
 
     @pytest.mark.parametrize("r", [1e8, 1e10, 1e12])
     def test_extreme_networks(self, r):
-        # steps fail here at 1e-9 (rounding in the solves), but the bits match
         _assert_pendant_network_bits(_extreme(r), 1.0)
+        assert all(replay(_extreme(r), z).passed for z in "abcd")
 
     def test_total_conductance_overflow_rejected(self):
         # C = 8e307 is finite, C + 2c = 2e308 is not
         with pytest.raises(NonPositiveConductance):
             replay(build_network([("a", "b", 4e307)]), "a", 6e307)
+
+
+class TestAccuracy:
+    """Every step passes at 1e-9 however far apart the conductances are."""
+
+    @pytest.mark.parametrize("r", [1e16, 1e20, 1e24])
+    def test_extreme_networks_pass_at_every_anchor(self, r):
+        net = _extreme(r)
+        for z in net.vertices:
+            trace = replay(net, z)
+            assert trace.passed, (z, [(s.name, s.rel_err) for s in trace.steps])
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           exponents=st.lists(st.floats(-12.0, 12.0), min_size=28, max_size=28),
+           pendant=st.floats(-12.0, 12.0))
+    def test_log_uniform_conductances_pass_every_step(self, seed, exponents, pendant):
+        # at most 8 vertices, so at most 28 edges: one exponent each
+        shape = random_connected_network(np.random.default_rng(seed), n_hi=8)
+        net = build_network([(u, v, 10.0 ** e) for (u, v, _), e in zip(shape.edges, exponents)])
+        z = net.vertices[seed % net.n]
+        trace = replay(net, z, 10.0 ** pendant)
+        assert trace.passed, [(s.name, s.rel_err) for s in trace.steps]
