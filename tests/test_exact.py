@@ -211,11 +211,7 @@ class TestRoundTrip:
         hitting_time(net, y)
         effective_resistance(net, x, y)
         resistance_matrix(net)
-        return_time(net, x)
-        assert len(eliminations) == 4
-        eliminations.clear()
-        replay(net, x)
-        assert len(eliminations) == 2
+        assert len(eliminations) == 3
 
 
 class TestReturnTime:
@@ -442,6 +438,23 @@ class TestAccuracy:
             assert batch[s].tolist() == one[0].tolist()
         assert _solve_at(net, grounds[:3], b[:3], leak[:3]).tolist() == batch[:3].tolist()
 
+
+class TestSpanWarning:
+    """There is no span warning: at any conductance span each grounded system
+    is eliminated once, with all its right-hand sides, and never re-solved."""
+
+    def test_one_solve_per_factorization(self, eliminations):
+        net = _log_uniform_network(np.random.default_rng(3))  # spans twelve decades
+        x, y = net.vertices[0], net.vertices[-1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hitting_time(net, y)
+            effective_resistance(net, x, y)
+            resistance_matrix(net)
+            return_time(net, x)
+            round_trip(net, x, y)
+            replay(net, x)
+        assert eliminations == [net.n] * 8
 
 def _log_uniform_network(rng: np.random.Generator):
     net = random_connected_network(rng)
