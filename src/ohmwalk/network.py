@@ -124,6 +124,19 @@ class Network:
         return tuple(indptr), tuple(row), tuple(cumulative)
 
     @cached_property
+    def spans(self) -> tuple[tuple[int, int, float], ...]:
+        """Each row's span of ``walk``: (first entry, last entry, total conductance).
+
+        The total is the row's last running sum, bit for bit. Bisecting a
+        row's running sums for ``u * total`` over ``first:last`` picks a
+        neighbour for any u in [0, 1]: leaving the last entry out of the
+        search means a target at or above it still lands on the last
+        neighbour. Built on first use and kept.
+        """
+        indptr, _, cumulative = self.walk
+        return tuple((lo, hi - 1, cumulative[hi - 1]) for lo, hi in zip(indptr, indptr[1:]))
+
+    @cached_property
     def ordering(self) -> tuple[int, ...]:
         """Row indices in reverse Cuthill-McKee order, the exact solver's elimination order.
 

@@ -13,11 +13,11 @@ of trials at once, replaying SeedSequence's hash pool and PCG64's seeding
 in numpy uint64 arithmetic, then advances the chunk by one PCG64 step
 per round and picks each trial's next vertex by a vectorised bisect over
 the cumulative conductances, masking out trials that have finished. When
-few trials of a chunk are still walking,
-their states are handed to one reused PCG64 and finished in the scalar
-loop that ``step`` and ``trace_walk`` also use. Every trial reads only its
-own stream and its result is stored at its own index, so the estimates
-are those of walking each substream on its own.
+few trials of a chunk are still walking, their states are handed to one
+reused PCG64 and each is finished in a flat scalar loop over blocks of its
+uniforms, with the pick ``step`` and ``trace_walk`` also use. Every trial
+reads only its own stream and its result is stored at its own index, so
+the estimates are those of walking each substream on its own.
 
 A trial that would run past the step cap aborts the whole estimate with
 CapExceeded rather than truncating: silent truncation would bias the mean
@@ -29,6 +29,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import islice
+from operator import length_hint
 
 import numpy as np
 
@@ -259,8 +260,8 @@ def _pick(tables, v: np.ndarray, u: np.ndarray) -> np.ndarray:
     binary lifting: try strides from the largest power of two down, taking
     a stride when the entry it would pass is at most the target. A stride
     past the row's end tests the row's last entry instead, which passes
-    only when every entry does; then the scalar loop's top-end guard maps
-    the count back to the last neighbour either way.
+    only when every entry does. The count is then clamped to the row's
+    last neighbour, as the scalar loop's bisect, bounded at that entry, is.
     """
     indptr, row, before, total, strides = tables
     pos = indptr[v]
@@ -271,28 +272,56 @@ def _pick(tables, v: np.ndarray, u: np.ndarray) -> np.ndarray:
     return row[np.minimum(pos, end - 1)]
 
 
-def _path(tables, v: int, uniforms):
+def _path(net: Network, v: int, uniforms):
     """Yield the rows a walk from row v visits, drawing one uniform per step.
 
-    The scalar loop shared by ``step``, ``trace_walk`` and the end of every
-    kernel chunk; ``tables`` is ``Network.walk``.
+    The walk of ``step`` and ``trace_walk``. Its pick, a bisect of the row's
+    running sums bounded at the row's last entry (``Network.spans``), is the
+    one ``_finish`` inlines.
     """
-    indptr, row, cum = tables
+    spans, (_, row, cum) = net.spans, net.walk
     for u in uniforms:
-        lo, hi = indptr[v], indptr[v + 1]
-        i = bisect_right(cum, u * cum[hi - 1], lo, hi)
-        if i == hi:  # guards the measure-zero rounding edge at the top end
-            i -= 1
-        v = row[i]
+        lo, last, total = spans[v]
+        v = row[bisect_right(cum, u * total, lo, last)]
         yield v
 
 
 def _blocks(bits: np.random.PCG64):
-    """The uniforms Generator.random would draw from bits, in blocks of growing size."""
+    """Lists of the uniforms Generator.random would draw from bits, of growing size."""
     size, largest = _BLOCKS
     while True:
-        yield from _double(bits.random_raw(size)).tolist()
+        yield _double(bits.random_raw(size)).tolist()
         size = min(2 * size, largest)
+
+
+def _finish(net: Network, v: int, target: int, anchor: int, m: int, count: int, cap: int,
+            bits: np.random.PCG64, overrun: CapExceeded) -> tuple[int, int]:
+    """Walk on from row v, m steps in, until the first arrival at row target.
+
+    Returns (m, count) then: the trial's step count and its arrivals at row
+    ``anchor`` (pass -1 for none), starting from ``count``. Raises
+    ``overrun`` if step ``cap`` is taken without arriving. This is
+    ``_path``'s walk as one flat loop over whole blocks of uniforms, because
+    resuming a generator per step costs more than the step itself. A block
+    is cut short at the cap, so the cap and the step count are settled once
+    per block: on arrival, the steps taken in the block are its length less
+    the uniforms its iterator has left.
+    """
+    spans, (_, row, cum) = net.spans, net.walk
+    for block in _blocks(bits):
+        if cap - m < len(block):
+            block = block[:cap - m]
+        uniforms = iter(block)
+        for u in uniforms:
+            lo, last, total = spans[v]
+            v = row[bisect_right(cum, u * total, lo, last)]
+            if v == target:
+                return m + len(block) - length_hint(uniforms), count
+            if v == anchor:
+                count += 1
+        m += len(block)
+        if m == cap:
+            raise overrun
 
 
 def _walk_trials(net: Network, start: int, target: int, anchor: int | None,
@@ -350,13 +379,8 @@ def _walk_trials(net: Network, start: int, target: int, anchor: int | None,
                 "has_uint32": 0,
                 "uinteger": 0,
             }
-            for m, w in enumerate(_path(net.walk, at, _blocks(bits)), n + 1):
-                if w == target:
-                    break
-                if w == anchor:
-                    count += 1
-                if m == cap:
-                    raise overrun
+            m, count = _finish(net, at, target, -1 if anchor is None else anchor, n, count,
+                               cap, bits, overrun)
             result[k] = m if anchor is None else count
             steps_total += m
             steps_max = max(steps_max, m)
@@ -386,7 +410,7 @@ def step(net: Network, current: VertexId, rng: np.random.Generator) -> VertexId:
     exactly one uniform draw, so the rng state advances deterministically.
     """
     net.require(current)
-    return net.vertices[next(_path(net.walk, net.index[current], (rng.random(),)))]
+    return net.vertices[next(_path(net, net.index[current], (rng.random(),)))]
 
 
 def trace_walk(
@@ -407,7 +431,7 @@ def trace_walk(
     goal = net.index[target]
     path = [start]
     reason = "cap-reached"
-    walk = _path(net.walk, net.index[start], iter(rng.random, None))
+    walk = _path(net, net.index[start], iter(rng.random, None))
     for v in islice(walk, max(step_cap, 0)):
         path.append(net.vertices[v])
         if v == goal:

@@ -254,7 +254,7 @@ class TestVectorizedSeeding:
 class TestVectorizedPick:
     def test_matches_scalar_bisect(self):
         # degrees up to 40, equal running sums after a huge conductance, and
-        # u = 1, which lands on a row's total and takes the top-end guard
+        # u = 1, which lands on a row's total, past the bisect's bound
         star = build_network([("hub", f"l{i}", 0.5 + i % 7) for i in range(40)])
         flat = build_network([("h", "a", 1e20), ("h", "b", 1.0), ("h", "c", 1.0), ("a", "b", 2.0)])
         rng = np.random.default_rng(4)
@@ -263,7 +263,7 @@ class TestVectorizedPick:
             u = rng.random(len(rows))
             u[::20], u[1::20], u[2::20] = 0.0, 1.0 - 2.0**-53, 1.0
             got = _pick(_lockstep_tables(net), rows, u)
-            want = [next(_path(net.walk, r, (x,))) for r, x in zip(rows.tolist(), u.tolist())]
+            want = [next(_path(net, r, (x,))) for r, x in zip(rows.tolist(), u.tolist())]
             assert got.tolist() == want
 
 
@@ -327,6 +327,50 @@ class TestKernelMatchesPerTrialOracle:
             assert run(longest).steps_max == longest
             with pytest.raises(CapExceeded):
                 run(longest - 1)
+
+
+class TestScalarTail:
+    """Estimates with fewer trials than _SCALAR_TAIL, walked wholly in the scalar loop,
+    whose uniforms come in blocks of 16, 32, ... 4096 (step 16, 48, 112, ... ends one)."""
+
+    TRIALS = _SCALAR_TAIL - 1
+
+    def test_long_walks_cross_block_sizes(self):
+        line = build_network([(i, i + 1, 1.0) for i in range(29)])
+        aug = attach_pendant(line, 15, 0.05)
+        seed, cap = 2**64 - 1, 10**7
+        hit = estimate_hitting_time(line, 0, 29, self.TRIALS, seed)
+        assert _fields(hit) == hitting_time_mc_oracle(line, 0, 29, self.TRIALS, seed, cap)
+        exc = estimate_excursions(aug, self.TRIALS, seed)
+        assert _fields(exc) == excursions_mc_oracle(aug, self.TRIALS, seed, cap)
+        # the longest trials run into the 2048 block and the second 4096 block
+        assert hit.steps_max > 16 + 32 + 64 + 128 + 256 + 512 + 1024
+        assert exc.steps_max > 16 + 32 + 64 + 128 + 256 + 512 + 1024 + 2048 + 4096
+
+    @pytest.mark.parametrize("cap", (15, 16, 17, 47, 48, 49, 111, 112, 113))
+    def test_cap_at_block_boundaries(self, cap):
+        # the longest trials take 70, 112 and 71 steps: the hitting walk
+        # arrives on the last uniform of the third block
+        ring = build_network([(i, (i + 1) % 12, 1.0) for i in range(12)])
+        aug = attach_pendant(ring, 6, 4.0)
+        seed, n = 1, self.TRIALS
+        cases = [
+            (lambda: estimate_return_time(ring, 0, n, seed, cap),
+             return_time_mc_oracle(ring, 0, n, seed, 10**6)),
+            (lambda: estimate_hitting_time(ring, 0, 6, n, seed, cap),
+             hitting_time_mc_oracle(ring, 0, 6, n, seed, 10**6)),
+            (lambda: estimate_excursions(aug, n, seed, cap),
+             excursions_mc_oracle(aug, n, seed, 10**6)),
+        ]
+        longest = []
+        for run, want in cases:
+            longest.append(want["steps_max"])
+            if want["steps_max"] > cap:
+                with pytest.raises(CapExceeded):
+                    run()
+            else:
+                assert _fields(run()) == want
+        assert longest == [70, 112, 71]
 
 
 @pytest.mark.parametrize(
