@@ -14,7 +14,6 @@ corresponding edges, so downstream sampling and solves are reproducible.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -149,15 +148,7 @@ class Network:
         indptr, row, _ = self.walk
         degree = [indptr[v + 1] - indptr[v] for v in range(self.n)]
         start = min(range(self.n), key=degree.__getitem__)
-        order = [start]
-        seen = [False] * self.n
-        seen[start] = True
-        for v in order:  # grows while it is read: a breadth-first queue
-            fresh = sorted((u for u in row[indptr[v]:indptr[v + 1]] if not seen[u]),
-                           key=degree.__getitem__)
-            for u in fresh:
-                seen[u] = True
-            order.extend(fresh)
+        order = _breadth_first(start, lambda v: row[indptr[v]:indptr[v + 1]], degree.__getitem__)
         return tuple(reversed(order))
 
 
@@ -196,6 +187,22 @@ class Distribution:
 
     def support(self) -> tuple[VertexId, ...]:
         return tuple(self.weights)
+
+
+def _breadth_first(start, neighbours, key=None) -> list:
+    """The vertices reachable from ``start``, in breadth-first order. Each vertex's
+    unseen ``neighbours(v)`` join the queue in their stored order, or by increasing
+    ``key`` with ties in stored order."""
+    order, seen = [start], {start}
+    for v in order:  # grows while it is read: a breadth-first queue
+        first = len(order)
+        for u in neighbours(v):
+            if u not in seen:
+                seen.add(u)
+                order.append(u)
+        if key is not None:
+            order[first:] = sorted(order[first:], key=key)
+    return order
 
 
 def _check_conductance(c) -> float:
@@ -269,15 +276,9 @@ def build_network(edge_list) -> Network:
         adjacency[u].append((v, c))
         adjacency[v].append((u, c))
 
-    seen = {vertices[0]}
-    queue = deque(seen)
-    while queue:
-        for y, _ in adjacency[queue.popleft()]:
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    if len(seen) != len(vertices):
-        missing = next(v for v in vertices if v not in seen)
+    reached = _breadth_first(vertices[0], lambda v: [y for y, _ in adjacency[v]])
+    if len(reached) != len(vertices):  # name the first vertex, in input order, not reached
+        missing = min(set(vertices) - set(reached), key=index.__getitem__)
         raise Disconnected(f"graph is not connected (no path to {missing!r})")
 
     vertex_conductance = {v: _sum(c for _, c in adjacency[v]) for v in vertices}
@@ -344,8 +345,8 @@ def _require_square_stochastic(P: np.ndarray) -> None:
         raise ValueError(f"kernel must be square, got shape {P.shape}")
     if P.shape[0] < 2:
         raise ValueError("kernel needs at least two states")
-    if np.any(P < 0.0):
-        raise ValueError("kernel has negative entries")
+    if not np.all(np.isfinite(P) & (P >= 0.0)):
+        raise ValueError("kernel entries must be finite and >= 0")
     if np.any(np.abs(P.sum(axis=1) - 1.0) > 1e-9):
         raise ValueError("kernel rows must sum to 1")
 
@@ -358,8 +359,6 @@ def chain_to_network(P, scale: float = 1.0, states=None) -> Network:
     the returned network has kernel P again. States default to 0..k-1;
     pass explicit labels to control vertex naming.
     """
-    from scipy.sparse.csgraph import connected_components
-
     P = np.asarray(P, dtype=float)
     _require_square_stochastic(P)
     if scale <= 0.0 or not math.isfinite(scale):
@@ -377,7 +376,8 @@ def chain_to_network(P, scale: float = 1.0, states=None) -> Network:
     loops = np.flatnonzero(np.diagonal(P) > 0.0)
     if loops.size:
         raise HasSelfLoopMass(f"kernel keeps mass in place at state {states[loops[0]]!r}")
-    if connected_components(P > 0.0, connection="strong", return_labels=False) > 1:
+    if any(len(_breadth_first(0, lambda y: np.flatnonzero(arcs[y]).tolist())) < k
+           for arcs in (P > 0.0, P.T > 0.0)):  # 0 reaches every state, and every state reaches 0
         raise NotIrreducible("kernel support is not strongly connected")
 
     # pi solves (P^T - I) pi = 0; swap in the normalization sum(pi) = 1

@@ -10,6 +10,9 @@ from the network's neighbour lists rather than the library's.
 
 ``grounded_solve_exact`` solves a stored floating-point system exactly, in
 rationals, so a floating-point solve's own rounding error can be measured.
+``reverse_cuthill_mckee`` is the elimination order written out as its own
+breadth-first loop, and ``strongly_connected`` asks scipy's graph routines
+whether a kernel is irreducible.
 
 The one exception is ``pendant_network_steps``: it is not an independent
 oracle but the reference route that ``replay``'s bits are pinned to, the
@@ -22,6 +25,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 from scipy.stats import chi2
 
 from ohmwalk import (
@@ -101,6 +105,31 @@ def dense_laplacian(net: Network, ground=None, leak=None) -> list:
             L[i][i] += Fraction(c)
     keep = [i for i in range(n) if i != ground]
     return [[L[i][j] for j in keep] for i in keep]
+
+
+def reverse_cuthill_mckee(net: Network) -> tuple:
+    """Reference for ``Network.ordering``: breadth-first from the first row of
+    least degree, unvisited neighbours by increasing degree (ties in stored
+    order), then reversed."""
+    indptr, row, _ = net.walk
+    degree = [indptr[v + 1] - indptr[v] for v in range(net.n)]
+    start = min(range(net.n), key=degree.__getitem__)
+    order = [start]
+    seen = [False] * net.n
+    seen[start] = True
+    for v in order:  # grows while it is read: a breadth-first queue
+        fresh = sorted((u for u in row[indptr[v]:indptr[v + 1]] if not seen[u]),
+                       key=degree.__getitem__)
+        for u in fresh:
+            seen[u] = True
+        order.extend(fresh)
+    return tuple(reversed(order))
+
+
+def strongly_connected(P) -> bool:
+    """Whether the support of P is one strongly connected component."""
+    return connected_components(np.asarray(P) > 0.0, connection="strong",
+                                return_labels=False) == 1
 
 
 def hitting_times_oracle(net: Network, target) -> dict:

@@ -408,8 +408,8 @@ class TestOutputPrecision:
 
 
 def test_commands_that_never_solve_leave_scipy_unloaded(tri_file):
-    # scipy is imported only by the solve path; a stray top-level import
-    # would add its load time to every command.
+    # scipy is not a runtime dependency; a stray import would add its load
+    # time to every command.
     script = (
         "import json, sys\n"
         "import ohmwalk.cli as cli\n"
@@ -429,15 +429,17 @@ def test_commands_that_never_solve_leave_scipy_unloaded(tri_file):
 
 
 def test_commands_that_solve_leave_scipy_unloaded(tri_file):
-    # every solve runs on numpy alone; scipy stays a dependency of chain_to_network only
+    # numpy is the only runtime dependency: no solve and no kernel check loads scipy
     script = (
         "import json, sys\n"
         "import ohmwalk.cli as cli\n"
+        "from ohmwalk import chain_to_network\n"
         "f = sys.argv[1]\n"
         "codes = [cli.run(['resistance', f, 'a', 'b']), cli.run(['hitting', f, 'a', 'b']),\n"
         "         cli.run(['return-time', f, 'a']), cli.run(['commute', f, 'a', 'b']),\n"
         "         cli.run(['verify', f]),\n"
         "         cli.run(['verify', f, '--simulate', '--trials', '100'])]\n"
+        "chain_to_network([[0.0, 1.0], [1.0, 0.0]])\n"
         "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
         "sys.stderr.write(json.dumps({'codes': codes, 'scipy': loaded}))\n"
     )

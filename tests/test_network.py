@@ -23,8 +23,8 @@ from ohmwalk import (
     transition_matrix,
 )
 
-from netgen import random_connected_network
-from oracles import induced_kernel
+from netgen import random_connected_network, random_reversible_kernel
+from oracles import induced_kernel, reverse_cuthill_mckee, strongly_connected
 
 
 class TestBuildNetwork:
@@ -73,6 +73,12 @@ class TestBuildNetwork:
         with pytest.raises(error) as exc:
             build_network(edges)
         assert exc.value.edge == edge
+
+    def test_disconnected_names_first_unreached_vertex(self):
+        # the search starts at the first vertex, not at d of least degree
+        edges = [("a", "b", 1.0), ("b", "c", 1.0), ("c", "a", 1.0), ("d", "e", 1.0)]
+        with pytest.raises(Disconnected, match=r"^graph is not connected \(no path to 'd'\)$"):
+            build_network(edges)
 
     def test_whole_graph_errors_name_no_edge(self):
         with pytest.raises(Disconnected) as exc:
@@ -131,6 +137,26 @@ class TestNetworkInvariants:
     def test_degree_of_unknown_vertex(self, k2):
         with pytest.raises(UnknownVertex):
             k2.degree("zz")
+
+
+def _grid_edges(k: int) -> list:
+    return ([(i * k + j, i * k + j + 1, 1.0) for i in range(k) for j in range(k - 1)]
+            + [(i * k + j, (i + 1) * k + j, 1.0) for i in range(k - 1) for j in range(k)])
+
+
+class TestOrdering:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_reference_on_random_networks(self, seed):
+        net = random_connected_network(np.random.default_rng(seed), n_hi=40)
+        assert net.ordering == reverse_cuthill_mckee(net)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_reference_on_shuffled_grids(self, seed):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(3, 25))
+        edges = _grid_edges(k)
+        net = build_network([edges[i] for i in rng.permutation(len(edges))])
+        assert net.ordering == reverse_cuthill_mckee(net)
 
 
 # Entry points of every layer, each given a label that only equals vertex 1.
@@ -308,6 +334,12 @@ class TestChainToNetwork:
     def test_rejects_non_stochastic(self):
         with pytest.raises(ValueError):
             chain_to_network([[0.0, 0.5], [1.0, 0.0]])
+        # NaN compares false everywhere: the first kernel used to be realized
+        # as a network whose walk is not P, the second to raise NotIrreducible
+        for P in ([[0.0, 1.0, math.nan], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]],
+                  [[0.0, math.nan], [1.0, 0.0]]):
+            with pytest.raises(ValueError, match="finite"):
+                chain_to_network(P)
 
     def test_explicit_state_labels(self):
         net = chain_to_network([[0.0, 1.0], [1.0, 0.0]], states=("u", "w"))
@@ -316,6 +348,43 @@ class TestChainToNetwork:
     def test_duplicate_state_labels_rejected(self):
         with pytest.raises(ValueError):
             chain_to_network([[0.0, 1.0], [1.0, 0.0]], states=("u", "u"))
+
+    def test_irreducible_exactly_when_scipy_finds_one_component(self):
+        rng = np.random.default_rng(2024)
+        kernels = [random_reversible_kernel(rng)[0] for _ in range(10)]
+        for _ in range(150):
+            k = int(rng.integers(2, 10))
+            support = rng.random((k, k)) < rng.uniform(0.1, 0.6)
+            np.fill_diagonal(support, False)
+            for y in np.flatnonzero(~support.any(axis=1)):  # every row needs an arc
+                support[y, rng.choice(np.delete(np.arange(k), y))] = True
+            kernels.append(support * rng.uniform(0.1, 1.0, (k, k)))
+            if k >= 4:  # block-reducible: the first block only leaks into the second
+                cut = int(rng.integers(2, k - 1))
+                block = kernels[-1].copy()
+                block[cut:, :cut] = 0.0
+                for y in np.flatnonzero(~block.any(axis=1)):
+                    block[y, cut if y != cut else cut + 1] = 1.0
+                kernels.append(block)
+        for k in (3, 5, 8):
+            cycle = np.roll(np.eye(k), 1, axis=1)  # one-way cycle: irreducible
+            kernels.append(cycle)
+            tail = cycle.copy()  # state 0 feeds a one-way cycle it never returns from
+            tail[k - 1] = np.roll(tail[k - 1], 1)
+            kernels.append(tail)
+        seen = set()
+        for P in kernels:
+            P = P / P.sum(axis=1, keepdims=True)
+            try:
+                chain_to_network(P)
+                irreducible = True
+            except NotIrreducible:
+                irreducible = False
+            except NotReversible:  # raised only once irreducibility has passed
+                irreducible = True
+            assert irreducible == strongly_connected(P), P
+            seen.add(irreducible)
+        assert seen == {True, False}
 
     @pytest.mark.parametrize("seed", range(12))
     def test_round_trip_on_induced_kernels(self, seed):
