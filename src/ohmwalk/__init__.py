@@ -21,6 +21,7 @@ from .errors import (
     SameVertex,
     SelfLoop,
     SingularSystem,
+    SystemTooLarge,
     UnknownVertex,
 )
 from .exact import (
@@ -90,6 +91,7 @@ __all__ = [
     "SameVertex",
     "SelfLoop",
     "SingularSystem",
+    "SystemTooLarge",
     "UnknownVertex",
     "VertexId",
     "WalkTrace",

@@ -5,7 +5,8 @@ line, `#` comments, conductance defaulting to 1), dispatches to the exact
 solver, the simulator, or the verification replayer, and prints one JSON
 document (CSV for flat estimate rows) on standard output.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or input errors.
+Exit codes: 0 success, 1 verification failure, 2 usage or input errors. A
+reader that closes stdout early (``| head``) does not change the code.
 Identical invocations produce byte-identical output; the default seed is
 0 so casual runs reproduce, with `--seed random` as the escape hatch.
 """
@@ -15,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import secrets
 import sys
 from dataclasses import asdict
@@ -85,11 +87,28 @@ def _seed_value(text: str) -> int:
         raise argparse.ArgumentTypeError(f"seed must be an integer or 'random', got {text!r}")
 
 
+def _emit(write) -> None:
+    """Call write() and flush stdout. A reader that stops reading (``| head``)
+    ends the output, not the command, whose exit code stays its own: stdout
+    then points at devnull, as the Python docs advise, so that the flush at
+    exit cannot raise BrokenPipeError again."""
+    try:
+        write()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit_json(doc: dict) -> None:
     # Streamed, so a large verify document is never held as one string. With
     # an indent, dump and dumps use the same encoder: the bytes are the same.
-    json.dump(doc, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    def write():
+        json.dump(doc, sys.stdout, indent=2)
+        sys.stdout.write("\n")
+
+    _emit(write)
 
 
 def _emit_csv(rows: list[dict]) -> None:
@@ -97,7 +116,7 @@ def _emit_csv(rows: list[dict]) -> None:
     writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
+    _emit(lambda: sys.stdout.write(buf.getvalue()))
 
 
 def _build_parser() -> argparse.ArgumentParser:

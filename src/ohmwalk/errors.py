@@ -48,6 +48,15 @@ class SingularSystem(OhmwalkError):
     """
 
 
+class SystemTooLarge(OhmwalkError):
+    """A solve needs more memory than could be allocated.
+
+    The exact layer sizes its band storage before allocating it; running out
+    of memory while solving raises this, naming that size, instead of numpy's
+    MemoryError.
+    """
+
+
 class NotReversible(OhmwalkError):
     """Transition kernel violates detailed balance against its stationary law."""
 

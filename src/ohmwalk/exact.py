@@ -24,8 +24,25 @@ of systems over a leading axis, with elementwise updates and plain sums
 along the last axis only, so each member's bits do not depend on the
 batch it ran in. Each call eliminates each system it needs once
 (``_solve_at``): ``round_trip`` reads both hitting times and R(x, y) from
-one batch of two. ``replay`` runs its anchors in batches of up to
-``_batch_limit`` systems.
+one batch of two.
+
+``replay``'s two systems at an anchor z differ from the plain system only
+at z, so every vertex far from z is eliminated once for all anchors: the
+two-level form of the FIND algorithm (Li, Ahmed, Darve & Klimeck, J.
+Comput. Phys. 227, 2008). The order is cut into blocks of w anchors, w
+the bandwidth; a block's *leaf* is the block and w places either side,
+which holds every neighbour of its anchors. One forward sweep eliminates
+the order from the front and one backward sweep from the back, each a
+single system keeping a copy of the w rows next to each leaf. A leaf's
+Kron reduction is the forward copy, the band in between and the backward
+copy, and its two systems of at most 3w rows per anchor are solved in
+batches of up to ``_batch_limit`` systems (``_leaf_solves``). A sweep
+over n anchors costs about 2n · 3w · w² plus two sweeps, against 2n · n ·
+w² for whole systems. When 3w >= n the one leaf is the whole network. All
+of it is GTH pivots, run by the same kernel loop (``_reduce``).
+
+Storage is sized before it is allocated; running out of memory raises
+SystemTooLarge, naming that size.
 
 A zero or non-finite pivot, or a non-finite result, raises SingularSystem:
 with no cancellation, that happens only when conductances leave the
@@ -35,12 +52,13 @@ Only numpy is imported.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import SameVertex, SingularSystem
+from .errors import SameVertex, SingularSystem, SystemTooLarge
 from .network import Distribution, Network, VertexId
 
 _BAND_BYTES = 16 * 2**20  # the largest band one batch of systems may hold
@@ -62,9 +80,7 @@ def _band(net: Network):
     """net's couplings in elimination order: (order, place, lo, hi, width).
 
     Vertex ``order[k]`` is eliminated k-th and ``place`` inverts order; each
-    edge joins places lo < hi. ``width[k]`` bounds how far past k row k
-    reaches once the rows before it are eliminated: fill stays inside the
-    envelope, the running maximum of each row's furthest coupling.
+    edge joins places lo < hi. ``width`` is the envelope (see _envelope).
     """
     order = np.array(net.ordering, dtype=np.intp)
     place = np.empty(net.n, dtype=np.intp)
@@ -72,16 +88,84 @@ def _band(net: Network):
     tail, head, _, _ = net.arrays
     lo = np.minimum(place[tail], place[head])
     hi = np.maximum(place[tail], place[head])
-    reach = np.arange(net.n)
+    return order, place, lo, hi, _envelope(lo, hi, net.n)
+
+
+def _envelope(lo, hi, n: int) -> np.ndarray:
+    """How far past k row k reaches once the rows before it are eliminated,
+    for edges joining places lo < hi: fill stays inside the envelope, the
+    running maximum of each row's furthest coupling."""
+    reach = np.arange(n)
     np.maximum.at(reach, lo, hi)
-    width = np.maximum.accumulate(reach) - np.arange(net.n)
-    return order, place, lo, hi, width
+    return np.maximum.accumulate(reach) - np.arange(n)
 
 
-def _batch_limit(net: Network) -> int:
-    """How many of net's systems one batch may hold within _BAND_BYTES (at least 1)."""
-    width = int(_band(net)[4].max())
-    return max(1, _BAND_BYTES // ((net.n + width) * (width + 1) * 8))
+def _batch_limit(rows: int, w: int) -> int:
+    """How many systems of ``rows`` rows at band width w one batch may hold
+    within _BAND_BYTES (at least 1)."""
+    return max(1, _BAND_BYTES // _band_bytes(1, rows, w))
+
+
+def _band_bytes(S: int, rows: int, w: int) -> int:
+    """The bytes of the band U that _eliminate takes for S such systems."""
+    return S * (rows + w) * (w + 1) * 8
+
+
+@contextmanager
+def _sized(nbytes: int):
+    """Turn running out of memory inside the block into SystemTooLarge, naming
+    nbytes, the band storage the solve was sized at beforehand."""
+    try:
+        yield
+    except MemoryError:
+        raise SystemTooLarge(
+            f"the solve needs {nbytes / 2**20:.1f} MiB of band storage plus work arrays, "
+            "more than could be allocated") from None
+
+
+def _reduce(U: np.ndarray, R: np.ndarray, width, pivots: np.ndarray, rows: range) -> None:
+    """GTH-eliminate ``rows`` (consecutive, in order) of a batch of banded systems.
+
+    Layout as for _eliminate. Row k's pivot goes to pivots[k] and its Kron
+    reduction is added into the rows after it, so that afterwards those rows
+    hold the system reduced onto the rows not yet eliminated.
+    """
+    S, N, L = U.shape
+    w = L - 1
+    # The update of pivot k adds to W(k + a, k + b), 1 <= a < b <= w, which
+    # is U[k + a, b - a]: stride L - 1 in a and 1 in b from U[k + 1, 0]. Where
+    # b <= a the view lands on column 0 or on other entries, so those get + 0
+    # (b = a is the self-loop term GTH drops).
+    step, member, col = U.strides[1], U.strides[0], U.strides[2]
+    schur = as_strided(U[:, 1:], shape=(N - w, S, w, w), strides=(step, member, step - col, col),
+                       writeable=True)
+    upper = np.triu(np.ones((w, w)), 1)
+    for k in rows:
+        e = width[k]
+        row = U[:, k, 1:e + 1]
+        p = row.sum(-1)
+        p += R[:, 0, k]
+        pivots[k] = p
+        if e:
+            f = row / p[:, None]
+            t = f[:, :, None] * row[:, None, :]
+            t *= upper[:e, :e]
+            schur[k, :, :e, :e] += t
+            R[:, :, k + 1:k + e + 1] += f[:, None, :] * R[:, :, k, None]
+
+
+def _substitute(U: np.ndarray, R: np.ndarray, width, pivots: np.ndarray) -> np.ndarray:
+    """Back-substitution after _reduce has eliminated every row: x (S, m, n)."""
+    S, N, L = U.shape
+    n = N - (L - 1)
+    x = np.zeros((S, R.shape[1] - 1, N))
+    for k in range(n - 1, -1, -1):
+        e = width[k]
+        s = (U[:, k, None, 1:e + 1] * x[:, :, k + 1:k + e + 1]).sum(-1)
+        s += R[:, 1:, k]
+        s /= pivots[k][:, None]
+        x[:, :, k] = s
+    return x[:, :, :n]
 
 
 def _eliminate(U: np.ndarray, R: np.ndarray, width) -> tuple[np.ndarray, np.ndarray]:
@@ -93,37 +177,33 @@ def _eliminate(U: np.ndarray, R: np.ndarray, width) -> tuple[np.ndarray, np.ndar
     and finite. Row k holds nothing past width[k]. U and R are overwritten.
     Returns x with x[s, j, k] solving right-hand side j, and the pivots (n, S).
     """
-    S, N, L = U.shape
-    w = L - 1
-    n = N - w
-    pivots = np.empty((n, S))
-    # The update of pivot k adds to W(k + a, k + b), 1 <= a < b <= w, which
-    # is U[k + a, b - a]: stride L - 1 in a and 1 in b from U[k + 1, 0]. Where
-    # b <= a the view lands on column 0 or on other entries, so those get + 0
-    # (b = a is the self-loop term GTH drops).
-    step, member, col = U.strides[1], U.strides[0], U.strides[2]
-    schur = as_strided(U[:, 1:], shape=(n, S, w, w), strides=(step, member, step - col, col),
-                       writeable=True)
-    upper = np.triu(np.ones((w, w)), 1)
-    for k, e in enumerate(width):
-        row = U[:, k, 1:e + 1]
-        p = row.sum(-1)
-        p += R[:, 0, k]
-        pivots[k] = p
-        if e:
-            f = row / p[:, None]
-            t = f[:, :, None] * row[:, None, :]
-            t *= upper[:e, :e]
-            schur[k, :, :e, :e] += t
-            R[:, :, k + 1:k + e + 1] += f[:, None, :] * R[:, :, k, None]
-    x = np.zeros((S, R.shape[1] - 1, N))
-    for k in range(n - 1, -1, -1):
-        e = width[k]
-        s = (U[:, k, None, 1:e + 1] * x[:, :, k + 1:k + e + 1]).sum(-1)
-        s += R[:, 1:, k]
-        s /= pivots[k][:, None]
-        x[:, :, k] = s
-    return x[:, :, :n], pivots
+    pivots = np.empty((len(width), U.shape[0]))
+    _reduce(U, R, width, pivots, range(len(width)))
+    return _substitute(U, R, width, pivots), pivots
+
+
+def _check(pivots: np.ndarray, *values: np.ndarray) -> None:
+    """SingularSystem unless every pivot is > 0 and every value finite."""
+    if not (np.all(pivots > 0.0) and all(np.all(np.isfinite(v)) for v in values)):
+        raise SingularSystem(
+            "grounded solve left the floating-point range: a pivot underflowed to 0 or "
+            "a result overflowed, so the conductances are too far apart for doubles")
+
+
+def _ground(U: np.ndarray, R: np.ndarray, members: np.ndarray, rows: np.ndarray) -> None:
+    """Hold row rows[i] of member members[i] at 0: its couplings become its
+    neighbours' leak, and it keeps an empty unit row (pivot 1, value 0)."""
+    w = U.shape[2] - 1
+    pad = U.shape[1] - w  # the first padding row, all zeros
+    s, g = members[:, None], rows[:, None]
+    q = np.arange(1, w + 1)
+    above = np.where(g >= q, g - q, pad)
+    R[s, 0, g + q] += U[s, g, q]  # couplings to g become leak, after g
+    R[s, 0, above] += U[s, above, q]  # and before it
+    U[s, g, q] = 0.0
+    U[s, above, q] = 0.0
+    R[members, :, rows] = 0.0
+    R[members, 0, rows] = 1.0
 
 
 def _solve_at(net: Network, grounds, b: np.ndarray, leak: np.ndarray | None = None) -> np.ndarray:
@@ -140,31 +220,179 @@ def _solve_at(net: Network, grounds, b: np.ndarray, leak: np.ndarray | None = No
     _, _, conductance, _ = net.arrays
     S, n, m = b.shape
     w = int(width.max())
-    U = np.zeros((S, n + w, w + 1))
-    U[:, lo, hi - lo] = conductance
-    R = np.zeros((S, m + 1, n + w))
-    R[:, 1:, :n] = b[:, order].transpose(0, 2, 1)
-    if leak is not None:
-        R[:, 0, :n] = leak[:, order]
-    held = [s for s, g in enumerate(grounds) if g is not None]
-    if held:
-        s = np.array(held)[:, None]
-        g = place[[grounds[i] for i in held]][:, None]
-        q = np.arange(1, w + 1)
-        above = np.where(g >= q, g - q, n)  # a padding row where there is none
-        R[s, 0, g + q] += U[s, g, q]  # couplings to g become leak, after g
-        R[s, 0, above] += U[s, above, q]  # and before it
-        U[s, g, q] = 0.0
-        U[s, above, q] = 0.0
-        R[s[:, 0], :, g[:, 0]] = 0.0
-        R[s[:, 0], 0, g[:, 0]] = 1.0  # an empty unit row: pivot 1, value 0
-    with np.errstate(all="ignore"):
-        x, pivots = _eliminate(U, R, width.tolist())
-    if not (np.all(pivots > 0.0) and np.all(np.isfinite(x))):
-        raise SingularSystem(
-            "grounded solve left the floating-point range: a pivot underflowed to 0 or "
-            "a result overflowed, so the conductances are too far apart for doubles")
+    with _sized(_band_bytes(S, n, w)):
+        U = np.zeros((S, n + w, w + 1))
+        U[:, lo, hi - lo] = conductance
+        R = np.zeros((S, m + 1, n + w))
+        R[:, 1:, :n] = b[:, order].transpose(0, 2, 1)
+        if leak is not None:
+            R[:, 0, :n] = leak[:, order]
+        held = [s for s, g in enumerate(grounds) if g is not None]
+        if held:
+            _ground(U, R, np.array(held), place[[grounds[i] for i in held]])
+        with np.errstate(all="ignore"):
+            x, pivots = _eliminate(U, R, width.tolist())
+    _check(pivots, x)
     return x[:, :, place].transpose(0, 2, 1)
+
+
+def _leaves(n: int, w: int):
+    """The leaf partition of n places at band width w: (B, first, end, L).
+
+    The anchors at places [i·B, (i + 1)·B) share leaf i, the places
+    [first[i], end[i]): their block and w places either side, which holds
+    every neighbour of every anchor in the block. L is the largest leaf's
+    size. B = w; when B + 2w >= n there is one leaf, the whole network.
+    """
+    if 3 * w >= n:
+        return n, np.zeros(1, dtype=np.intp), np.array([n]), n
+    start = np.arange(0, n, w)
+    return w, np.maximum(start - w, 0), np.minimum(start + 2 * w, n), 3 * w
+
+
+def _leaf_width(width: np.ndarray, first: np.ndarray, end: np.ndarray, L: int) -> list:
+    """One envelope for every leaf system: at each of the L rows, the
+    furthest any leaf's row reaches within the leaf. A function of the
+    network alone, so a system's bits do not depend on its batch."""
+    n = len(width)
+    k = first[:, None] + np.arange(L)
+    inside = k < end[:, None]
+    k = np.minimum(k, n - 1)
+    reach = np.minimum(k + width[k], end[:, None] - 1) - k
+    return np.where(inside, reach, 0).max(0).tolist()
+
+
+def _sweep(U: np.ndarray, R: np.ndarray, width, stops: list, w: int):
+    """Eliminate one banded system (a batch of one, laid out as for
+    _eliminate) from its first row, and at each of the nondecreasing
+    ``stops`` copy the next w rows: their couplings U and their leak and
+    right-hand side R. Eliminating rows [0, stop) changes no entry outside
+    those w rows, so a copy and the untouched rows after it are the system
+    Kron-reduced onto [stop, n). Returns the copies, stacked."""
+    pivots = np.empty((len(width), 1))
+    Uc = np.empty((len(stops), w, w + 1))
+    Rc = np.empty((len(stops), R.shape[1], w))
+    done = 0
+    with np.errstate(all="ignore"):
+        for i, stop in enumerate(stops):
+            _reduce(U, R, width, pivots, range(done, stop))
+            done = stop
+            Uc[i] = U[0, stop:stop + w]
+            Rc[i] = R[0, :, stop:stop + w]
+    _check(pivots[:done], Uc, Rc)
+    return Uc, Rc
+
+
+def _leaf_systems(net: Network, band, first: np.ndarray, end: np.ndarray, L: int):
+    """The leaves [first[i], end[i]) of net's system with no leak and the
+    vertex conductances on the right: net Kron-reduced onto each leaf, laid
+    out as for _eliminate over L rows (rows past a leaf's end are empty unit
+    rows). Returns U (k, L + w, w + 1) and R (k, 2, L + w).
+
+    The reduction onto [a, b) is the forward sweep's copy at a, the original
+    band in the middle, and the backward sweep's copy at b: eliminating
+    [0, a) changes entries among [a, a + w) only, eliminating [b, n) from
+    the back entries among [b - w, b) only, and a leaf with a > 0 and b < n
+    spans 3w places, so the two never meet.
+    """
+    order, _, lo, hi, width = band
+    _, _, conductance, vertex_conductance = net.arrays
+    n, w, k = net.n, int(width.max()), len(first)
+    U0 = np.zeros((n + w, w + 1))
+    U0[lo, hi - lo] = conductance
+    rhs = np.zeros(n + w)
+    rhs[:n] = vertex_conductance[order]
+
+    rows = first[:, None] + np.arange(L)
+    inside = rows < end[:, None]
+    rows = np.where(inside, rows, n)  # a padding row
+    U = np.zeros((k, L + w, w + 1))
+    U[:, :L] = np.where(rows[:, :, None] + np.arange(w + 1) < end[:, None, None], U0[rows], 0.0)
+    R = np.zeros((k, 2, L + w))
+    R[:, 0, :L] = ~inside  # an empty unit row: pivot 1, value 0
+    R[:, 1, :L] = rhs[rows]
+
+    ahead = np.flatnonzero(first > 0)
+    if len(ahead):
+        U1, R1 = U0[None].copy(), np.zeros((1, 2, n + w))
+        R1[0, 1] = rhs
+        Uc, Rc = _sweep(U1, R1, width.tolist(), first[ahead].tolist(), w)
+        U[ahead, :w] = Uc
+        R[ahead, :, :w] = Rc
+    behind = np.flatnonzero(end < n)
+    if len(behind):
+        # The reversed band: reversed row j is place n - 1 - j.
+        Ur, Rr = np.zeros((1, n + w, w + 1)), np.zeros((1, 2, n + w))
+        Ur[0, n - 1 - hi, hi - lo] = conductance
+        Rr[0, 1, :n] = rhs[n - 1::-1]
+        stops = (n - end[behind])[::-1].tolist()
+        Uc, Rc = _sweep(Ur, Rr, _envelope(n - 1 - hi, n - 1 - lo, n).tolist(), stops, w)
+        # Copy row r, reversed row n - end + r, is the leaf's local row
+        # last - r, with last = end - 1 - first; its coupling q reaches down to
+        # local row last - r - q, where the band stores it in column q.
+        last = (end - 1 - first)[behind][:, None, None]
+        r, q = np.arange(w)[:, None], np.arange(1, w + 1)
+        U[behind[:, None, None], last - r - q, q] = Uc[::-1, :, 1:]
+        R[behind[:, None], :, last[:, :, 0] - np.arange(w)] = Rc[::-1].transpose(0, 2, 1)
+    return U, R
+
+
+def _leaf_solves(net: Network, rows: list[int], leaky: list[float], c: float):
+    """Replay's two systems at each anchor row z in turn (see replay.replay),
+    each solved in z's leaf, places [a, b): net with a leak c at z, C~_z =
+    leaky[i] and a unit current at z on the right; and net grounded at z.
+    Both also have the vertex conductances on the right. Yields, per anchor,
+    a and both solutions at places a, ..., b - 1: leaked (2, b - a) and
+    grounded (b - a,).
+
+    Both sweeps run once, only as far as the anchors' leaves need, and the
+    leaf systems run through _eliminate in batches within _BAND_BYTES. A
+    leaf depends only on net and the partition, so its bits do not depend
+    on which anchors were asked for or on the batch.
+    """
+    band = _band(net)
+    _, place, _, _, width = band
+    n, w = net.n, int(width.max())
+    B, first, end, L = _leaves(n, w)
+    leaf_width = _leaf_width(width, first, end, L)
+    ids, at = np.unique(place[rows] // B, return_inverse=True)
+    starts, sizes = first[ids], (end - first)[ids]
+    chunk = max(1, _batch_limit(L, w) // 2)
+    sweeps = 2 if len(first) > 1 else 0
+    nbytes = _band_bytes(len(ids) + 2 * min(chunk, len(rows)), L, w) + _band_bytes(sweeps, n, w)
+    with _sized(nbytes):
+        Ub, Rb = _leaf_systems(net, band, starts, end[ids], L)
+    for start in range(0, len(rows), chunk):
+        part = slice(start, start + chunk)
+        leaf = at[part]
+        A = len(leaf)
+        g = place[rows[part]] - starts[leaf]
+        leaks, grounds = np.arange(0, 2 * A, 2), np.arange(1, 2 * A, 2)
+        with _sized(nbytes):
+            U = Ub[np.repeat(leaf, 2)]
+            R = np.zeros((2 * A, 3, L + w))
+            R[:, :2] = Rb[np.repeat(leaf, 2)]
+            R[leaks, 0, g] = c
+            R[leaks, 1, g] = leaky[part]
+            R[leaks, 2, g] = 1.0
+            _ground(U, R, grounds, g)
+            with np.errstate(all="ignore"):
+                x, pivots = _eliminate(U, R, leaf_width)
+        _check(pivots, x)
+        for i, m in enumerate(sizes[leaf]):
+            yield starts[leaf[i]], x[2 * i, :, :m], x[2 * i + 1, 0, :m]
+
+
+def _solve_anchors(net: Network, rows: list[int], leaky: list[float], c: float):
+    """For each anchor row z in turn, from its two leaf solves (_leaf_solves):
+    G~'s hitting time from z to the pendant, R(z, pendant), and the return
+    time to z from the hitting times at z's neighbours."""
+    place = _band(net)[1]
+    for iz, (a, leaked, grounded) in zip(rows, _leaf_solves(net, rows, leaky, c)):
+        z = net.vertices[iz]
+        h = {net.index[y]: grounded[place[net.index[y]] - a] for y, _ in net.neighbors[z]}
+        z_to_pendant, resistance = leaked[:, place[iz] - a].tolist()
+        yield z_to_pendant, resistance, _first_return(net, z, h)
 
 
 def _first_return(net: Network, z: VertexId, h) -> float:

@@ -10,15 +10,15 @@ pendant. ``replay`` re-executes that chain on an arbitrary network and
 any pendant conductance, checking every intermediate identity against an
 independent grounded-Laplacian computation and reporting a structured
 trace. Its exact side solves on the original network only, two systems
-per anchor, and a sweep over many anchors runs their systems through the
-exact layer's kernel in batches (see replay and _replay_batch).
+per anchor, each within the anchor's leaf: the part of the elimination
+order near the anchor, with the rest of the network Kron-reduced onto it by
+two sweeps that all anchors share (see exact._leaf_solves, replay and
+_replay_batch).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-
-import numpy as np
 
 from . import exact, simulate
 from .errors import NonPositiveConductance
@@ -140,12 +140,16 @@ def replay(
                             which would make the final step circular)
       6 conclusion          E_z[return] = C / C_z
 
-    G~ is never built for the exact side; two eliminations of net, run as
-    one batch, do: net with a leak c to ground at z is G~ grounded at the
+    G~ is never built for the exact side; two systems of net, run as one
+    batch, do: net with a leak c to ground at z is G~ grounded at the
     pendant and gives steps 2-5, and net grounded at z gives the return
     time. The leak is c itself, never C_z + c, so a pendant far smaller
-    than C_z still counts. ``cli`` verify runs every anchor through the
-    same batches (``_replay_batch``), so a trace has the same bits there.
+    than C_z still counts. Both are solved in z's leaf, after the forward
+    and backward sweeps have eliminated every place before and after it
+    (see exact._leaf_solves); the sweeps run only as far as that leaf.
+    ``cli`` verify runs every anchor through ``_replay_batch`` with the
+    same leaf partition and the same sweeps, so a trace has the same bits
+    there.
 
     ``simulate_with`` = (trials, seed) additionally attaches Monte Carlo
     estimates to steps 4-6: the z -> pendant hitting time is simulated on
@@ -160,8 +164,14 @@ def replay(
 def _replay_batch(net: Network, anchors, c: float = 1.0, tolerance: float = DEFAULT_TOLERANCE,
                   simulate_with: tuple[int, int] | None = None,
                   step_cap: int = simulate.DEFAULT_STEP_CAP) -> list[ProofTrace]:
-    """``replay`` at each anchor in turn, its eliminations run in batches of
-    up to ``exact._batch_limit`` systems. Every argument is checked first."""
+    """``replay`` at each anchor in turn. Every argument is checked first.
+
+    The sweeps run once, as far as the anchors' leaves need, and the leaf
+    systems in batches of up to ``exact._batch_limit``. A leaf's system
+    depends only on net and the partition, each sweep's copies only on how
+    far it has run, and the kernel's updates are elementwise over the batch
+    with sums along each system's own rows, so a trace's bits do not depend
+    on the other anchors or on the batch it ran in."""
     for z in anchors:
         net.require(z)
     c = _check_conductance(c)
@@ -184,45 +194,19 @@ def _replay_batch(net: Network, anchors, c: float = 1.0, tolerance: float = DEFA
                                          f"at {z!r} is not finite")
         totals.append(total)
 
-    traces = []
-    chunk = max(1, exact._batch_limit(net) // 2)
-    for start in range(0, len(anchors), chunk):
-        part = slice(start, start + chunk)
-        x = _solve_anchors(net, rows[part], leaky[part], c)
-        for i, (z, total) in enumerate(zip(anchors[part], totals[part])):
-            traces.append(_trace(net, z, c, total, x[2 * i], x[2 * i + 1], tolerance,
-                                 simulate_with, step_cap))
-    return traces
+    solved = exact._solve_anchors(net, rows, leaky, c)
+    return [_trace(net, z, c, total, *values, tolerance, simulate_with, step_cap)
+            for z, total, values in zip(anchors, totals, solved)]
 
 
-def _solve_anchors(net: Network, rows: list[int], leaky: list[float], c: float) -> np.ndarray:
-    """Both eliminations of each anchor row, interleaved: member 2i is net
-    with a leak c at rows[i], solving G~'s hitting times to the pendant
-    (C~_z = leaky[i] at rows[i]) and a unit current at rows[i]; member 2i + 1
-    is net grounded at rows[i], solving its hitting times."""
-    *_, vertex_conductance = net.arrays
-    A = len(rows)
-    leak_at = 2 * np.arange(A)
-    b = np.zeros((2 * A, net.n, 2))
-    b[:, :, 0] = vertex_conductance
-    b[leak_at, rows, 0] = leaky
-    b[leak_at, rows, 1] = 1.0
-    leak = np.zeros((2 * A, net.n))
-    leak[leak_at, rows] = c
-    grounds = [None] * (2 * A)
-    grounds[1::2] = rows
-    return exact._solve_at(net, grounds, b, leak)
-
-
-def _trace(net: Network, z: VertexId, c: float, total: float, leaked: np.ndarray,
-           grounded: np.ndarray, tolerance: float, simulate_with, step_cap: int) -> ProofTrace:
-    """One anchor's steps from its two solves (see _solve_anchors)."""
-    iz = net.index[z]
-    # G~ grounded at the pendant, for its hitting times and R(z, pendant): R rests
-    # on a solve of the whole network; grounded at z it would be the bare 1 / c.
-    z_to_pendant, resistance = float(leaked[iz, 0]), float(leaked[iz, 1])
+def _trace(net: Network, z: VertexId, c: float, total: float, z_to_pendant: float,
+           resistance: float, return_first_step: float, tolerance: float, simulate_with,
+           step_cap: int) -> ProofTrace:
+    """One anchor's steps from its two solves (see exact._solve_anchors). The
+    resistance comes from G~ grounded at the pendant, which rests on the
+    whole network (reduced onto z's leaf); grounded at z it would be the
+    bare 1 / c."""
     pendant_first = 1.0  # by construction: the pendant's only edge goes to z
-    return_first_step = exact._first_return(net, z, grounded[:, 0])
 
     hit_est = ret_est = None
     if simulate_with is not None:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from ohmwalk import build_network
@@ -38,20 +39,41 @@ def star3():
 
 @pytest.fixture
 def eliminations(monkeypatch):
-    """Sizes of the systems the exact layer eliminates while the test runs,
-    one entry per system (a grounded vertex keeps a unit row, so each is n).
+    """What the exact layer eliminates while the test runs: one entry per
+    system, its row count (a grounded vertex keeps a unit row, so a whole
+    system is n), and one per sweep, the rows it eliminated.
 
     Every solve goes through ``exact._eliminate``, which takes a batch of
-    systems, so patching the module attribute sees every elimination.
+    systems, and every sweep through ``exact._sweep``, so patching the module
+    attributes sees every elimination.
     """
     from ohmwalk import exact
 
     calls = []
-    kernel = exact._eliminate
+    kernel, sweep = exact._eliminate, exact._sweep
 
     def spy(U, R, width):
         calls.extend([len(width)] * U.shape[0])
         return kernel(U, R, width)
 
+    def sweep_spy(U, R, width, stops, w):
+        calls.append(stops[-1])
+        return sweep(U, R, width, stops, w)
+
     monkeypatch.setattr(exact, "_eliminate", spy)
+    monkeypatch.setattr(exact, "_sweep", sweep_spy)
     return calls
+
+
+@pytest.fixture
+def small_memory(monkeypatch):
+    """np.zeros refuses arrays of more than 10**5 entries, as an allocator
+    that has run out of memory would, so that no test allocates much."""
+    zeros = np.zeros
+
+    def refuse(shape, *args, **kwargs):
+        if np.prod(shape) > 10**5:
+            raise MemoryError(f"cannot allocate an array of shape {shape}")
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", refuse)

@@ -37,6 +37,17 @@ def random_connected_network(
     )
 
 
+def grid_network(rows: int, cols: int, rng: np.random.Generator | None = None,
+                 span: float = 0.0) -> Network:
+    """A rows x cols grid, vertex i * cols + j at (i, j); conductances
+    log-uniform in [10**-span, 10**span] when rng is given, else all 1."""
+    edges = [(i * cols + j, i * cols + j + d) for i in range(rows) for j in range(cols)
+             for d in (1, cols) if (d == 1 and j < cols - 1) or (d == cols and i < rows - 1)]
+    if rng is None:
+        return build_network([(u, v, 1.0) for u, v in edges])
+    return build_network([(u, v, float(10.0 ** rng.uniform(-span, span))) for u, v in edges])
+
+
 def network_suite(seed: int, count: int, **kwargs):
     """Deterministic stream of random networks for a whole test suite."""
     rng = np.random.default_rng(seed)

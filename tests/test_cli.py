@@ -286,8 +286,9 @@ class TestVerifySubcommand:
         assert final["estimate_pass"] is True
 
     def test_single_vertex_trace_is_the_sweep_trace(self, capsys, monkeypatch, tmp_path):
-        # A sweep runs its anchors in batches, one anchor alone; the bits must
-        # not depend on the batch. Shrink the band budget to 3 anchors a batch.
+        # A sweep runs its anchors' leaf systems in batches, one anchor alone;
+        # the bits must not depend on the batch. Shrink the band budget to 3
+        # anchors (6 leaf systems) a batch.
         from ohmwalk import exact
 
         rng = np.random.default_rng(7)
@@ -297,15 +298,17 @@ class TestVerifySubcommand:
         path = tmp_path / "grid4.edges"
         path.write_text("".join(lines))
         net = parse_network_file(path.read_text())
-        width = int(exact._band(net)[4].max())
-        monkeypatch.setattr(exact, "_BAND_BYTES", 6 * (net.n + width) * (width + 1) * 8)
+        w = int(exact._band(net)[4].max())
+        _, first, _, L = exact._leaves(net.n, w)
+        assert len(first) == 4 and L < net.n
+        monkeypatch.setattr(exact, "_BAND_BYTES", 6 * exact._band_bytes(1, L, w))
         batches = []
         kernel = exact._eliminate
         monkeypatch.setattr(exact, "_eliminate",
-                            lambda U, R, w: batches.append(U.shape[0]) or kernel(U, R, w))
+                            lambda U, R, w: batches.append(U.shape[:2]) or kernel(U, R, w))
         code, out, _ = invoke(capsys, ["verify", str(path)])
         assert code == 0
-        assert batches == [6] * 5 + [2]
+        assert batches == [(6, L + w)] * 5 + [(2, L + w)]
         sweep = {t["anchor"]: t for t in json.loads(out)["traces"]}
         for z in net.vertices:
             code, out, _ = invoke(capsys, ["verify", str(path), "--vertex", z])
@@ -391,6 +394,42 @@ class TestExitCodes:
 
     def test_help_exits_zero(self, capsys):
         assert invoke(capsys, ["--help"])[0] == 0
+
+    @pytest.mark.parametrize("argv", [["resistance", "{}", "hub", "l1"],
+                                      ["verify", "{}", "--vertex", "l1"]])
+    def test_out_of_memory_exits_2_naming_the_size(self, capsys, tmp_path, small_memory,
+                                                   argv):
+        path = tmp_path / "star.edges"
+        path.write_text("".join(f"hub l{i} 1\n" for i in range(500)))
+        code, out, err = invoke(capsys, [a.format(path) for a in argv])
+        assert (code, out) == (2, "")
+        assert err.startswith("ohmwalk: error: the solve needs ") and " MiB " in err
+
+
+@pytest.mark.parametrize("tolerance,code", [("1e-9", 0), ("1e-300", 1)])
+def test_closed_stdout_keeps_the_exit_code(tmp_path, tolerance, code):
+    # A reader that stops after one line (| head -1) is no input error, and
+    # nothing goes to stderr. verify's document for this 10x10 grid (about
+    # 150 kB) outgrows the pipe's buffer, so the command is still writing when
+    # the reader goes. Conductances like 0.1 are inexact in binary, so an
+    # absurd tolerance fails some step.
+    path = tmp_path / "grid10.edges"
+    path.write_text("".join(f"{i * 10 + j} {i * 10 + j + d} {0.1 * (1 + (i + j) % 3)!r}\n"
+                            for i in range(10) for j in range(10) for d in (1, 10)
+                            if (d == 1 and j < 9) or (d == 10 and i < 9)))
+    env = dict(os.environ, PYTHONPATH=str(Path(ohmwalk.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ohmwalk.cli", "verify", str(path), "--tolerance", tolerance],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == code
+    finally:
+        proc.kill()
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 class TestOutputPrecision:

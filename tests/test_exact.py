@@ -9,6 +9,7 @@ import pytest
 from ohmwalk import (
     SameVertex,
     SingularSystem,
+    SystemTooLarge,
     UnknownVertex,
     build_network,
     commute_time,
@@ -23,10 +24,17 @@ from ohmwalk import (
     rel_err,
     replay,
 )
-from ohmwalk.exact import _solve_at
+from ohmwalk.exact import (
+    _band,
+    _first_return,
+    _leaf_solves,
+    _leaves,
+    _solve_anchors,
+    _solve_at,
+)
 from ohmwalk.network import _sum
 
-from netgen import random_connected_network
+from netgen import grid_network, random_connected_network
 from oracles import (
     dense_laplacian,
     grounded_solve_exact,
@@ -346,6 +354,14 @@ class TestConditioning:
             assert x[ground] == 0.0
             assert all(abs(Fraction(float(v)) - e) <= 1e-13 * e for v, e in zip(x[keep], want))
 
+    def test_out_of_memory_raises_system_too_large(self, small_memory):
+        # a hub makes the band as wide as the network: 501 x 501 doubles a system
+        net = build_network([("hub", f"l{i}", 1.0) for i in range(500)])
+        with pytest.raises(SystemTooLarge, match=r"needs 3\.8 MiB of band storage"):
+            effective_resistance(net, "hub", "l1")
+        with pytest.raises(SystemTooLarge):
+            replay(net, "l1")
+
     def test_denormal_conductance_solves_exactly(self):
         net = build_network([("a", "b", 1.0), ("b", "c", 5e-324)])
         assert effective_resistance(net, "a", "b") == 1.0
@@ -437,6 +453,68 @@ class TestAccuracy:
             one = _solve_at(net, [ground], b[s:s + 1], leak[s:s + 1])
             assert batch[s].tolist() == one[0].tolist()
         assert _solve_at(net, grounds[:3], b[:3], leak[:3]).tolist() == batch[:3].tolist()
+
+
+def _anchor_solves(net, c):
+    """Each anchor's two solutions in its leaf, replay's values from them, and
+    what they should be: [(iz, C~_z, leaf vertex rows, leaked, grounded, values)]."""
+    rows = list(range(net.n))
+    leaky = [_sum([*(w for _, w in net.neighbors[z]), c]) for z in net.vertices]
+    order = _band(net)[0]
+    return [(iz, cz, order[a:a + len(grounded)], leaked, grounded, values)
+            for iz, cz, (a, leaked, grounded), values in zip(
+                rows, leaky, _leaf_solves(net, rows, leaky, c), _solve_anchors(net, rows, leaky, c))]
+
+
+def _leaf_count(net) -> int:
+    return len(_leaves(net.n, int(_band(net)[4].max()))[1])
+
+
+class TestLeaves:
+    """Each anchor's two systems, solved in its leaf after the shared sweeps,
+    against the same systems eliminated whole, and solved exactly. The
+    leaves' whole solutions are compared: replay's values at z hold on any
+    network with z's edges and the same total on the right, so they would
+    not show a wrong reduction."""
+
+    @pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])
+    @pytest.mark.parametrize("k", [8, 11])
+    def test_match_whole_eliminations(self, k, c):
+        # Both are subtraction-free eliminations of one system in two orders.
+        net = grid_network(k, k, np.random.default_rng(k), span=6.0)
+        assert _leaf_count(net) >= 3
+        *_, vertex_conductance = net.arrays
+        for iz, cz, leaf, leaked, grounded, values in _anchor_solves(net, c):
+            b = np.zeros((2, net.n, 2))
+            b[:, :, 0] = vertex_conductance
+            b[0, iz] = cz, 1.0
+            leak = np.zeros((2, net.n))
+            leak[0, iz] = c
+            x = _solve_at(net, [None, iz], b, leak)
+            got = np.concatenate([leaked.ravel(), grounded])
+            want = np.concatenate([x[0, leaf].T.ravel(), x[1, leaf, 0]])
+            assert np.all(np.abs(got - want) <= 1e-14 * want), iz
+            want = x[0, iz, 0], x[0, iz, 1], _first_return(net, net.vertices[iz], x[1, :, 0])
+            assert all(abs(g - e) <= 1e-14 * e for g, e in zip(values, want)), iz
+
+    @pytest.mark.parametrize("rows,cols,c", [(4, 4, 1e-8), (3, 7, 1.0), (4, 5, 1e8)])
+    def test_match_exact_solves(self, rows, cols, c):
+        net = grid_network(rows, cols, np.random.default_rng(rows * cols), span=6.0)
+        assert _leaf_count(net) >= 3
+        *_, vertex_conductance = net.arrays
+        for iz, cz, leaf, leaked, grounded, _ in _anchor_solves(net, c):
+            leak = np.zeros(net.n)
+            leak[iz] = c
+            b = np.zeros((net.n, 2))
+            b[:, 0] = vertex_conductance
+            b[iz] = cz, 1.0
+            want = grounded_solve_exact(dense_laplacian(net, None, leak), b)
+            pairs = [(leaked[j, k], want[v][j]) for k, v in enumerate(leaf) for j in range(2)]
+            keep = np.arange(net.n) != iz
+            want = dict(zip(np.flatnonzero(keep), grounded_solve_exact(
+                dense_laplacian(net, iz), vertex_conductance[keep])))
+            pairs += [(h, want[v]) for h, v in zip(grounded, leaf) if v != iz]
+            assert all(abs(Fraction(float(g)) - e) <= 1e-13 * e for g, e in pairs), iz
 
 
 class TestSpanWarning:

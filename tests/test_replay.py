@@ -17,10 +17,16 @@ from ohmwalk import (
     return_time,
     return_time_formula,
 )
+from ohmwalk import exact
 from ohmwalk.replay import STEP_NAMES
 
-from netgen import random_connected_network
+from netgen import grid_network, random_connected_network
 from oracles import pendant_network_steps
+
+
+def _leaf_partition(net):
+    """exact._leaves for net's band: (B, first, end, L)."""
+    return exact._leaves(net.n, int(exact._band(net)[4].max()))
 
 
 class TestReplayFixtures:
@@ -64,13 +70,31 @@ class TestReplayFixtures:
     @pytest.mark.parametrize("seed", range(3))
     def test_factors_two_grounded_matrices(self, seed, eliminations):
         # the network with a leak at z (G~ grounded at the pendant) and the
-        # network grounded at z for the return time
+        # network grounded at z for the return time; these have one leaf, so
+        # both are the whole network
         net = random_connected_network(np.random.default_rng(seed))
+        assert len(_leaf_partition(net)[1]) == 1
         replay(net, net.vertices[-1], c=2.0)
         assert eliminations == [net.n, net.n]
         eliminations.clear()
         replay(net, net.vertices[-1], c=2.0, simulate_with=(50, 0))
         assert eliminations == [net.n, net.n]
+
+    @pytest.mark.parametrize("rows,cols", [(4, 4), (6, 6), (3, 8)])
+    def test_several_leaves_sweep_then_factor_two_leaf_systems(self, rows, cols, eliminations):
+        # The forward sweep eliminates the places before z's leaf, the
+        # backward sweep those after it (each runs only when there are any),
+        # then both systems are the leaf's L rows.
+        net = grid_network(rows, cols)
+        B, first, end, L = _leaf_partition(net)
+        assert len(first) >= 3 and L < net.n
+        place = exact._band(net)[1]
+        for z in net.vertices:
+            eliminations.clear()
+            replay(net, z, c=2.0)
+            i = place[net.index[z]] // B
+            swept = [int(s) for s in (first[i], net.n - end[i]) if s]
+            assert eliminations == swept + [L, L], z
 
     def test_builds_no_pendant_network_without_simulation(self, monkeypatch, triangle):
         from ohmwalk import exact
@@ -257,6 +281,14 @@ def _extreme(r):
                           ("d", "a", 1.0 / r), ("a", "c", 1.0)])
 
 
+def _extreme_ladder(r):
+    """A 3 x 8 ladder whose conductances cycle through 1, r, 1, 1/r, 1, as
+    _extreme's do, so the ratio is r**2; narrow, so it has several leaves."""
+    shape = grid_network(8, 3)
+    cycle = (1.0, r, 1.0, 1.0 / r, 1.0)
+    return build_network([(u, v, cycle[i % 5]) for i, (u, v, _) in enumerate(shape.edges)])
+
+
 class TestPendantNetworkBits:
     """replay solves on the network with a leak; every step must agree with
     solving on the explicitly built pendant network, to 1e-13."""
@@ -280,6 +312,15 @@ class TestPendantNetworkBits:
     def test_extreme_networks(self, r):
         _assert_pendant_network_bits(_extreme(r), 1.0)
         assert all(replay(_extreme(r), z).passed for z in "abcd")
+
+    @pytest.mark.parametrize("r", [1e8, 1e10, 1e12])
+    def test_extreme_ladders_with_several_leaves(self, r):
+        net = _extreme_ladder(r)
+        assert len(_leaf_partition(net)[1]) >= 3
+        _assert_pendant_network_bits(net, 1.0)
+        for z in net.vertices:
+            trace = replay(net, z)
+            assert trace.passed, (z, [(s.name, s.rel_err) for s in trace.steps])
 
     def test_total_conductance_overflow_rejected(self):
         # C = 8e307 is finite, C + 2c = 2e308 is not
