@@ -456,8 +456,8 @@ class TestAccuracy:
 
 
 def _anchor_solves(net, c):
-    """Each anchor's two solutions in its leaf, replay's values from them, and
-    what they should be: [(iz, C~_z, leaf vertex rows, leaked, grounded, values)]."""
+    """Each anchor's two solutions in its leaf and replay's values from them:
+    [(iz, C~_z, the leaf's vertex rows, leaked, grounded, values)]."""
     rows = list(range(net.n))
     leaky = [_sum([*(w for _, w in net.neighbors[z]), c]) for z in net.vertices]
     order = _band(net)[0]

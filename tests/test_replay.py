@@ -97,8 +97,6 @@ class TestReplayFixtures:
             assert eliminations == swept + [L, L], z
 
     def test_builds_no_pendant_network_without_simulation(self, monkeypatch, triangle):
-        from ohmwalk import exact
-
         replay_module = importlib.import_module("ohmwalk.replay")  # ohmwalk.replay is the function
         calls = []
         for module, name in ((replay_module, "attach_pendant"), (exact, "round_trip")):
