@@ -49,11 +49,11 @@ class SingularSystem(OhmwalkError):
 
 
 class SystemTooLarge(OhmwalkError):
-    """A solve needs more memory than could be allocated.
+    """A solve or an estimate needs more memory than could be allocated.
 
-    The exact layer sizes its band storage before allocating it; running out
-    of memory while solving raises this, naming that size, instead of numpy's
-    MemoryError.
+    The exact layer sizes its band storage, and the simulator its per-trial
+    samples, before allocating them; running out of memory there raises
+    this, naming that size, instead of numpy's MemoryError.
     """
 
 

@@ -52,16 +52,18 @@ Only numpy is imported.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import SameVertex, SingularSystem, SystemTooLarge
+from .errors import SameVertex, SingularSystem
 from .network import Distribution, Network, VertexId
+from .util import sized
 
 _BAND_BYTES = 16 * 2**20  # the largest band one batch of systems may hold
+_sized = partial(sized, task="the solve", storage="band storage plus work arrays")
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,18 +111,6 @@ def _batch_limit(rows: int, w: int) -> int:
 def _band_bytes(S: int, rows: int, w: int) -> int:
     """The bytes of the band U that _eliminate takes for S such systems."""
     return S * (rows + w) * (w + 1) * 8
-
-
-@contextmanager
-def _sized(nbytes: int):
-    """Turn running out of memory inside the block into SystemTooLarge, naming
-    nbytes, the band storage the solve was sized at beforehand."""
-    try:
-        yield
-    except MemoryError:
-        raise SystemTooLarge(
-            f"the solve needs {nbytes / 2**20:.1f} MiB of band storage plus work arrays, "
-            "more than could be allocated") from None
 
 
 def _reduce(U: np.ndarray, R: np.ndarray, width, pivots: np.ndarray, rows: range) -> None:

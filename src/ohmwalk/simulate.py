@@ -8,16 +8,18 @@ platform, whatever order the trials run in, as long as results are
 reduced in trial order.
 
 The estimators meet the contract with one lock-step kernel instead of one
-generator object per trial. It derives the PCG64 (state, inc) of a chunk
+generator object per trial. It derives the PCG64 (state, inc) of a block
 of trials at once, replaying SeedSequence's hash pool and PCG64's seeding
-in numpy uint64 arithmetic, then advances the chunk by one PCG64 step
-per round and picks each trial's next vertex by a vectorised bisect over
-the cumulative conductances, masking out trials that have finished. When
-few trials of a chunk are still walking, their states are handed to one
-reused PCG64 and each is finished in a flat scalar loop over blocks of its
-uniforms, with the pick ``step`` and ``trace_walk`` also use. Every trial
-reads only its own stream and its result is stored at its own index, so
-the estimates are those of walking each substream on its own.
+in numpy uint64 arithmetic. Up to _CHUNK lanes then advance by one PCG64
+step per round, each picking its trial's next vertex by a vectorised
+bisect over the cumulative conductances. A lane whose trial arrives takes
+the next trial at once, so the lanes stay full until every trial has had
+one; after that, finished lanes are masked out. When few trials are still
+walking, their states are handed to one reused PCG64 and each is finished
+in a flat scalar loop over blocks of its uniforms, with the pick ``step``
+and ``trace_walk`` also use. Every trial reads only its own stream and its
+result is stored at its own index, so the estimates are those of walking
+each substream on its own.
 
 A trial that would run past the step cap aborts the whole estimate with
 CapExceeded rather than truncating: silent truncation would bias the mean
@@ -35,17 +37,23 @@ import numpy as np
 
 from .errors import CapExceeded
 from .network import AugmentedNetwork, Network, VertexId
+from .util import sized
 
 DEFAULT_STEP_CAP = 10**7
 
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
 
-# Trials seeded and walked together; bounds the kernel's memory.
+# Lanes walked in lock step, and trials seeded at a time; bounds the
+# kernel's memory.
 _CHUNK = 2048
-# A chunk with at most this many live trials finishes in the scalar loop,
-# where a step costs less than a lock-step round's fixed numpy overhead.
+# Once every trial has had a lane and at most this many are live, they
+# finish in the scalar loop, where a step costs less than a lock-step
+# round's fixed numpy overhead.
 _SCALAR_TAIL = 64
+# Bytes an estimate holds per trial at its peak: the int64 samples, the
+# float copy _summary takes and the temporary of its standard deviation.
+_SAMPLE_BYTES = 24
 # Uniforms drawn at a time for a trial in the scalar loop: the first block,
 # then doubling up to the last. A trial's stream is its own, so draws past
 # its end are simply dropped.
@@ -333,58 +341,92 @@ def _walk_trials(net: Network, start: int, target: int, anchor: int | None,
     count when anchor is None; samples are in trial order. Raises
     CapExceeded if any trial needs more than ``cap`` steps.
 
-    A trial that has finished keeps its lane and is masked out rather than
-    compacted away: compaction makes arrays of every size under 1 KiB, and
-    numpy caches each freed small buffer by size, so a process's memory
-    grew with every estimate.
+    Up to _CHUNK lanes walk in lock step. A lane whose trial arrives takes
+    the next trial at once, from a reserve of seeded states refilled one
+    _CHUNK block at a time, and records the round it started in: a trial's
+    step count is the round it arrives in less that one, and the oldest
+    live lane is the one the cap check reads. Once every trial has a lane,
+    finished lanes are masked out until at most _SCALAR_TAIL are live, and
+    those trials finish in the scalar loop, each from its own step count.
+    Lanes are never compacted: compaction makes arrays of every size under
+    1 KiB, and numpy caches each freed small buffer by size, so a process's
+    memory grew with every estimate.
     """
     tables = _lockstep_tables(net)
     bits = np.random.PCG64(0)
     overrun = CapExceeded(f"walk from {net.vertices[start]!r} exceeded the step cap of {cap}")
-
     samples = np.empty(trials, dtype=np.int64)
-    steps_total = steps_max = 0
-    for first in range(0, trials, _CHUNK):
-        result = samples[first:first + _CHUNK]
-        hi, lo, inc_hi, inc_lo = _seed_states(seed, first, len(result))
-        v = np.full(len(result), start, dtype=np.intp)
-        seen = np.zeros(len(result), dtype=np.int64)
-        walking = np.ones(len(result), dtype=bool)
-        live, n = len(result), 0
-        while live > _SCALAR_TAIL:
-            _pcg_step(hi, lo, inc_hi, inc_lo)
-            v = _pick(tables, v, _uniform(hi, lo))
-            n += 1
-            if anchor is not None:
-                seen += v == anchor
-            done = v == target
-            done &= walking
-            finished = int(np.count_nonzero(done))
-            if finished:
-                np.copyto(result, n if anchor is None else seen, where=done)
-                walking ^= done
-                live -= finished
-                steps_total += n * finished
-                steps_max = max(steps_max, n)
-            if n == cap and live:
+
+    lanes = min(trials, _CHUNK)
+    state = _seed_states(seed, 0, lanes)
+    hi, lo, inc_hi, inc_lo = state
+    trial = np.arange(lanes)
+    begun = np.zeros(lanes, dtype=np.int64)
+    v = np.full(lanes, start, dtype=np.intp)
+    seen = np.zeros(lanes, dtype=np.int64)
+    walking = np.ones(lanes, dtype=bool)
+    reserve, used = state, lanes  # seeded states, of which the first `used` have a lane
+    taken = live = lanes  # trials given a lane; lanes walking
+    n = steps_total = steps_max = 0
+    deadline = cap  # no live lane reaches the cap before this round
+    while live > _SCALAR_TAIL:
+        _pcg_step(hi, lo, inc_hi, inc_lo)
+        v = _pick(tables, v, _uniform(hi, lo))
+        n += 1
+        steps_total += live
+        if anchor is not None:
+            seen += v == anchor
+        done = v == target
+        done &= walking
+        arrived = np.flatnonzero(done)
+        if len(arrived):
+            started = begun[arrived]
+            samples[trial[arrived]] = n - started if anchor is None else seen[arrived]
+            steps_max = max(steps_max, n - int(started.min()))
+            begun[arrived] = n
+            fresh, spent = arrived[:trials - taken], arrived[trials - taken:]
+            while len(fresh):  # from the reserve, reseeded when it runs out
+                if used == len(reserve[0]):
+                    reserve, used = _seed_states(seed, taken, min(_CHUNK, trials - taken)), 0
+                room = len(reserve[0]) - used
+                lane, fresh = fresh[:room], fresh[room:]
+                for to, src in zip(state, reserve):
+                    to[lane] = src[used:used + len(lane)]
+                trial[lane] = np.arange(taken, taken + len(lane))
+                v[lane] = start
+                seen[lane] = 0
+                used += len(lane)
+                taken += len(lane)
+            walking[spent] = False
+            live -= len(spent)
+        if n == deadline:
+            deadline = int(np.min(begun, where=walking, initial=n)) + cap
+            if n == deadline:
                 raise overrun
 
-        rest = np.flatnonzero(walking)
-        tail = zip(rest.tolist(), v[rest].tolist(), seen[rest].tolist(), hi[rest].tolist(),
-                   lo[rest].tolist(), inc_hi[rest].tolist(), inc_lo[rest].tolist())
-        for k, at, count, state_hi, state_lo, step_hi, step_lo in tail:
-            bits.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state_hi << 64 | state_lo, "inc": step_hi << 64 | step_lo},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            m, count = _finish(net, at, target, -1 if anchor is None else anchor, n, count,
+    rest = np.flatnonzero(walking)
+    tail = zip(trial[rest].tolist(), (n - begun[rest]).tolist(), v[rest].tolist(),
+               seen[rest].tolist(), hi[rest].tolist(), lo[rest].tolist(),
+               inc_hi[rest].tolist(), inc_lo[rest].tolist())
+    for k, m, at, count, state_hi, state_lo, step_hi, step_lo in tail:
+        bits.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state_hi << 64 | state_lo, "inc": step_hi << 64 | step_lo},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        steps, count = _finish(net, at, target, -1 if anchor is None else anchor, m, count,
                                cap, bits, overrun)
-            result[k] = m if anchor is None else count
-            steps_total += m
-            steps_max = max(steps_max, m)
+        samples[k] = steps if anchor is None else count
+        steps_total += steps - m
+        steps_max = max(steps_max, steps)
     return samples, steps_total, steps_max
+
+
+def _sample_storage(trials: int):
+    """Turn running out of memory inside the block into SystemTooLarge, naming
+    the storage an estimate over ``trials`` trials needs at its peak."""
+    return sized(trials * _SAMPLE_BYTES, "the estimate", "sample storage")
 
 
 def _check_trial_args(trials: int, step_cap: int) -> None:
@@ -451,8 +493,9 @@ def estimate_return_time(
     net.require(z)
     _check_trial_args(trials, step_cap)
     iz = net.index[z]
-    walked = _walk_trials(net, iz, iz, None, trials, seed, step_cap)
-    return Estimate(**_summary(*walked, seed))
+    with _sample_storage(trials):
+        walked = _walk_trials(net, iz, iz, None, trials, seed, step_cap)
+        return Estimate(**_summary(*walked, seed))
 
 
 def estimate_hitting_time(
@@ -470,8 +513,9 @@ def estimate_hitting_time(
     if x == y:
         return Estimate(mean=0.0, std_error=0.0, trials=trials, seed=seed,
                         steps_total=0, steps_max=0)
-    walked = _walk_trials(net, net.index[x], net.index[y], None, trials, seed, step_cap)
-    return Estimate(**_summary(*walked, seed))
+    with _sample_storage(trials):
+        walked = _walk_trials(net, net.index[x], net.index[y], None, trials, seed, step_cap)
+        return Estimate(**_summary(*walked, seed))
 
 
 def estimate_excursions(
@@ -492,10 +536,11 @@ def estimate_excursions(
     _check_trial_args(trials, step_cap)
     net = aug.combined
     anchor = net.index[aug.anchor]
-    returns, *steps = _walk_trials(net, anchor, net.index[aug.pendant], anchor,
-                                   trials, seed, step_cap)
-    values, counts = np.unique(returns, return_counts=True)
-    return ExcursionEstimate(
-        **_summary(returns, *steps, seed),
-        counts=dict(zip(values.tolist(), counts.tolist())),
-    )
+    with _sample_storage(trials):
+        returns, *steps = _walk_trials(net, anchor, net.index[aug.pendant], anchor,
+                                       trials, seed, step_cap)
+        values, counts = np.unique(returns, return_counts=True)
+        return ExcursionEstimate(
+            **_summary(returns, *steps, seed),
+            counts=dict(zip(values.tolist(), counts.tolist())),
+        )

@@ -1,4 +1,9 @@
-"""Small numeric helpers used by several modules."""
+"""Small helpers used by several modules."""
+from __future__ import annotations
+
+from contextlib import contextmanager
+
+from .errors import SystemTooLarge
 
 
 def rel_err(a: float, b: float) -> float:
@@ -8,3 +13,14 @@ def rel_err(a: float, b: float) -> float:
     sit near zero.
     """
     return abs(a - b) / max(1.0, abs(a), abs(b))
+
+
+@contextmanager
+def sized(nbytes: int, task: str, storage: str):
+    """Turn running out of memory inside the block into SystemTooLarge, naming
+    nbytes, the ``storage`` that ``task`` was sized at beforehand."""
+    try:
+        yield
+    except MemoryError:
+        raise SystemTooLarge(f"{task} needs {nbytes / 2**20:.1f} MiB of {storage}, "
+                             "more than could be allocated") from None

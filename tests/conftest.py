@@ -67,13 +67,14 @@ def eliminations(monkeypatch):
 
 @pytest.fixture
 def small_memory(monkeypatch):
-    """np.zeros refuses arrays of more than 10**5 entries, as an allocator
-    that has run out of memory would, so that no test allocates much."""
-    zeros = np.zeros
+    """np.zeros and np.empty refuse arrays of more than 10**5 entries, as an
+    allocator that has run out of memory would, so that no test allocates much."""
+    def refusing(allocate):
+        def refuse(shape, *args, **kwargs):
+            if np.prod(shape) > 10**5:
+                raise MemoryError(f"cannot allocate an array of shape {shape}")
+            return allocate(shape, *args, **kwargs)
+        return refuse
 
-    def refuse(shape, *args, **kwargs):
-        if np.prod(shape) > 10**5:
-            raise MemoryError(f"cannot allocate an array of shape {shape}")
-        return zeros(shape, *args, **kwargs)
-
-    monkeypatch.setattr(np, "zeros", refuse)
+    for name in ("zeros", "empty"):
+        monkeypatch.setattr(np, name, refusing(getattr(np, name)))

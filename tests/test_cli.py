@@ -405,6 +405,16 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("ohmwalk: error: the solve needs ") and " MiB " in err
 
+    @pytest.mark.parametrize("argv", [["simulate", "return", "{}", "a"],
+                                      ["verify", "{}", "--simulate"]])
+    def test_too_many_trials_exit_2_naming_the_size(self, capsys, tri_file, small_memory,
+                                                    argv):
+        code, out, err = invoke(capsys, [a.format(tri_file) for a in argv]
+                                + ["--trials", "1000000"])
+        assert (code, out) == (2, "")
+        assert err == ("ohmwalk: error: the estimate needs 22.9 MiB of sample storage, "
+                       "more than could be allocated\n")
+
 
 @pytest.mark.parametrize("tolerance,code", [("1e-9", 0), ("1e-300", 1)])
 def test_closed_stdout_keeps_the_exit_code(tmp_path, tolerance, code):

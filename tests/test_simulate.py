@@ -5,6 +5,7 @@ import pytest
 
 from ohmwalk import (
     CapExceeded,
+    SystemTooLarge,
     UnknownVertex,
     attach_pendant,
     build_network,
@@ -18,6 +19,7 @@ from ohmwalk import (
     trial_generator,
 )
 
+from ohmwalk import simulate
 from ohmwalk.simulate import (
     _CHUNK,
     _SCALAR_TAIL,
@@ -121,6 +123,25 @@ class TestReturnTimeEstimator:
     def test_bad_trial_count(self, k2):
         with pytest.raises(ValueError):
             estimate_return_time(k2, "a", trials=0, seed=0)
+
+    def test_too_many_trials_raise_system_too_large(self, k4, small_memory):
+        # 24 bytes a trial: the samples, their float copy and one temporary
+        with pytest.raises(SystemTooLarge, match=r"needs 22\.9 MiB of sample storage"):
+            estimate_return_time(k4, "a", trials=10**6, seed=0)
+
+    @pytest.mark.parametrize("estimator", ("return", "hitting", "excursions"))
+    def test_out_of_memory_in_the_summary_raises_system_too_large(self, k4, monkeypatch,
+                                                                    estimator):
+        # the samples fit, but the summary's float copy does not
+        def refuse(*args):
+            raise MemoryError("cannot allocate the float copy")
+
+        monkeypatch.setattr(simulate, "_summary", refuse)
+        run = {"return": lambda: estimate_return_time(k4, "a", 100, seed=0),
+               "hitting": lambda: estimate_hitting_time(k4, "a", "b", 100, seed=0),
+               "excursions": lambda: estimate_excursions(attach_pendant(k4, "a", 1.0), 100, 0)}
+        with pytest.raises(SystemTooLarge, match="MiB of sample storage"):
+            run[estimator]()
 
 
 class TestHittingTimeEstimator:
@@ -308,12 +329,16 @@ class TestKernelMatchesPerTrialOracle:
         with pytest.raises(CapExceeded):
             estimate_return_time(k2, "a", trials, seed=0, step_cap=1)
 
-    @pytest.mark.parametrize("trials", (_SCALAR_TAIL - 1, 2 * _SCALAR_TAIL))
-    def test_cap_with_exactly_one_trial_over(self, trials):
+    @pytest.mark.parametrize("trials,seed,first", [
+        pytest.param(_SCALAR_TAIL - 1, 2**63, 0, id=str(_SCALAR_TAIL - 1)),
+        pytest.param(2 * _SCALAR_TAIL, 2**63, 0, id=str(2 * _SCALAR_TAIL)),
+        # the longest trial starts in the lane of a finished one
+        pytest.param(2 * _CHUNK + 5, 8, _CHUNK, id=str(2 * _CHUNK + 5)),
+    ])
+    def test_cap_with_exactly_one_trial_over(self, trials, seed, first):
         # the longest trial is unique, so a cap one below it fails that trial alone
         ring = build_network([(i, (i + 1) % 8, 1.0) for i in range(8)])
         aug = attach_pendant(ring, 3, 0.5)
-        seed = 2**63
         cases = [
             (lambda cap: estimate_return_time(ring, 0, trials, seed, cap), (0, 0, None)),
             (lambda cap: estimate_hitting_time(ring, 0, 4, trials, seed, cap), (0, 4, None)),
@@ -324,9 +349,41 @@ class TestKernelMatchesPerTrialOracle:
             steps, _ = per_trial_walks(net, start, target, anchor, trials, seed, 10**6)
             longest, runner_up = sorted(steps)[-1], sorted(steps)[-2]
             assert longest > runner_up
+            assert steps.index(longest) >= first
             assert run(longest).steps_max == longest
             with pytest.raises(CapExceeded):
                 run(longest - 1)
+
+
+class TestRefilledLanes:
+    """A lane whose trial finishes takes the next trial, so lock-step rounds
+    walk full lanes until every trial has one, and the scalar loop runs
+    once per estimate."""
+
+    @pytest.mark.parametrize("estimator", ("return", "excursions"))
+    def test_lanes_stay_full(self, k4, monkeypatch, estimator):
+        rounds = tail = 0
+        pick, finish = simulate._pick, simulate._finish
+
+        def pick_spy(*args):
+            nonlocal rounds
+            rounds += 1
+            return pick(*args)
+
+        def finish_spy(*args):
+            nonlocal tail
+            tail += 1
+            return finish(*args)
+
+        monkeypatch.setattr(simulate, "_pick", pick_spy)
+        monkeypatch.setattr(simulate, "_finish", finish_spy)
+        if estimator == "return":
+            est = estimate_return_time(k4, "a", trials=100_000, seed=1)
+        else:
+            est = estimate_excursions(attach_pendant(k4, "a", 1.0), trials=50_000, seed=1)
+        # full lanes take steps_total / _CHUNK rounds; draining them, at most steps_max
+        assert rounds <= est.steps_total / _CHUNK + est.steps_max
+        assert tail <= _SCALAR_TAIL
 
 
 class TestScalarTail:
