@@ -20,9 +20,18 @@ neighbours' leak and keeps an empty unit row.
 Vertices are eliminated in reverse Cuthill-McKee order
 (``Network.ordering``), in which the Laplacian is a band; the kernel
 stores each system's band as ``U[k, q] = W(k, k + q)`` and runs a batch
-of systems over a leading axis, with elementwise updates and plain sums
-along the last axis only, so each member's bits do not depend on the
-batch it ran in. Each call eliminates each system it needs once
+of systems over a leading axis. It eliminates in panels of ``_PANEL``
+rows, as blocked LU does: a panel's rows are copied into a small dense
+buffer, one outer product per pivot updates the rest of the panel, and one
+matmul per member applies the panel's Kron reduction to the rows after it
+(``_reduce``). Each of those products is of nonnegative numbers, so the
+subtraction-free guarantee holds. A member's bits do not depend on the
+batch it ran in: the other updates are elementwise, the sums run along
+each member's own rows, and each matmul multiplies one member's matrices,
+whose shapes the system fixes. Nor do they depend on the number of
+right-hand sides: a column of a matmul's product is the same at any width,
+except in the gemv that numpy calls for a one-row product, which is summed
+elementwise instead. Each call eliminates each system it needs once
 (``_solve_at``): ``round_trip`` reads both hitting times and R(x, y) from
 one batch of two.
 
@@ -39,7 +48,10 @@ copy, and its two systems of at most 3w rows per anchor are solved in
 batches of up to ``_batch_limit`` systems (``_leaf_solves``). A sweep
 over n anchors costs about 2n · 3w · w² plus two sweeps, against 2n · n ·
 w² for whole systems. When 3w >= n the one leaf is the whole network. All
-of it is GTH pivots, run by the same kernel loop (``_reduce``).
+of it is GTH pivots, run by the same kernel loop (``_reduce``). Its panels
+start at multiples of ``_PANEL`` in each system's own order, and a sweep
+takes each copy between two pivots without cutting the panel short, so a
+copy's bits do not depend on where else the sweep stops.
 
 Storage is sized before it is allocated; running out of memory raises
 SystemTooLarge, naming that size.
@@ -62,7 +74,12 @@ from .errors import SameVertex, SingularSystem
 from .network import Distribution, Network, VertexId
 from .util import sized
 
-_BAND_BYTES = 16 * 2**20  # the largest band one batch of systems may hold
+_BAND_BYTES = 16 * 2**20  # the most band storage and work arrays one batch may take
+# Rows per panel of _reduce. On one pinned Xeon core, at 4, 8 and 16 rows a
+# 60x60 grid's elimination took 0.047, 0.043 and 0.040 s, and a 20x20 grid's
+# verify sweep, whose leaf batches pay more per pivot for wider panels, 0.10,
+# 0.07 and 0.12 s.
+_PANEL = 8
 _sized = partial(sized, task="the solve", storage="band storage plus work arrays")
 
 
@@ -102,46 +119,108 @@ def _envelope(lo, hi, n: int) -> np.ndarray:
     return np.maximum.accumulate(reach) - np.arange(n)
 
 
-def _batch_limit(rows: int, w: int) -> int:
-    """How many systems of ``rows`` rows at band width w one batch may hold
-    within _BAND_BYTES (at least 1)."""
-    return max(1, _BAND_BYTES // _band_bytes(1, rows, w))
+def _batch_limit(rows: int, w: int, m: int) -> int:
+    """How many systems of ``rows`` rows at band width w with m right-hand
+    sides one batch may hold within _BAND_BYTES (at least 1)."""
+    return max(1, _BAND_BYTES // _band_bytes(1, rows, w, m))
 
 
-def _band_bytes(S: int, rows: int, w: int) -> int:
-    """The bytes of the band U that _eliminate takes for S such systems."""
-    return S * (rows + w) * (w + 1) * 8
+def _band_bytes(S: int, rows: int, w: int, m: int) -> int:
+    """The bytes _eliminate takes for S such systems with m right-hand sides:
+    the band U and R, and the kernel's work arrays (the panel buffer and one
+    pivot's update to it, the multipliers and the trailing block)."""
+    panel = _PANEL * (_PANEL + w + m + 1)
+    return S * ((rows + w) * (w + m + 2) + 2 * panel + _PANEL * w + w * (w + m + 1)) * 8
 
 
-def _reduce(U: np.ndarray, R: np.ndarray, width, pivots: np.ndarray, rows: range) -> None:
-    """GTH-eliminate ``rows`` (consecutive, in order) of a batch of banded systems.
+def _diagonals(U: np.ndarray, r0: int, h: int) -> np.ndarray:
+    """The view D[s, a, b] = U[s, r0 + a, b - a] (a, b < h) of a band U: for
+    b > a, W(r0 + a, r0 + b). Where b <= a it lands on column 0 or on other
+    rows' entries, so it must only be added to where b > a."""
+    step, col = U.strides[1], U.strides[2]
+    return as_strided(U[:, r0:], shape=(U.shape[0], h, h), strides=(U.strides[0], step - col, col),
+                      writeable=True)
 
-    Layout as for _eliminate. Row k's pivot goes to pivots[k] and its Kron
-    reduction is added into the rows after it, so that afterwards those rows
-    hold the system reduced onto the rows not yet eliminated.
+
+def _kron(U: np.ndarray, R: np.ndarray, r0: int, T: np.ndarray, pivots: np.ndarray, col: int,
+          upper: np.ndarray) -> None:
+    """Add into the band rows [r0, r0 + h) the Kron reduction of a panel's
+    eliminated rows: T's rows (see _reduce) with their pivots (rows, S), T's
+    column col + a coupling place r0 + a. ``upper`` is the h x h strict upper
+    triangle, as a mask. One matmul per member: its sum runs over the
+    panel's rows, and each product is of nonnegative numbers."""
+    h = len(upper)
+    F = T[:, :, col:col + h] / pivots.T[:, :, None]
+    if h > 1:
+        G = np.matmul(F.transpose(0, 2, 1), T[:, :, col:])
+    else:  # numpy's matmul would call gemv, whose sums depend on the row's length
+        G = (F * T[:, :, col:]).sum(1)[:, None]
+    D = _diagonals(U, r0, h)
+    np.add(D, G[:, :, :h], out=D, where=upper)
+    R[:, :, r0:r0 + h] += G[:, :, T.shape[2] - R.shape[1] - col:].transpose(0, 2, 1)
+
+
+def _reduce(U: np.ndarray, R: np.ndarray, width, pivots: np.ndarray, stops=()) -> list:
+    """GTH-eliminate a batch of banded systems from their first row, in
+    panels of _PANEL rows; layout as for _eliminate. Row k's pivot goes to
+    pivots[k], and row k keeps its couplings and right-hand sides as they
+    stood at its pivot.
+
+    A panel's rows are copied into a buffer T in absolute column order:
+    T[s, i, j] is W(k0 + i, k0 + j) for i < j < _PANEL + w, followed by
+    the leak and the right-hand sides. One outer product per pivot updates
+    the rest of the panel; then one matmul applies the panel's Kron
+    reduction to the rows after it (_kron). Panels start at multiples of
+    _PANEL whatever the stops, so a member's bits depend on its own system
+    only.
+
+    Without stops every row is eliminated and [] returned. Otherwise rows
+    [0, stops[-1]) are, and for each (nondecreasing) stop s a copy of the
+    band rows [s, s + w), U (S, w, w + 1) and R (S, m + 1, w), as they stand
+    once rows [0, s) are eliminated: the panel's rows from T, and the rows
+    past the panel with its pending update added to the copy only.
     """
     S, N, L = U.shape
-    w = L - 1
-    # The update of pivot k adds to W(k + a, k + b), 1 <= a < b <= w, which
-    # is U[k + a, b - a]: stride L - 1 in a and 1 in b from U[k + 1, 0]. Where
-    # b <= a the view lands on column 0 or on other entries, so those get + 0
-    # (b = a is the self-loop term GTH drops).
-    step, member, col = U.strides[1], U.strides[0], U.strides[2]
-    schur = as_strided(U[:, 1:], shape=(N - w, S, w, w), strides=(step, member, step - col, col),
-                       writeable=True)
-    upper = np.triu(np.ones((w, w)), 1)
-    for k in rows:
-        e = width[k]
-        row = U[:, k, 1:e + 1]
-        p = row.sum(-1)
-        p += R[:, 0, k]
-        pivots[k] = p
-        if e:
-            f = row / p[:, None]
-            t = f[:, :, None] * row[:, None, :]
-            t *= upper[:e, :e]
-            schur[k, :, :e, :e] += t
-            R[:, :, k + 1:k + e + 1] += f[:, None, :] * R[:, :, k, None]
+    w, n, P = L - 1, len(width), _PANEL
+    lead = P + w
+    # T's entries at and below the diagonal take updates that nothing reads.
+    T = np.zeros((S, P, lead + R.shape[1]))
+    skew = as_strided(T[:, 0, 1:], shape=(S, P, w),
+                      strides=(T.strides[0], T.strides[1] + T.strides[2], T.strides[2]),
+                      writeable=True)  # skew[s, i, q] is T[s, i, i + 1 + q], band column q + 1
+    upper = np.triu(np.ones((w, w), dtype=bool), 1)
+    ends = (np.maximum.reduceat(np.arange(n) + width, np.arange(0, n, P)) + 1).tolist()
+    last = stops[-1] if stops else n
+    taken = dict.fromkeys(stops)
+    for k0, end in zip(range(0, n, P), ends):
+        k1 = min(k0 + P, n)
+        p = k1 - k0
+        skew[:, :p] = U[:, k0:k1, 1:]
+        T[:, :p, lead:] = R[:, :, k0:k1].transpose(0, 2, 1)
+        for i in range(p):
+            k = k0 + i
+            if k in taken:
+                U[:, k:k1, 1:] = skew[:, i:p]  # the panel's live rows, up to date
+                R[:, :, k:k1] = T[:, i:p, lead:].transpose(0, 2, 1)
+                Uc, Rc = U[:, k:k + w].copy(), R[:, :, k:k + w].copy()
+                h = k + w - k1  # the copy's rows past the panel
+                if i and h > 0:
+                    _kron(Uc, Rc, k1 - k, T[:, :i], pivots[k0:k], p, upper[:h, :h])
+                taken[k] = Uc, Rc
+                if k == last:
+                    return [taken[stop] for stop in stops]
+            row = T[:, i, i + 1:]
+            pivot = np.add.reduce(row[:, :lead - i], -1)  # the couplings and the leak
+            pivots[k] = pivot
+            if i + 1 < p:
+                f = row[:, :p - i - 1] / pivot[:, None]
+                T[:, i + 1:p, i + 1:] += f[:, :, None] * row[:, None, :]
+        U[:, k0:k1, 1:] = skew[:, :p]
+        R[:, :, k0:k1] = T[:, :p, lead:].transpose(0, 2, 1)
+        h = end - k1
+        if h > 0:
+            _kron(U, R, k1, T[:, :p], pivots[k0:k1], p, upper[:h, :h])
+    return []
 
 
 def _substitute(U: np.ndarray, R: np.ndarray, width, pivots: np.ndarray) -> np.ndarray:
@@ -168,7 +247,7 @@ def _eliminate(U: np.ndarray, R: np.ndarray, width) -> tuple[np.ndarray, np.ndar
     Returns x with x[s, j, k] solving right-hand side j, and the pivots (n, S).
     """
     pivots = np.empty((len(width), U.shape[0]))
-    _reduce(U, R, width, pivots, range(len(width)))
+    _reduce(U, R, width, pivots)
     return _substitute(U, R, width, pivots), pivots
 
 
@@ -210,7 +289,7 @@ def _solve_at(net: Network, grounds, b: np.ndarray, leak: np.ndarray | None = No
     _, _, conductance, _ = net.arrays
     S, n, m = b.shape
     w = int(width.max())
-    with _sized(_band_bytes(S, n, w)):
+    with _sized(_band_bytes(S, n, w, m)):
         U = np.zeros((S, n + w, w + 1))
         U[:, lo, hi - lo] = conductance
         R = np.zeros((S, m + 1, n + w))
@@ -252,24 +331,20 @@ def _leaf_width(width: np.ndarray, first: np.ndarray, end: np.ndarray, L: int) -
     return np.where(inside, reach, 0).max(0).tolist()
 
 
-def _sweep(U: np.ndarray, R: np.ndarray, width, stops: list, w: int):
+def _sweep(U: np.ndarray, R: np.ndarray, width, stops: list):
     """Eliminate one banded system (a batch of one, laid out as for
     _eliminate) from its first row, and at each of the nondecreasing
-    ``stops`` copy the next w rows: their couplings U and their leak and
-    right-hand side R. Eliminating rows [0, stop) changes no entry outside
-    those w rows, so a copy and the untouched rows after it are the system
-    Kron-reduced onto [stop, n). Returns the copies, stacked."""
+    ``stops`` copy the next w rows, w the band width: their couplings U and
+    their leak and right-hand side R (see _reduce). Eliminating rows
+    [0, stop) changes no entry outside those w rows, so a copy and the
+    untouched rows after it are the system Kron-reduced onto [stop, n).
+    Returns the copies, stacked."""
     pivots = np.empty((len(width), 1))
-    Uc = np.empty((len(stops), w, w + 1))
-    Rc = np.empty((len(stops), R.shape[1], w))
-    done = 0
     with np.errstate(all="ignore"):
-        for i, stop in enumerate(stops):
-            _reduce(U, R, width, pivots, range(done, stop))
-            done = stop
-            Uc[i] = U[0, stop:stop + w]
-            Rc[i] = R[0, :, stop:stop + w]
-    _check(pivots[:done], Uc, Rc)
+        copies = _reduce(U, R, width, pivots, stops)
+    Uc = np.stack([u[0] for u, _ in copies])
+    Rc = np.stack([r[0] for _, r in copies])
+    _check(pivots[:stops[-1]], Uc, Rc)
     return Uc, Rc
 
 
@@ -306,7 +381,7 @@ def _leaf_systems(net: Network, band, first: np.ndarray, end: np.ndarray, L: int
     if len(ahead):
         U1, R1 = U0[None].copy(), np.zeros((1, 2, n + w))
         R1[0, 1] = rhs
-        Uc, Rc = _sweep(U1, R1, width.tolist(), first[ahead].tolist(), w)
+        Uc, Rc = _sweep(U1, R1, width.tolist(), first[ahead].tolist())
         U[ahead, :w] = Uc
         R[ahead, :, :w] = Rc
     behind = np.flatnonzero(end < n)
@@ -316,7 +391,7 @@ def _leaf_systems(net: Network, band, first: np.ndarray, end: np.ndarray, L: int
         Ur[0, n - 1 - hi, hi - lo] = conductance
         Rr[0, 1, :n] = rhs[n - 1::-1]
         stops = (n - end[behind])[::-1].tolist()
-        Uc, Rc = _sweep(Ur, Rr, _envelope(n - 1 - hi, n - 1 - lo, n).tolist(), stops, w)
+        Uc, Rc = _sweep(Ur, Rr, _envelope(n - 1 - hi, n - 1 - lo, n).tolist(), stops)
         # Copy row r, reversed row n - end + r, is the leaf's local row
         # last - r, with last = end - 1 - first; its coupling q reaches down to
         # local row last - r - q, where the band stores it in column q.
@@ -347,9 +422,10 @@ def _leaf_solves(net: Network, rows: list[int], leaky: list[float], c: float):
     leaf_width = _leaf_width(width, first, end, L)
     ids, at = np.unique(place[rows] // B, return_inverse=True)
     starts, sizes = first[ids], (end - first)[ids]
-    chunk = max(1, _batch_limit(L, w) // 2)
+    chunk = max(1, _batch_limit(L, w, 2) // 2)
     sweeps = 2 if len(first) > 1 else 0
-    nbytes = _band_bytes(len(ids) + 2 * min(chunk, len(rows)), L, w) + _band_bytes(sweeps, n, w)
+    nbytes = (_band_bytes(len(ids), L, w, 1) + _band_bytes(2 * min(chunk, len(rows)), L, w, 2)
+              + _band_bytes(sweeps, n, w, 1))
     with _sized(nbytes):
         Ub, Rb = _leaf_systems(net, band, starts, end[ids], L)
     for start in range(0, len(rows), chunk):

@@ -56,9 +56,9 @@ def eliminations(monkeypatch):
         calls.extend([len(width)] * U.shape[0])
         return kernel(U, R, width)
 
-    def sweep_spy(U, R, width, stops, w):
+    def sweep_spy(U, R, width, stops):
         calls.append(stops[-1])
-        return sweep(U, R, width, stops, w)
+        return sweep(U, R, width, stops)
 
     monkeypatch.setattr(exact, "_eliminate", spy)
     monkeypatch.setattr(exact, "_sweep", sweep_spy)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ohmwalk
 from ohmwalk import (
@@ -301,7 +305,7 @@ class TestVerifySubcommand:
         w = int(exact._band(net)[4].max())
         _, first, _, L = exact._leaves(net.n, w)
         assert len(first) == 4 and L < net.n
-        monkeypatch.setattr(exact, "_BAND_BYTES", 6 * exact._band_bytes(1, L, w))
+        monkeypatch.setattr(exact, "_BAND_BYTES", 6 * exact._band_bytes(1, L, w, 2))
         batches = []
         kernel = exact._eliminate
         monkeypatch.setattr(exact, "_eliminate",
@@ -314,6 +318,30 @@ class TestVerifySubcommand:
             code, out, _ = invoke(capsys, ["verify", str(path), "--vertex", z])
             assert code == 0
             assert json.dumps(json.loads(out)["traces"][0]) == json.dumps(sweep[z])
+
+    def test_single_vertex_traces_match_where_panels_and_stops_disagree(self, capsys, tmp_path):
+        # At w = 9 the sweeps stop at places that are not multiples of the
+        # kernel's panel, so a sweep that ran only as far as one anchor's leaf
+        # must still cut its panels where the full sweep does.
+        from ohmwalk import exact
+
+        k, rng = 9, np.random.default_rng(9)
+        lines = [f"v{i * k + j} v{i * k + j + d} {10.0 ** rng.uniform(-6.0, 6.0)!r}\n"
+                 for i in range(k) for j in range(k) for d in (1, k)
+                 if (d == 1 and j < k - 1) or (d == k and i < k - 1)]
+        path = tmp_path / "grid9.edges"
+        path.write_text("".join(lines))
+        net = parse_network_file(path.read_text())
+        w = int(exact._band(net)[4].max())
+        assert w == 9 and w % exact._PANEL
+        assert len(exact._leaves(net.n, w)[1]) == 9
+        code, out, _ = invoke(capsys, ["verify", str(path)])
+        assert code == 0
+        sweep = {t["anchor"]: json.dumps(t) for t in json.loads(out)["traces"]}
+        for z in net.vertices:
+            code, out, _ = invoke(capsys, ["verify", str(path), "--vertex", z])
+            assert code == 0
+            assert json.dumps(json.loads(out)["traces"][0]) == sweep[z], z
 
     def test_rejects_csv(self, capsys, tri_file):
         code, _, err = invoke(capsys, ["verify", tri_file, "--format", "csv"])
@@ -499,3 +527,70 @@ def test_commands_that_solve_leave_scipy_unloaded(tri_file):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stderr) == {"codes": [0] * 6, "scipy": []}
+
+
+_LABELS = ["a", "b", "c", "d", "1", "1.0", "01", "True"]
+_CONDUCTANCES = st.one_of(st.floats(min_value=5e-324, max_value=1e308).map(repr),
+                          st.integers(-323, 308).map("1e{}".format),
+                          st.sampled_from(["5e-324", "1e-308", "1", "1e308"]))
+_FAULTS = st.sampled_from(["a b 0", "a b -1", "a b nan", "a b inf", "a b one", "a",
+                           "a b 1 2", "a a 1", "1 1.0"])
+
+
+@st.composite
+def _invocations(draw):
+    """Edge-list text on at most 8 vertices, and a command that reads it
+    from stdin. The text is a path through the labels, so that it is
+    connected, then more edges, bare pairs (conductance 1), blank and
+    comment lines, perhaps a duplicate edge and perhaps one faulty line."""
+    labels = draw(st.lists(st.sampled_from(_LABELS), min_size=2, max_size=8, unique=True))
+    vertex = st.sampled_from(labels)
+    pair = st.lists(vertex, min_size=2, max_size=2, unique=True).map(" ".join)
+    lines = [f"{u} {v} {draw(_CONDUCTANCES)}" for u, v in zip(labels, labels[1:])]
+    lines += draw(st.lists(st.one_of(st.builds(lambda p, c: f"{p} {c}", pair, _CONDUCTANCES),
+                                     pair, st.sampled_from(["", "# note"])), max_size=6))
+    if draw(st.booleans()):
+        lines.append(lines[0])
+    if draw(st.booleans()):
+        lines.append(draw(_FAULTS))
+    text = "\n".join(draw(st.permutations(lines))) + "\n"
+
+    x, y = draw(vertex), draw(st.sampled_from([*labels, "zz"]))
+    sim = ["--trials", str(draw(st.integers(0, 20))), "--step-cap", str(draw(st.integers(0, 50))),
+           "--seed", str(draw(st.integers(0, 2**63 - 1)))]
+    argv = draw(st.sampled_from([
+        ["resistance", "-", x, y], ["hitting", "-", x, y], ["return-time", "-", y],
+        ["commute", "-", x, y], ["stationary", "-"],
+        ["simulate", "return", "-", y, *sim], ["simulate", "hitting", "-", x, y, *sim],
+        ["simulate", "excursions", "-", y, *sim, "--pendant-conductance", draw(_CONDUCTANCES)],
+        ["verify", "-"], ["verify", "-", "--vertex", y],
+        ["verify", "-", "--vertex", y, "--simulate", *sim],
+    ]))
+    return text, argv
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} in the output")
+
+
+@settings(max_examples=150, deadline=None)
+@given(_invocations())
+def test_any_input_gets_an_exit_code_and_json(invocation):
+    # Every input, however broken or extreme, gets exit 0, 1 (a failed
+    # verification) or 2 (bad input), never a traceback, and stdout is JSON
+    # without NaN or Infinity. Runs in process: no thread or process starts.
+    text, argv = invocation
+    out, err, stdin = io.StringIO(), io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+    finally:
+        sys.stdin = stdin
+    assert code in (0, 1, 2), (code, err.getvalue())
+    assert code != 1 or argv[0] == "verify"
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+    else:
+        json.loads(out.getvalue(), parse_constant=_no_constant)

@@ -25,8 +25,13 @@ from ohmwalk import (
     replay,
 )
 from ohmwalk.exact import (
+    _PANEL,
     _band,
+    _check,
+    _eliminate,
+    _envelope,
     _first_return,
+    _ground,
     _leaf_solves,
     _leaves,
     _solve_anchors,
@@ -355,9 +360,10 @@ class TestConditioning:
             assert all(abs(Fraction(float(v)) - e) <= 1e-13 * e for v, e in zip(x[keep], want))
 
     def test_out_of_memory_raises_system_too_large(self, small_memory):
-        # a hub makes the band as wide as the network: 501 x 501 doubles a system
+        # a hub makes the band as wide as the network: a system holds 1001 x 501
+        # band doubles, and the kernel's trailing block 500 x 502 more
         net = build_network([("hub", f"l{i}", 1.0) for i in range(500)])
-        with pytest.raises(SystemTooLarge, match=r"needs 3\.8 MiB of band storage"):
+        with pytest.raises(SystemTooLarge, match=r"needs 5\.8 MiB of band storage plus work"):
             effective_resistance(net, "hub", "l1")
         with pytest.raises(SystemTooLarge):
             replay(net, "l1")
@@ -440,19 +446,27 @@ class TestAccuracy:
         assert trace.passed, [(s.name, s.rel_err) for s in trace.steps]
 
     def test_batch_members_match_single_solves(self):
-        # elementwise updates and last-axis sums: a member's bits ignore its batch
-        net = _log_uniform_network(np.random.default_rng(5))
-        *_, vertex_conductance = net.arrays
-        grounds = [None, *range(net.n)]
-        b = np.broadcast_to(vertex_conductance[None, :, None], (len(grounds), net.n, 2)).copy()
-        b[0, 0, 1] = 1.0
-        leak = np.zeros((len(grounds), net.n))
-        leak[0, 0] = 0.5
-        batch = _solve_at(net, grounds, b, leak)
-        for s, ground in enumerate(grounds):
-            one = _solve_at(net, [ground], b[s:s + 1], leak[s:s + 1])
-            assert batch[s].tolist() == one[0].tolist()
-        assert _solve_at(net, grounds[:3], b[:3], leak[:3]).tolist() == batch[:3].tolist()
+        # the updates are elementwise or one matmul per member: a member's bits ignore its batch
+        _assert_batch_members_match(_log_uniform_network(np.random.default_rng(5)))
+
+    def test_batch_members_match_single_solves_over_several_panels(self):
+        net = grid_network(5, 5, np.random.default_rng(5), span=6.0)
+        assert net.n > 3 * _PANEL
+        _assert_batch_members_match(net)
+
+
+def _assert_batch_members_match(net):
+    *_, vertex_conductance = net.arrays
+    grounds = [None, *range(net.n)]
+    b = np.broadcast_to(vertex_conductance[None, :, None], (len(grounds), net.n, 2)).copy()
+    b[0, 0, 1] = 1.0
+    leak = np.zeros((len(grounds), net.n))
+    leak[0, 0] = 0.5
+    batch = _solve_at(net, grounds, b, leak)
+    for s, ground in enumerate(grounds):
+        one = _solve_at(net, [ground], b[s:s + 1], leak[s:s + 1])
+        assert batch[s].tolist() == one[0].tolist()
+    assert _solve_at(net, grounds[:3], b[:3], leak[:3]).tolist() == batch[:3].tolist()
 
 
 def _anchor_solves(net, c):
@@ -515,6 +529,95 @@ class TestLeaves:
                 dense_laplacian(net, iz), vertex_conductance[keep])))
             pairs += [(h, want[v]) for h, v in zip(grounded, leaf) if v != iz]
             assert all(abs(Fraction(float(g)) - e) <= 1e-13 * e for g, e in pairs), iz
+
+
+def _band_couplings(rng, n: int, w: int, star: bool) -> dict:
+    """The couplings W(i, j), i < j, of an n-row system, log-uniform in
+    [1e-6, 1e6]: every pair of places at most w apart or, for a star, place 0
+    to every other place (its fill makes the rest dense)."""
+    pairs = ([(0, j) for j in range(1, n)] if star else
+             [(i, j) for i in range(n) for j in range(i + 1, min(i + w + 1, n))])
+    return {pair: float(10.0 ** rng.uniform(-6.0, 6.0)) for pair in pairs}
+
+
+def _kernel_solves(n: int, couplings: dict, grounds, leaks: np.ndarray, b: np.ndarray):
+    """_eliminate on a batch laid out by hand: member s has the couplings,
+    leak leaks[s] and right-hand sides b[s] (n, m), and is held at 0 at
+    place grounds[s] unless that is None. Returns x (S, n, m) and the pivots."""
+    lo, hi = np.array(list(couplings)).T
+    width = _envelope(lo, hi, n)
+    w = int(width.max())
+    S, _, m = b.shape
+    U = np.zeros((S, n + w, w + 1))
+    U[:, lo, hi - lo] = list(couplings.values())
+    R = np.zeros((S, m + 1, n + w))
+    R[:, 0, :n] = leaks
+    R[:, 1:, :n] = b.transpose(0, 2, 1)
+    held = [s for s, g in enumerate(grounds) if g is not None]
+    if held:
+        _ground(U, R, np.array(held), np.array([grounds[s] for s in held]))
+    with np.errstate(all="ignore"):
+        x, pivots = _eliminate(U, R, width.tolist())
+    return x.transpose(0, 2, 1), pivots
+
+
+def _exact_solve(n: int, couplings: dict, ground, leak, b) -> dict:
+    """The exact solution, by place, of the system _kernel_solves makes of
+    one member, its ground's row and column deleted."""
+    A = [[Fraction(0)] * n for _ in range(n)]
+    for (i, j), c in couplings.items():
+        A[i][j] = A[j][i] = -Fraction(c)
+        A[i][i] += Fraction(c)
+        A[j][j] += Fraction(c)
+    for i, c in enumerate(leak.tolist()):
+        A[i][i] += Fraction(c)
+    keep = [i for i in range(n) if i != ground]
+    return dict(zip(keep, grounded_solve_exact([[A[i][j] for j in keep] for i in keep], b[keep])))
+
+
+_PANEL_CASES = ([(n, w, False) for n in (3, 7, 8, 9, 17) for w in (1, 7, 8, 9) if w < n]
+                + [(n, n - 1, True) for n in (3, 7, 8, 9, 17)])
+
+
+class TestPanels:
+    """The kernel eliminates in panels of _PANEL rows, each panel's update to
+    the rows after it one matmul per member. Systems laid out by hand with
+    row counts and band widths on either side of the panel size, against
+    exact rational solves, alone and in a batch."""
+
+    @pytest.mark.parametrize("n,w,star", _PANEL_CASES)
+    def test_match_exact_solves_alone_and_in_a_batch(self, n, w, star):
+        rng = np.random.default_rng(n * 100 + w)
+        couplings = _band_couplings(rng, n, w, star)
+        grounds = [None, n // 2, n - 1]
+        leaks = np.zeros((3, n))
+        leaks[0, rng.permutation(n)[:2]] = 10.0 ** rng.uniform(-6.0, 6.0, 2)
+        leaks[2, 0] = 10.0 ** rng.uniform(-6.0, 6.0)
+        b = 10.0 ** rng.uniform(-6.0, 6.0, (3, n, 2))
+        batch, pivots = _kernel_solves(n, couplings, grounds, leaks, b)
+        _check(pivots, batch)
+        for s, ground in enumerate(grounds):
+            want = _exact_solve(n, couplings, ground, leaks[s], b[s])
+            got = batch[s]
+            for k, e in want.items():
+                assert all(abs(Fraction(float(g)) - v) <= 1e-13 * v for g, v in zip(got[k], e)), k
+            if ground is not None:
+                assert got[ground].tolist() == [0.0, 0.0]
+            one, _ = _kernel_solves(n, couplings, [ground], leaks[s:s + 1], b[s:s + 1])
+            assert one[0].tolist() == got.tolist()
+
+    def test_pivot_underflowing_mid_panel_raises_singular_system(self):
+        # Places 3, 4 and 5 hang together by unit couplings, and their only
+        # leak, 5e-324 at 3, halves to 0 when 3 is eliminated, so the pivot
+        # at 5, inside the first panel, is 0.
+        couplings = {(0, 1): 1.0, (1, 2): 1.0, (3, 4): 1.0, (3, 5): 1.0, (4, 5): 1.0,
+                     **{(i, i + 1): 1.0 for i in range(6, 11)}}
+        leak = np.zeros((1, 12))
+        leak[0, [0, 3, 11]] = 1.0, 5e-324, 1.0
+        x, pivots = _kernel_solves(12, couplings, [None], leak, np.ones((1, 12, 1)))
+        assert 5 % _PANEL and pivots[5, 0] == 0.0 and np.all(pivots[:5] > 0.0)
+        with pytest.raises(SingularSystem, match="floating-point range"):
+            _check(pivots, x)
 
 
 class TestSpanWarning:
