@@ -30,7 +30,6 @@ from .exact import (
     commute_time,
     effective_resistance,
     hitting_time,
-    resistance_matrix,
     return_time,
     return_time_formula,
     round_trip,
@@ -106,7 +105,6 @@ __all__ = [
     "hitting_time",
     "rel_err",
     "replay",
-    "resistance_matrix",
     "return_time",
     "return_time_formula",
     "round_trip",

@@ -24,16 +24,30 @@ of systems over a leading axis. It eliminates in panels of ``_PANEL``
 rows, as blocked LU does: a panel's rows are copied into a small dense
 buffer, one outer product per pivot updates the rest of the panel, and one
 matmul per member applies the panel's Kron reduction to the rows after it
-(``_reduce``). Each of those products is of nonnegative numbers, so the
-subtraction-free guarantee holds. A member's bits do not depend on the
-batch it ran in: the other updates are elementwise, the sums run along
-each member's own rows, and each matmul multiplies one member's matrices,
-whose shapes the system fixes. Nor do they depend on the number of
-right-hand sides: a column of a matmul's product is the same at any width,
-except in the gemv that numpy calls for a one-row product, which is summed
-elementwise instead. Each call eliminates each system it needs once
-(``_solve_at``): ``round_trip`` reads both hitting times and R(x, y) from
-one batch of two.
+(``_reduce``). The back-substitution runs in the same panels, last first
+(``_substitute``): one matmul per member brings in the solution after the
+panel, and one more solves the panel's own rows by (I - N)^-1, N the
+panel's strict upper triangle over its pivots, a nonnegative matrix built
+for every panel at once (``_panel_inverses``). Each of those products is of
+nonnegative numbers, so the subtraction-free guarantee holds. A member's
+bits do not depend on the batch it ran in: the other updates are
+elementwise, the sums run along each member's own rows, and each matmul
+multiplies one member's matrices, whose shapes the system fixes. Nor do
+they depend on the number of right-hand sides: a column of a matmul's
+product is the same at any width, except in the gemv that numpy calls for
+a product of one row or one column. So the elimination sums a one-row
+update elementwise, and the back-substitution pads the right-hand sides to
+two columns; its only one-row products, in a last panel of one row, have
+no rows after them and a 1 x 1 inverse, so they sum nothing. Each call
+eliminates each system it needs once (``_solve_at``): ``round_trip``
+reads both hitting times and R(x, y) from one batch of two.
+
+Each system is scaled by one power of two before it is eliminated
+(``_scale``), chosen from the network and its leak alone: when its largest
+conductance is below 1, up to [1, 2). That changes no solution and, for
+inputs without subnormal values, no bit; subnormal conductances, which are
+multiples of 5e-324, would otherwise keep only a few bits through the
+Kron updates.
 
 ``replay``'s two systems at an anchor z differ from the plain system only
 at z, so every vertex far from z is eliminated once for all anchors: the
@@ -128,39 +142,61 @@ def _batch_limit(rows: int, w: int, m: int) -> int:
 def _band_bytes(S: int, rows: int, w: int, m: int) -> int:
     """The bytes _eliminate takes for S such systems with m right-hand sides:
     the band U and R, and the kernel's work arrays (the panel buffer and one
-    pivot's update to it, the multipliers and the trailing block)."""
+    pivot's update to it, the multipliers and the trailing block; each
+    panel's block, its pivots, and the block's inverse or the products that
+    build it; the solution)."""
     panel = _PANEL * (_PANEL + w + m + 1)
-    return S * ((rows + w) * (w + m + 2) + 2 * panel + _PANEL * w + w * (w + m + 1)) * 8
+    blocks = -(-rows // _PANEL) * _PANEL * (2 * _PANEL + 3)
+    solution = rows * max(m, 2)
+    return S * ((rows + w) * (w + m + 2) + 2 * panel + _PANEL * w + w * (w + m + 1)
+                + blocks + solution) * 8
 
 
-def _diagonals(U: np.ndarray, r0: int, h: int) -> np.ndarray:
-    """The view D[s, a, b] = U[s, r0 + a, b - a] (a, b < h) of a band U: for
-    b > a, W(r0 + a, r0 + b). Where b <= a it lands on column 0 or on other
-    rows' entries, so it must only be added to where b > a."""
-    step, col = U.strides[1], U.strides[2]
-    return as_strided(U[:, r0:], shape=(U.shape[0], h, h), strides=(U.strides[0], step - col, col),
+def _diagonals(U: np.ndarray, h: int) -> np.ndarray:
+    """The view D[s, r, a, b] = U[s, r + a, b - a] (a, b < h) of a band U:
+    for b > a, W(r + a, r + b). Where b <= a it lands on column 0 or on
+    other rows' entries, so it must only be added to where b > a. Built
+    once per band; D[:, r] is then the h x h block at row r."""
+    s0, s1, s2 = U.strides
+    return as_strided(U, shape=(U.shape[0], U.shape[1] - h + 1, h, h),
+                      strides=(s0, s1, s1 - s2, s2), writeable=True)
+
+
+def _skewed(T: np.ndarray, w: int) -> np.ndarray:
+    """The view skew[s, i, q] = T[s, i, i + 1 + q] (q < w) of a panel buffer:
+    band row i's couplings, placed in absolute column order."""
+    s0, s1, s2 = T.strides
+    return as_strided(T[:, 0, 1:], shape=(T.shape[0], T.shape[1], w), strides=(s0, s1 + s2, s2),
                       writeable=True)
 
 
-def _kron(U: np.ndarray, R: np.ndarray, r0: int, T: np.ndarray, pivots: np.ndarray, col: int,
+def _panel_ends(width) -> list:
+    """For each panel, one past the furthest row any of its rows reaches."""
+    n = len(width)
+    return (np.maximum.reduceat(np.arange(n) + width, np.arange(0, n, _PANEL)) + 1).tolist()
+
+
+def _kron(D: np.ndarray, R: np.ndarray, T: np.ndarray, pivots: np.ndarray, col: int,
           upper: np.ndarray) -> None:
-    """Add into the band rows [r0, r0 + h) the Kron reduction of a panel's
-    eliminated rows: T's rows (see _reduce) with their pivots (rows, S), T's
-    column col + a coupling place r0 + a. ``upper`` is the h x h strict upper
-    triangle, as a mask. One matmul per member: its sum runs over the
-    panel's rows, and each product is of nonnegative numbers."""
+    """Add into h band rows the Kron reduction of a panel's eliminated rows:
+    T's rows (see _reduce) with their pivots (rows, S), T's column col + a
+    coupling the a-th of the h rows. D is those rows' h x h block (see
+    _diagonals) and R their leak and right-hand sides (S, m + 1, h).
+    ``upper`` is the h x h strict upper triangle, as a mask. One matmul per
+    member: its sum runs over the panel's rows, and each product is of
+    nonnegative numbers."""
     h = len(upper)
     F = T[:, :, col:col + h] / pivots.T[:, :, None]
     if h > 1:
         G = np.matmul(F.transpose(0, 2, 1), T[:, :, col:])
     else:  # numpy's matmul would call gemv, whose sums depend on the row's length
         G = (F * T[:, :, col:]).sum(1)[:, None]
-    D = _diagonals(U, r0, h)
     np.add(D, G[:, :, :h], out=D, where=upper)
-    R[:, :, r0:r0 + h] += G[:, :, T.shape[2] - R.shape[1] - col:].transpose(0, 2, 1)
+    R += G[:, :, T.shape[2] - R.shape[1] - col:].transpose(0, 2, 1)
 
 
-def _reduce(U: np.ndarray, R: np.ndarray, width, pivots: np.ndarray, stops=()) -> list:
+def _reduce(U: np.ndarray, R: np.ndarray, width, pivots: np.ndarray, stops=(),
+            blocks: np.ndarray | None = None) -> list:
     """GTH-eliminate a batch of banded systems from their first row, in
     panels of _PANEL rows; layout as for _eliminate. Row k's pivot goes to
     pivots[k], and row k keeps its couplings and right-hand sides as they
@@ -172,7 +208,9 @@ def _reduce(U: np.ndarray, R: np.ndarray, width, pivots: np.ndarray, stops=()) -
     the rest of the panel; then one matmul applies the panel's Kron
     reduction to the rows after it (_kron). Panels start at multiples of
     _PANEL whatever the stops, so a member's bits depend on its own system
-    only.
+    only. When blocks is given, panel b's couplings among its own rows,
+    T[s, a, c] once its pivots are taken, go to blocks[a, c, b, s]; their
+    strict upper triangle is what _substitute needs.
 
     Without stops every row is eliminated and [] returned. Otherwise rows
     [0, stops[-1]) are, and for each (nondecreasing) stop s a copy of the
@@ -185,14 +223,12 @@ def _reduce(U: np.ndarray, R: np.ndarray, width, pivots: np.ndarray, stops=()) -
     lead = P + w
     # T's entries at and below the diagonal take updates that nothing reads.
     T = np.zeros((S, P, lead + R.shape[1]))
-    skew = as_strided(T[:, 0, 1:], shape=(S, P, w),
-                      strides=(T.strides[0], T.strides[1] + T.strides[2], T.strides[2]),
-                      writeable=True)  # skew[s, i, q] is T[s, i, i + 1 + q], band column q + 1
+    skew = _skewed(T, w)
+    diagonals = _diagonals(U, w)
     upper = np.triu(np.ones((w, w), dtype=bool), 1)
-    ends = (np.maximum.reduceat(np.arange(n) + width, np.arange(0, n, P)) + 1).tolist()
     last = stops[-1] if stops else n
     taken = dict.fromkeys(stops)
-    for k0, end in zip(range(0, n, P), ends):
+    for k0, end in zip(range(0, n, P), _panel_ends(width)):
         k1 = min(k0 + P, n)
         p = k1 - k0
         skew[:, :p] = U[:, k0:k1, 1:]
@@ -205,7 +241,8 @@ def _reduce(U: np.ndarray, R: np.ndarray, width, pivots: np.ndarray, stops=()) -
                 Uc, Rc = U[:, k:k + w].copy(), R[:, :, k:k + w].copy()
                 h = k + w - k1  # the copy's rows past the panel
                 if i and h > 0:
-                    _kron(Uc, Rc, k1 - k, T[:, :i], pivots[k0:k], p, upper[:h, :h])
+                    _kron(_diagonals(Uc, h)[:, k1 - k], Rc[:, :, k1 - k:], T[:, :i], pivots[k0:k],
+                          p, upper[:h, :h])
                 taken[k] = Uc, Rc
                 if k == last:
                     return [taken[stop] for stop in stops]
@@ -217,24 +254,70 @@ def _reduce(U: np.ndarray, R: np.ndarray, width, pivots: np.ndarray, stops=()) -
                 T[:, i + 1:p, i + 1:] += f[:, :, None] * row[:, None, :]
         U[:, k0:k1, 1:] = skew[:, :p]
         R[:, :, k0:k1] = T[:, :p, lead:].transpose(0, 2, 1)
+        if blocks is not None:
+            blocks[:p, :p, k0 // P] = T[:, :p, :p].transpose(1, 2, 0)
         h = end - k1
         if h > 0:
-            _kron(U, R, k1, T[:, :p], pivots[k0:k1], p, upper[:h, :h])
+            _kron(diagonals[:, k1, :h, :h], R[:, :, k1:end], T[:, :p], pivots[k0:k1], p,
+                  upper[:h, :h])
     return []
 
 
-def _substitute(U: np.ndarray, R: np.ndarray, width, pivots: np.ndarray) -> np.ndarray:
-    """Back-substitution after _reduce has eliminated every row: x (S, m, n)."""
+def _panel_inverses(blocks: np.ndarray, pivots: np.ndarray) -> np.ndarray:
+    """For each panel of _PANEL rows, (I - N)^-1, where N[a, b] = W(a, b) /
+    pivot(a) for a < b is the panel's strict upper triangle over its
+    pivots: blocks[a, b, panel, s] (see _reduce), overwritten. Returns them
+    as (S, panels, _PANEL, _PANEL).
+
+    Every panel of every member at once, from the last row up: row a is e_a
+    plus the sum over b > a of N[a, b] times row b, a sum of nonnegative
+    products taken in order of b. Rows past the last pivot (a short last
+    panel) get pivot 1. Nothing at or below a block's diagonal is read."""
+    P, _, nb, S = blocks.shape
+    scale = np.ones((nb * P, S))
+    scale[:len(pivots)] = pivots
+    scale = scale.reshape(nb, P, S).transpose(1, 0, 2)
+    M = blocks
+    M[np.tril_indices(P, -1)] = 0.0
+    M[np.diag_indices(P)] = 1.0
+    for a in range(P - 2, -1, -1):
+        M[a, a + 1:] = (M[a, a + 1:, None] / scale[a] * M[a + 1:, a + 1:]).sum(0)
+    return np.ascontiguousarray(M.transpose(3, 2, 0, 1))
+
+
+def _substitute(U: np.ndarray, R: np.ndarray, width, pivots: np.ndarray,
+                blocks: np.ndarray) -> np.ndarray:
+    """Back-substitution after _reduce has eliminated every row and filled
+    blocks: x (S, m, n).
+
+    The panels of _reduce, last first. A panel's rows are copied into a
+    buffer T in absolute column order, as in _reduce. One matmul per member
+    adds their couplings to the rows after the panel, times those rows'
+    solutions, to their right-hand sides, which are then divided by their
+    pivots; one more, by the panel's (I - N)^-1 (_panel_inverses), solves
+    the panel's own rows. Every product is of nonnegative numbers. The
+    right-hand sides are padded to at least two columns, so that one of them
+    alone meets the same products, and the same BLAS routines, as two do: a
+    one-column product would go to gemv, whose sums differ from gemm's.
+    """
     S, N, L = U.shape
-    n = N - (L - 1)
-    x = np.zeros((S, R.shape[1] - 1, N))
-    for k in range(n - 1, -1, -1):
-        e = width[k]
-        s = (U[:, k, None, 1:e + 1] * x[:, :, k + 1:k + e + 1]).sum(-1)
-        s += R[:, 1:, k]
-        s /= pivots[k][:, None]
-        x[:, :, k] = s
-    return x[:, :, :n]
+    w, n, P = L - 1, len(width), _PANEL
+    m = R.shape[1] - 1
+    inverses = _panel_inverses(blocks, pivots)
+    x = np.zeros((S, n, max(m, 2)))
+    x[:, :, :m] = R[:, 1:, :n].transpose(0, 2, 1)  # the right-hand sides, replaced panel by panel
+    T = np.zeros((S, P, P + w))
+    skew = _skewed(T, w)
+    ends = _panel_ends(width)
+    for k0 in range((n - 1) // P * P, -1, -P):
+        k1 = min(k0 + P, n)
+        p, e = k1 - k0, ends[k0 // P] - k0
+        skew[:, :p] = U[:, k0:k1, 1:]
+        c = np.matmul(T[:, :p, p:e], x[:, k1:k0 + e])
+        c += x[:, k0:k1]
+        c /= pivots[k0:k1].T[:, :, None]
+        x[:, k0:k1] = np.matmul(inverses[:, k0 // P, :p, :p], c)
+    return x[:, :, :m].transpose(0, 2, 1)
 
 
 def _eliminate(U: np.ndarray, R: np.ndarray, width) -> tuple[np.ndarray, np.ndarray]:
@@ -246,9 +329,11 @@ def _eliminate(U: np.ndarray, R: np.ndarray, width) -> tuple[np.ndarray, np.ndar
     and finite. Row k holds nothing past width[k]. U and R are overwritten.
     Returns x with x[s, j, k] solving right-hand side j, and the pivots (n, S).
     """
-    pivots = np.empty((len(width), U.shape[0]))
-    _reduce(U, R, width, pivots)
-    return _substitute(U, R, width, pivots), pivots
+    n = len(width)
+    pivots = np.empty((n, U.shape[0]))
+    blocks = np.zeros((_PANEL, _PANEL, -(-n // _PANEL), U.shape[0]))
+    _reduce(U, R, width, pivots, blocks=blocks)
+    return _substitute(U, R, width, pivots, blocks), pivots
 
 
 def _check(pivots: np.ndarray, *values: np.ndarray) -> None:
@@ -275,6 +360,18 @@ def _ground(U: np.ndarray, R: np.ndarray, members: np.ndarray, rows: np.ndarray)
     R[members, 0, rows] = 1.0
 
 
+def _scale(net: Network, leak: float = 0.0) -> int:
+    """The power of two that a system of net with the largest leak ``leak``
+    is scaled by: its couplings, leak and right-hand sides alike, which
+    changes no solution. When the largest conductance, leak included, is
+    below 1, it lands in [1, 2); otherwise nothing is scaled. A system whose
+    unscaled values are all normal keeps every bit, and one whose
+    conductances are subnormal no longer loses bits to the multiples of
+    5e-324 they round to. At most 2**1022, so a unit current stays finite."""
+    top = max(float(net.arrays[2].max()), leak)
+    return min(max(0, 1 - math.frexp(top)[1]), 1022)
+
+
 def _solve_at(net: Network, grounds, b: np.ndarray, leak: np.ndarray | None = None) -> np.ndarray:
     """Solve a batch of net's grounded systems, eliminating each once.
 
@@ -283,19 +380,21 @@ def _solve_at(net: Network, grounds, b: np.ndarray, leak: np.ndarray | None = No
     held at 0, or no vertex when it is None (the leak must then reach
     ground). b[s] has a row per vertex and a column per right-hand side, all
     >= 0; row grounds[s], the current the ground absorbs, is ignored.
-    Returns x of b's shape, with x[s, grounds[s]] = 0.
+    Returns x of b's shape, with x[s, grounds[s]] = 0. Each member is
+    scaled by its own power of two (_scale).
     """
     order, place, lo, hi, width = _band(net)
     _, _, conductance, _ = net.arrays
     S, n, m = b.shape
     w = int(width.max())
+    k = np.array([_scale(net) if leak is None else _scale(net, leak[s].max()) for s in range(S)])
     with _sized(_band_bytes(S, n, w, m)):
         U = np.zeros((S, n + w, w + 1))
-        U[:, lo, hi - lo] = conductance
+        U[:, lo, hi - lo] = np.ldexp(conductance, k[:, None])
         R = np.zeros((S, m + 1, n + w))
-        R[:, 1:, :n] = b[:, order].transpose(0, 2, 1)
+        R[:, 1:, :n] = np.ldexp(b[:, order], k[:, None, None]).transpose(0, 2, 1)
         if leak is not None:
-            R[:, 0, :n] = leak[:, order]
+            R[:, 0, :n] = np.ldexp(leak[:, order], k[:, None])
         held = [s for s, g in enumerate(grounds) if g is not None]
         if held:
             _ground(U, R, np.array(held), place[[grounds[i] for i in held]])
@@ -348,11 +447,12 @@ def _sweep(U: np.ndarray, R: np.ndarray, width, stops: list):
     return Uc, Rc
 
 
-def _leaf_systems(net: Network, band, first: np.ndarray, end: np.ndarray, L: int):
+def _leaf_systems(net: Network, band, first: np.ndarray, end: np.ndarray, L: int, scale: int):
     """The leaves [first[i], end[i]) of net's system with no leak and the
-    vertex conductances on the right: net Kron-reduced onto each leaf, laid
-    out as for _eliminate over L rows (rows past a leaf's end are empty unit
-    rows). Returns U (k, L + w, w + 1) and R (k, 2, L + w).
+    vertex conductances on the right, all scaled by 2**scale: net
+    Kron-reduced onto each leaf, laid out as for _eliminate over L rows
+    (rows past a leaf's end are empty unit rows). Returns U (k, L + w, w + 1)
+    and R (k, 2, L + w).
 
     The reduction onto [a, b) is the forward sweep's copy at a, the original
     band in the middle, and the backward sweep's copy at b: eliminating
@@ -362,11 +462,12 @@ def _leaf_systems(net: Network, band, first: np.ndarray, end: np.ndarray, L: int
     """
     order, _, lo, hi, width = band
     _, _, conductance, vertex_conductance = net.arrays
+    conductance = np.ldexp(conductance, scale)
     n, w, k = net.n, int(width.max()), len(first)
     U0 = np.zeros((n + w, w + 1))
     U0[lo, hi - lo] = conductance
     rhs = np.zeros(n + w)
-    rhs[:n] = vertex_conductance[order]
+    rhs[:n] = np.ldexp(vertex_conductance[order], scale)
 
     rows = first[:, None] + np.arange(L)
     inside = rows < end[:, None]
@@ -413,7 +514,9 @@ def _leaf_solves(net: Network, rows: list[int], leaky: list[float], c: float):
     Both sweeps run once, only as far as the anchors' leaves need, and the
     leaf systems run through _eliminate in batches within _BAND_BYTES. A
     leaf depends only on net and the partition, so its bits do not depend
-    on which anchors were asked for or on the batch.
+    on which anchors were asked for or on the batch. The sweeps and the
+    grounded systems are scaled as net alone is, and the leaked systems as
+    net with the leak c (_scale).
     """
     band = _band(net)
     _, place, _, _, width = band
@@ -426,8 +529,9 @@ def _leaf_solves(net: Network, rows: list[int], leaky: list[float], c: float):
     sweeps = 2 if len(first) > 1 else 0
     nbytes = (_band_bytes(len(ids), L, w, 1) + _band_bytes(2 * min(chunk, len(rows)), L, w, 2)
               + _band_bytes(sweeps, n, w, 1))
+    scale, leak_scale = _scale(net), _scale(net, c)
     with _sized(nbytes):
-        Ub, Rb = _leaf_systems(net, band, starts, end[ids], L)
+        Ub, Rb = _leaf_systems(net, band, starts, end[ids], L, scale)
     for start in range(0, len(rows), chunk):
         part = slice(start, start + chunk)
         leaf = at[part]
@@ -438,9 +542,12 @@ def _leaf_solves(net: Network, rows: list[int], leaky: list[float], c: float):
             U = Ub[np.repeat(leaf, 2)]
             R = np.zeros((2 * A, 3, L + w))
             R[:, :2] = Rb[np.repeat(leaf, 2)]
-            R[leaks, 0, g] = c
-            R[leaks, 1, g] = leaky[part]
-            R[leaks, 2, g] = 1.0
+            if leak_scale != scale:
+                U[leaks] = np.ldexp(U[leaks], leak_scale - scale)
+                R[leaks] = np.ldexp(R[leaks], leak_scale - scale)
+            R[leaks, 0, g] = np.ldexp(c, leak_scale)
+            R[leaks, 1, g] = np.ldexp(leaky[part], leak_scale)
+            R[leaks, 2, g] = np.ldexp(1.0, leak_scale)
             _ground(U, R, grounds, g)
             with np.errstate(all="ignore"):
                 x, pivots = _eliminate(U, R, leaf_width)
@@ -482,21 +589,6 @@ def effective_resistance(net: Network, x: VertexId, y: VertexId) -> float:
     b = np.zeros((1, net.n, 1))
     b[0, ix] = 1.0
     return float(_solve_at(net, [net.index[y]], b)[0, ix, 0])
-
-
-def resistance_matrix(net: Network) -> np.ndarray:
-    """All-pairs effective resistances from one grounded elimination.
-
-    Entry (i, j) follows vertex order. Same grounded-solve method as
-    effective_resistance, amortized: with G the grounded inverse (ground =
-    first vertex), R_xy = G_xx + G_yy - 2 G_xy.
-    """
-    G = _solve_at(net, [0], np.eye(net.n)[None])[0]
-    G = 0.5 * (G + G.T)
-    d = np.diagonal(G)
-    R = d[:, None] + d[None, :] - 2.0 * G
-    np.fill_diagonal(R, 0.0)
-    return R
 
 
 def hitting_time(net: Network, target: VertexId) -> HittingProfile:

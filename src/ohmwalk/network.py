@@ -142,13 +142,17 @@ class Network:
         Breadth-first from the first row of least degree, each vertex's unvisited
         neighbours taken by increasing degree (ties in stored order), then
         reversed. Neighbours land close together in the order, so the Laplacian
-        is a narrow band in it. Read from ``walk``'s tables; built on first use
-        and kept.
+        is a narrow band in it. Read from ``arrays``: one lexsort over both ends
+        of every edge puts each vertex's neighbours in that order, and an edge's
+        index is its stored position at both ends. Built on first use and kept.
         """
-        indptr, row, _ = self.walk
-        degree = [indptr[v + 1] - indptr[v] for v in range(self.n)]
-        start = min(range(self.n), key=degree.__getitem__)
-        order = _breadth_first(start, lambda v: row[indptr[v]:indptr[v + 1]], degree.__getitem__)
+        tail, head, _, _ = self.arrays
+        ends, other = np.concatenate((tail, head)), np.concatenate((head, tail))
+        degree = np.bincount(ends, minlength=self.n)
+        ranked = np.lexsort((np.tile(np.arange(len(tail)), 2), degree[other], ends))
+        indptr = np.concatenate(([0], np.cumsum(degree))).tolist()
+        row = other[ranked].tolist()
+        order = _breadth_first(int(degree.argmin()), lambda v: row[indptr[v]:indptr[v + 1]])
         return tuple(reversed(order))
 
 
@@ -189,19 +193,15 @@ class Distribution:
         return tuple(self.weights)
 
 
-def _breadth_first(start, neighbours, key=None) -> list:
+def _breadth_first(start, neighbours) -> list:
     """The vertices reachable from ``start``, in breadth-first order. Each vertex's
-    unseen ``neighbours(v)`` join the queue in their stored order, or by increasing
-    ``key`` with ties in stored order."""
+    unseen ``neighbours(v)`` join the queue in their stored order."""
     order, seen = [start], {start}
     for v in order:  # grows while it is read: a breadth-first queue
-        first = len(order)
         for u in neighbours(v):
             if u not in seen:
                 seen.add(u)
                 order.append(u)
-        if key is not None:
-            order[first:] = sorted(order[first:], key=key)
     return order
 
 

@@ -2,6 +2,7 @@
 import numpy as np
 
 from ohmwalk import Network, build_network, transition_matrix
+from ohmwalk.exact import _solve_at
 
 
 def random_connected_network(
@@ -59,3 +60,14 @@ def random_reversible_kernel(rng: np.random.Generator, n_lo: int = 2, n_hi: int 
     walk of a random network. Returns (kernel, source network)."""
     net = random_connected_network(rng, n_lo=n_lo, n_hi=n_hi)
     return transition_matrix(net), net
+
+
+def resistances(net: Network) -> np.ndarray:
+    """Every ordered pair's effective resistance, rows and columns in vertex
+    order: R[i, j] solves the system grounded at j with a unit current at i,
+    as effective_resistance does, bit for bit (TestEffectiveResistance), in
+    one batch of one system per ground with a unit current at every vertex.
+    R - R.T compares two different solves."""
+    n = net.n
+    x = _solve_at(net, list(range(n)), np.broadcast_to(np.eye(n), (n, n, n)))
+    return np.diagonal(x, axis1=1, axis2=2).T

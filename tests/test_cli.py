@@ -161,6 +161,22 @@ class TestSolverSubcommands:
         assert (code, err) == (0, "")
         assert json.loads(out)["resistance"] == 1.0
 
+    def test_subnormal_conductances_are_scaled_before_the_solve(self, capsys, monkeypatch):
+        # every conductance and vertex conductance is a multiple of 5e-324, so
+        # unscaled Kron updates keep only a few bits (hitting 1.667, return 2.667)
+        import io
+        text = "c b 5e-324\nTrue c 5e-324\nTrue c 5e-324\n"
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, _ = invoke(capsys, ["hitting", "-", "c", "True"])
+        assert (code, json.loads(out)["expected_steps"]) == (0, 2.0)
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, _ = invoke(capsys, ["return-time", "-", "True"])
+        assert (code, json.loads(out)["first_step"]) == (0, 3.0)
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = invoke(capsys, ["verify", "-"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["pass"] is True
+
     def test_stdin_input(self, capsys, monkeypatch):
         import io
         monkeypatch.setattr("sys.stdin", io.StringIO("a b 1\n"))

@@ -15,7 +15,6 @@ from ohmwalk import (
     commute_time,
     effective_resistance,
     hitting_time,
-    resistance_matrix,
     return_time,
     return_time_formula,
     round_trip,
@@ -39,11 +38,12 @@ from ohmwalk.exact import (
 )
 from ohmwalk.network import _sum
 
-from netgen import grid_network, random_connected_network
+from netgen import grid_network, random_connected_network, resistances
 from oracles import (
     dense_laplacian,
     grounded_solve_exact,
     hitting_times_oracle,
+    resistance_oracle,
     return_time_oracle,
     stationary_oracle,
 )
@@ -85,8 +85,9 @@ class TestEffectiveResistance:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_symmetry_and_matrix_agreement(self, seed):
+        # against every pair of the dense pseudoinverse's resistance matrix
         net = random_connected_network(np.random.default_rng(seed))
-        R = resistance_matrix(net)
+        R = resistance_oracle(net)
         for i, x in enumerate(net.vertices):
             for y in net.vertices[i + 1:]:
                 r = effective_resistance(net, x, y)
@@ -96,6 +97,15 @@ class TestEffectiveResistance:
     def test_unknown_vertex(self, k2):
         with pytest.raises(UnknownVertex):
             effective_resistance(k2, "a", "zz")
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_all_pairs_table_is_bit_for_bit_effective_resistance(self, seed):
+        # the table the metric and monotonicity properties read (netgen.resistances)
+        rng = np.random.default_rng(seed)
+        net = _log_uniform_network(rng) if seed % 2 else random_connected_network(rng, n_hi=20)
+        R = resistances(net)
+        assert R.tolist() == [[effective_resistance(net, x, y) for y in net.vertices]
+                              for x in net.vertices]
 
 
 class TestHittingTime:
@@ -223,7 +233,7 @@ class TestRoundTrip:
         eliminations.clear()
         hitting_time(net, y)
         effective_resistance(net, x, y)
-        resistance_matrix(net)
+        return_time(net, x)
         assert len(eliminations) == 3
 
 
@@ -297,7 +307,7 @@ class TestResistanceGeometry:
     @pytest.mark.parametrize("seed", range(10))
     def test_metric_axioms(self, seed):
         net = random_connected_network(np.random.default_rng(seed))
-        R = resistance_matrix(net)
+        R = resistances(net)
         n = net.n
         assert np.max(np.abs(R - R.T)) < 1e-9
         assert np.all(R >= -1e-12)
@@ -313,13 +323,13 @@ class TestResistanceGeometry:
     @pytest.mark.parametrize("seed", range(8))
     def test_rayleigh_monotonicity(self, seed):
         net = random_connected_network(np.random.default_rng(seed), n_hi=8)
-        R0 = resistance_matrix(net)
+        R0 = resistances(net)
         for k, (u, v, c) in enumerate(net.edges):
             bumped = [
                 (x, y, w * 2.0 if i == k else w)
                 for i, (x, y, w) in enumerate(net.edges)
             ]
-            R1 = resistance_matrix(build_network(bumped))
+            R1 = resistances(build_network(bumped))
             assert np.all(R1 <= R0 + 1e-9 * np.maximum(1.0, R0))
 
 
@@ -361,9 +371,10 @@ class TestConditioning:
 
     def test_out_of_memory_raises_system_too_large(self, small_memory):
         # a hub makes the band as wide as the network: a system holds 1001 x 501
-        # band doubles, and the kernel's trailing block 500 x 502 more
+        # band doubles, the kernel's trailing block 500 x 502 more, and the
+        # back-substitution's 63 panel blocks, their inverses and the solution
         net = build_network([("hub", f"l{i}", 1.0) for i in range(500)])
-        with pytest.raises(SystemTooLarge, match=r"needs 5\.8 MiB of band storage plus work"):
+        with pytest.raises(SystemTooLarge, match=r"needs 5\.9 MiB of band storage plus work"):
             effective_resistance(net, "hub", "l1")
         with pytest.raises(SystemTooLarge):
             replay(net, "l1")
@@ -373,6 +384,20 @@ class TestConditioning:
         assert effective_resistance(net, "a", "b") == 1.0
         assert hitting_time(net, "b").values == {"a": 1.0, "b": 0.0, "c": 1.0}
         assert return_time(net, "b") == 2.0
+
+    @pytest.mark.parametrize("shift", (1, 60, 600, 900))
+    def test_power_of_two_scaling_keeps_every_bit(self, shift):
+        # a system whose largest conductance is below 1 is scaled back up by a
+        # power of two, which is exact while every value stays normal
+        net = _log_uniform_network(np.random.default_rng(shift))
+        up = 1 - math.frexp(max(c for _, _, c in net.edges))[1]
+        base = build_network([(u, v, math.ldexp(c, up)) for u, v, c in net.edges])
+        small = build_network([(u, v, math.ldexp(c, -shift)) for u, v, c in base.edges])
+        x, y = base.vertices[0], base.vertices[-1]
+        assert hitting_time(small, y).values == hitting_time(base, y).values
+        assert return_time(small, x) == return_time(base, x)
+        assert effective_resistance(small, x, y) == math.ldexp(effective_resistance(base, x, y),
+                                                               shift)
 
     def test_conductance_rounded_away_still_solves(self):
         # b's C_b = 1 + 1e-300 rounds to 1; the elimination never forms it
@@ -544,7 +569,7 @@ def _kernel_solves(n: int, couplings: dict, grounds, leaks: np.ndarray, b: np.nd
     """_eliminate on a batch laid out by hand: member s has the couplings,
     leak leaks[s] and right-hand sides b[s] (n, m), and is held at 0 at
     place grounds[s] unless that is None. Returns x (S, n, m) and the pivots."""
-    lo, hi = np.array(list(couplings)).T
+    lo, hi = np.array(list(couplings), dtype=np.intp).reshape(-1, 2).T
     width = _envelope(lo, hi, n)
     w = int(width.max())
     S, _, m = b.shape
@@ -572,6 +597,8 @@ def _exact_solve(n: int, couplings: dict, ground, leak, b) -> dict:
     for i, c in enumerate(leak.tolist()):
         A[i][i] += Fraction(c)
     keep = [i for i in range(n) if i != ground]
+    if not keep:  # one place, held at 0
+        return {}
     return dict(zip(keep, grounded_solve_exact([[A[i][j] for j in keep] for i in keep], b[keep])))
 
 
@@ -620,6 +647,60 @@ class TestPanels:
             _check(pivots, x)
 
 
+_SUBSTITUTION_SIZES = (1, 2, 3, 7, 8, 9, 17)  # last panels of 1, 2, 3, 7 and 8 rows
+
+
+def _chorded_path(rng, n: int) -> dict:
+    """Log-uniform couplings along a path of n places, plus a chord from
+    every third place to the one three further on."""
+    pairs = [(i, i + 1) for i in range(n - 1)] + [(i, i + 3) for i in range(0, n - 3, 3)]
+    return {pair: float(10.0 ** rng.uniform(-6.0, 6.0)) for pair in pairs}
+
+
+class TestSubstitution:
+    """_substitute solves a panel's rows with one matmul for the rows after
+    it and one by the panel's (I - N)^-1, the right-hand sides padded to two
+    columns. Whole solutions against exact rational solves, at system sizes
+    whose last panel has 1 to 8 rows."""
+
+    @pytest.mark.parametrize("m", (1, 2))
+    @pytest.mark.parametrize("n", _SUBSTITUTION_SIZES)
+    def test_match_exact_solves_alone_and_in_a_batch(self, n, m):
+        rng = np.random.default_rng(10 * n + m)
+        couplings = _chorded_path(rng, n)
+        grounds = [None, n // 2, n - 1]
+        leaks = np.zeros((3, n))
+        leaks[0, rng.permutation(n)[:2]] = 10.0 ** rng.uniform(-6.0, 6.0, min(n, 2))
+        leaks[2, 0] = 10.0 ** rng.uniform(-6.0, 6.0)
+        b = 10.0 ** rng.uniform(-6.0, 6.0, (3, n, m))
+        batch, pivots = _kernel_solves(n, couplings, grounds, leaks, b)
+        _check(pivots, batch)
+        for s, ground in enumerate(grounds):
+            got = batch[s]
+            for k, e in _exact_solve(n, couplings, ground, leaks[s], b[s]).items():
+                assert all(abs(Fraction(float(g)) - v) <= 1e-13 * v for g, v in zip(got[k], e)), k
+            if ground is not None:
+                assert got[ground].tolist() == [0.0] * m
+            one, _ = _kernel_solves(n, couplings, [ground], leaks[s:s + 1], b[s:s + 1])
+            assert one[0].tolist() == got.tolist()
+        if m == 2:  # each column gets the bits it gets alone
+            for j in range(2):
+                alone, _ = _kernel_solves(n, couplings, grounds, leaks, b[:, :, j:j + 1])
+                assert alone[:, :, 0].tolist() == batch[:, :, j].tolist()
+
+    @pytest.mark.parametrize("n", _SUBSTITUTION_SIZES[1:])
+    def test_round_trip_is_bit_equal_to_single_solves(self, n):
+        rng = np.random.default_rng(n)
+        net = build_network([(i, j, c) for (i, j), c in _chorded_path(rng, n).items()])
+        for x, y in ((0, n - 1), (n - 1, 0), (n // 2, 0), (1, n // 2)):
+            if x == y:
+                continue
+            trip = round_trip(net, x, y)
+            assert trip.x_to_y == hitting_time(net, y).values[x]
+            assert trip.y_to_x == hitting_time(net, x).values[y]
+            assert trip.resistance == effective_resistance(net, x, y)
+
+
 class TestSpanWarning:
     """There is no span warning: at any conductance span each grounded system
     is eliminated once, with all its right-hand sides, and never re-solved."""
@@ -631,7 +712,7 @@ class TestSpanWarning:
             warnings.simplefilter("error")
             hitting_time(net, y)
             effective_resistance(net, x, y)
-            resistance_matrix(net)
+            effective_resistance(net, y, x)
             return_time(net, x)
             round_trip(net, x, y)
             replay(net, x)

@@ -158,6 +158,23 @@ class TestOrdering:
         net = build_network([edges[i] for i in rng.permutation(len(edges))])
         assert net.ordering == reverse_cuthill_mckee(net)
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_reference_with_parallel_edges_in_both_orientations(self, seed):
+        # repeats of an edge, either way round and anywhere in the list, merge
+        # into the first appearance, which fixes every stored position
+        rng = np.random.default_rng(seed)
+        edges = list(random_connected_network(rng, n_hi=30).edges)
+        repeats = [(v, u, c) if rng.random() < 0.5 else (u, v, c)
+                   for u, v, c in edges for _ in range(int(rng.integers(0, 3)))]
+        listed = edges + repeats
+        net = build_network([listed[i] for i in rng.permutation(len(listed))])
+        assert net.ordering == reverse_cuthill_mckee(net)
+
+    def test_solves_do_not_build_the_walk_tables(self):
+        net = random_connected_network(np.random.default_rng(0), n_lo=6)
+        ohmwalk.hitting_time(net, net.vertices[0])
+        assert "ordering" in net.__dict__ and "walk" not in net.__dict__
+
 
 # Entry points of every layer, each given a label that only equals vertex 1.
 _LABEL_CALLS = {

@@ -13,14 +13,13 @@ from ohmwalk import (
     commute_time,
     rel_err,
     replay,
-    resistance_matrix,
     return_time,
     return_time_formula,
 )
 from ohmwalk import exact
 from ohmwalk.replay import STEP_NAMES
 
-from netgen import grid_network, random_connected_network
+from netgen import grid_network, random_connected_network, resistances
 from oracles import pendant_network_steps
 
 
@@ -186,7 +185,7 @@ def _assert_identity_families(net, tolerance):
     """Return time vs C / C_z at every vertex, commute time vs C * R over
     every pair, and return time vs 2m / deg(z) when every conductance is 1."""
     C = net.total_conductance
-    R = resistance_matrix(net)
+    R = resistances(net)
     unit = all(c == 1.0 for _, _, c in net.edges)
     for z in net.vertices:
         assert rel_err(return_time(net, z), return_time_formula(net, z)) <= tolerance
@@ -240,6 +239,21 @@ class TestGeneralizedPendant:
         z = net.vertices[0]
         trace = replay(net, z, c)
         assert trace.passed, [(s.name, s.expected, s.computed) for s in trace.steps]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bits_of_a_network_below_unit_conductance(self, seed):
+        # below 1 the network is scaled up by a power of two, and the leaked
+        # system, whose c = 1 is its largest conductance, is scaled back down:
+        # every value matches the network and c taken 2**10 times, bit for bit
+        rng = np.random.default_rng(seed)
+        net = random_connected_network(rng, n_hi=9, c_lo=0.01, c_hi=0.9)
+        wide = build_network([(u, v, c * 2.0**10) for u, v, c in net.edges])
+        z = net.vertices[0]
+        small, big = replay(net, z, 1.0), replay(wide, z, 2.0**10)
+        assert small.passed
+        for s, b in zip(small.steps, big.steps):
+            scale = 2.0**10 if s.name == "pendant-resistance" else 1.0
+            assert s.computed == b.computed * scale, s.name
 
     def test_with_simulation_band(self, triangle):
         trace = replay(triangle, "a", 2.0, simulate_with=(20_000, 31))
