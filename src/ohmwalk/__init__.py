@@ -8,6 +8,10 @@ estimates the same quantities by simulation, and the replay layer
 re-executes the pendant-vertex derivation of the return-time identity on
 arbitrary inputs.
 """
+import importlib
+import sys
+import types
+
 from .errors import (
     AmbiguousLabel,
     CapExceeded,
@@ -24,17 +28,6 @@ from .errors import (
     SystemTooLarge,
     UnknownVertex,
 )
-from .exact import (
-    HittingProfile,
-    RoundTrip,
-    commute_time,
-    effective_resistance,
-    hitting_time,
-    return_time,
-    return_time_formula,
-    round_trip,
-    stationary_distribution,
-)
 from .network import (
     AugmentedNetwork,
     Distribution,
@@ -46,24 +39,7 @@ from .network import (
     transition_distribution,
     transition_matrix,
 )
-from .replay import (
-    ProofStep,
-    ProofTrace,
-    replay,
-)
-from .simulate import (
-    DEFAULT_STEP_CAP,
-    Estimate,
-    ExcursionEstimate,
-    WalkTrace,
-    estimate_excursions,
-    estimate_hitting_time,
-    estimate_return_time,
-    step,
-    trace_walk,
-    trial_generator,
-)
-from .util import rel_err
+from .util import DEFAULT_STEP_CAP, rel_err
 
 __version__ = "0.1.0"
 
@@ -115,3 +91,41 @@ __all__ = [
     "transition_matrix",
     "trial_generator",
 ]
+
+# The exact, replay and simulate layers load on first use of one of their
+# names (PEP 562), so that a command loads only the layers it runs.
+_LAZY = {
+    **dict.fromkeys(("HittingProfile", "RoundTrip", "commute_time", "effective_resistance",
+                     "hitting_time", "return_time", "return_time_formula", "round_trip",
+                     "stationary_distribution"), "exact"),
+    **dict.fromkeys(("ProofStep", "ProofTrace", "replay"), "replay"),
+    **dict.fromkeys(("Estimate", "ExcursionEstimate", "WalkTrace", "estimate_excursions",
+                     "estimate_hitting_time", "estimate_return_time", "step", "trace_walk",
+                     "trial_generator"), "simulate"),
+}
+
+
+def __getattr__(name: str):
+    layer = _LAZY.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{layer}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})
+
+
+class _Package(types.ModuleType):
+    """Loading the module ohmwalk.replay binds it to the package's name
+    ``replay``, which is the function: keep the function there."""
+
+    def __setattr__(self, name: str, value) -> None:
+        if name == "replay" and isinstance(value, types.ModuleType):
+            value = value.replay
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

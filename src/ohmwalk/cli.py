@@ -13,21 +13,23 @@ Identical invocations produce byte-identical output; the default seed is
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
+import math
 import os
-import secrets
 import sys
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii
 
-from . import exact, simulate
 from .errors import OhmwalkError, ParseError
 from .network import Network, attach_pendant, build_network
-from .replay import DEFAULT_TOLERANCE, _replay_batch
+from .util import DEFAULT_STEP_CAP, DEFAULT_TOLERANCE
 
 DEFAULT_TRIALS = 100_000
 DEFAULT_SEED = 0
+# Standard output is written in blocks of at least this many characters, so
+# that an unbuffered stdout makes a few large writes, not one per token.
+_BLOCK = 1 << 16
 
 
 def parse_network_file(text: str) -> Network:
@@ -80,6 +82,8 @@ def _load(path: str) -> Network:
 
 def _seed_value(text: str) -> int:
     if text == "random":
+        import secrets
+
         return secrets.randbits(63)
     try:
         return int(text)
@@ -87,13 +91,22 @@ def _seed_value(text: str) -> int:
         raise argparse.ArgumentTypeError(f"seed must be an integer or 'random', got {text!r}")
 
 
-def _emit(write) -> None:
-    """Call write() and flush stdout. A reader that stops reading (``| head``)
-    ends the output, not the command, whose exit code stays its own: stdout
-    then points at devnull, as the Python docs advise, so that the flush at
-    exit cannot raise BrokenPipeError again."""
+def _emit(parts) -> None:
+    """Write the text parts to stdout, joined into blocks of at least _BLOCK
+    characters (the last may be shorter), and flush. A reader that stops
+    reading (``| head``) ends the output, not the command, whose exit code
+    stays its own: stdout then points at devnull, as the Python docs advise,
+    so that the flush at exit cannot raise BrokenPipeError again."""
     try:
-        write()
+        block, size = [], 0
+        for part in parts:
+            block.append(part)
+            size += len(part)
+            if size >= _BLOCK:
+                sys.stdout.write("".join(block))
+                block, size = [], 0
+        if block:
+            sys.stdout.write("".join(block))
         sys.stdout.flush()
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
@@ -102,21 +115,86 @@ def _emit(write) -> None:
 
 
 def _emit_json(doc: dict) -> None:
-    # Streamed, so a large verify document is never held as one string. With
-    # an indent, dump and dumps use the same encoder: the bytes are the same.
-    def write():
-        json.dump(doc, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-
-    _emit(write)
+    # Every document but verify's is a few lines, so it is encoded whole.
+    _emit([json.dumps(doc, indent=2), "\n"])
 
 
 def _emit_csv(rows: list[dict]) -> None:
+    import csv
+
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
-    _emit(lambda: sys.stdout.write(buf.getvalue()))
+    _emit([buf.getvalue()])
+
+
+# verify's document, encoded straight from its traces. Each part below is
+# what json.dumps(doc, indent=2) writes for it at its fixed depth, so the
+# parts join to json.dumps(doc, indent=2) + "\n" byte for byte; the pure-
+# Python encoder an indent needs would cost more than the replay on a sweep.
+
+def _float(x: float) -> str:
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+def _bool(flag: bool) -> str:
+    return "true" if flag else "false"
+
+
+def _nested(value, pad: str) -> str:
+    """Any value as json.dumps(value, indent=2) writes it, its lines after the
+    first indented by ``pad``."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+
+
+def _step_json(s) -> str:
+    if s.estimate is not None:  # rare: only verify --simulate, on three steps
+        return "        " + _nested(s.to_json_dict(), "        ")
+    return (f'        {{\n'
+            f'          "name": {encode_basestring_ascii(s.name)},\n'
+            f'          "expected": {_float(s.expected)},\n'
+            f'          "computed": {_float(s.computed)},\n'
+            f'          "abs_err": {_float(s.abs_err)},\n'
+            f'          "rel_err": {_float(s.rel_err)},\n'
+            f'          "pass": {_bool(s.passed)}\n'
+            f'        }}')
+
+
+def _trace_json(t) -> str:
+    anchor = (encode_basestring_ascii(t.anchor) if type(t.anchor) is str
+              else _nested(t.anchor, "      "))
+    steps = ",\n".join(_step_json(s) for s in t.steps)
+    return (f'    {{\n'
+            f'      "network": {{\n'
+            f'        "n": {int.__repr__(t.n)},\n'
+            f'        "m": {int.__repr__(t.m)},\n'
+            f'        "total_conductance": {_float(t.total_conductance)}\n'
+            f'      }},\n'
+            f'      "anchor": {anchor},\n'
+            f'      "pendant_conductance": {_float(t.pendant_conductance)},\n'
+            f'      "steps": [\n{steps}\n      ],\n'
+            f'      "pass": {_bool(t.passed)}\n'
+            f'    }}')
+
+
+def _verify_json(net, tolerance: float, traces, verdict: bool):
+    """Yield the parts of verify's document (see _run_verify) for ``net``'s n,
+    m and total_conductance and the ProofTraces, of which there is at least
+    one, each with at least one step."""
+    yield (f'{{\n'
+           f'  "network": {{\n'
+           f'    "n": {int.__repr__(net.n)},\n'
+           f'    "m": {int.__repr__(net.m)},\n'
+           f'    "total_conductance": {_float(net.total_conductance)}\n'
+           f'  }},\n'
+           f'  "tolerance": {_float(tolerance)},\n'
+           f'  "traces": [')
+    for i, t in enumerate(traces):
+        yield ("\n" if i == 0 else ",\n") + _trace_json(t)
+    yield f'\n  ],\n  "pass": {_bool(verdict)}\n}}\n'
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -160,7 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
         p.add_argument("--seed", type=_seed_value, default=DEFAULT_SEED,
                        metavar="INT|random")
-        p.add_argument("--step-cap", type=int, default=simulate.DEFAULT_STEP_CAP)
+        p.add_argument("--step-cap", type=int, default=DEFAULT_STEP_CAP)
 
     def sim_common(p):
         common(p, formats=("json", "csv"))
@@ -192,11 +270,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_resistance(ns, net: Network) -> int:
+    from . import exact
+
     _emit_json({"x": ns.x, "y": ns.y, "resistance": exact.effective_resistance(net, ns.x, ns.y)})
     return 0
 
 
 def _run_hitting(ns, net: Network) -> int:
+    from . import exact
+
     net.require(ns.x)
     net.require(ns.y)
     value = exact.hitting_time(net, ns.y).values[ns.x]
@@ -205,6 +287,8 @@ def _run_hitting(ns, net: Network) -> int:
 
 
 def _run_return_time(ns, net: Network) -> int:
+    from . import exact
+
     _emit_json({
         "vertex": ns.z,
         "formula": exact.return_time_formula(net, ns.z),
@@ -214,6 +298,8 @@ def _run_return_time(ns, net: Network) -> int:
 
 
 def _run_commute(ns, net: Network) -> int:
+    from . import exact
+
     trip = exact.round_trip(net, ns.x, ns.y)
     _emit_json({
         "x": ns.x,
@@ -227,12 +313,16 @@ def _run_commute(ns, net: Network) -> int:
 
 
 def _run_stationary(ns, net: Network) -> int:
+    from . import exact
+
     pi = exact.stationary_distribution(net)
     _emit_json({"weights": {str(v): pi.weights[v] for v in net.vertices}})
     return 0
 
 
 def _run_simulate(ns, net: Network) -> int:
+    from . import simulate
+
     if ns.estimator == "return":
         est = simulate.estimate_return_time(net, ns.z, ns.trials, ns.seed, ns.step_cap)
         doc = {"kind": "return", "vertex": ns.z}
@@ -254,17 +344,17 @@ def _run_simulate(ns, net: Network) -> int:
 
 
 def _run_verify(ns, net: Network) -> int:
+    """Print the document json.dumps(doc, indent=2) + "\\n" would print for doc
+    = {"network": {"n", "m", "total_conductance"}, "tolerance", "traces":
+    [trace.to_json_dict() ...], "pass"}, encoded by _verify_json."""
+    from .replay import _replay_batch
+
     anchors = list(net.vertices) if ns.vertex is None else [ns.vertex]
     sim_args = (ns.trials, ns.seed) if ns.simulate else None
     traces = _replay_batch(net, anchors, tolerance=ns.tolerance, simulate_with=sim_args,
                            step_cap=ns.step_cap)
     verdict = all(t.passed for t in traces)
-    _emit_json({
-        "network": {"n": net.n, "m": net.m, "total_conductance": net.total_conductance},
-        "tolerance": ns.tolerance,
-        "traces": [t.to_json_dict() for t in traces],
-        "pass": verdict,
-    })
+    _emit(_verify_json(net, ns.tolerance, traces, verdict))
     return 0 if verdict else 1
 
 

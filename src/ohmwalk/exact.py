@@ -503,7 +503,7 @@ def _leaf_systems(net: Network, band, first: np.ndarray, end: np.ndarray, L: int
     return U, R
 
 
-def _leaf_solves(net: Network, rows: list[int], leaky: list[float], c: float):
+def _leaf_solves(net: Network, band, rows: list[int], leaky: list[float], c: float):
     """Replay's two systems at each anchor row z in turn (see replay.replay),
     each solved in z's leaf, places [a, b): net with a leak c at z, C~_z =
     leaky[i] and a unit current at z on the right; and net grounded at z.
@@ -516,9 +516,8 @@ def _leaf_solves(net: Network, rows: list[int], leaky: list[float], c: float):
     leaf depends only on net and the partition, so its bits do not depend
     on which anchors were asked for or on the batch. The sweeps and the
     grounded systems are scaled as net alone is, and the leaked systems as
-    net with the leak c (_scale).
+    net with the leak c (_scale). ``band`` is _band(net).
     """
-    band = _band(net)
     _, place, _, _, width = band
     n, w = net.n, int(width.max())
     B, first, end, L = _leaves(n, w)
@@ -560,8 +559,9 @@ def _solve_anchors(net: Network, rows: list[int], leaky: list[float], c: float):
     """For each anchor row z in turn, from its two leaf solves (_leaf_solves):
     G~'s hitting time from z to the pendant, R(z, pendant), and the return
     time to z from the hitting times at z's neighbours."""
-    place = _band(net)[1]
-    for iz, (a, leaked, grounded) in zip(rows, _leaf_solves(net, rows, leaky, c)):
+    band = _band(net)
+    place = band[1]
+    for iz, (a, leaked, grounded) in zip(rows, _leaf_solves(net, band, rows, leaky, c)):
         z = net.vertices[iz]
         h = {net.index[y]: grounded[place[net.index[y]] - a] for y, _ in net.neighbors[z]}
         z_to_pendant, resistance = leaked[:, place[iz] - a].tolist()

@@ -223,6 +223,27 @@ def _sum(values) -> float:
         return math.inf
 
 
+def _partials(values) -> list[float]:
+    """Shewchuk's nonoverlapping partials of finite values whose sum does not
+    overflow, the expansion math.fsum keeps: they add up to the values' sum
+    exactly, so ``math.fsum([*partials, *more])`` is the correctly rounded sum
+    of the values and ``more`` together."""
+    partials: list[float] = []
+    for x in values:
+        i = 0
+        for y in partials:
+            if abs(x) < abs(y):
+                x, y = y, x
+            hi = x + y
+            lo = y - (hi - x)
+            if lo:
+                partials[i] = lo
+                i += 1
+            x = hi
+        partials[i:] = [x]
+    return partials
+
+
 def build_network(edge_list) -> Network:
     """Build a validated Network from (u, v, conductance) triples.
 

@@ -19,11 +19,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING
 
-from . import exact, simulate
+from . import exact
 from .errors import NonPositiveConductance
-from .network import Network, VertexId, _check_conductance, _sum, attach_pendant
-from .util import rel_err
+from .network import Network, VertexId, _check_conductance, _partials, _sum, attach_pendant
+from .util import DEFAULT_STEP_CAP, DEFAULT_TOLERANCE, rel_err
+
+if TYPE_CHECKING:  # simulate loads only when a replay simulates
+    from .simulate import Estimate
 
 STEP_NAMES = (
     "pendant-first-step",
@@ -33,8 +37,6 @@ STEP_NAMES = (
     "decomposition",
     "conclusion",
 )
-
-DEFAULT_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,7 +56,7 @@ class ProofStep:
     abs_err: float
     rel_err: float
     passed: bool
-    estimate: simulate.Estimate | None = None
+    estimate: Estimate | None = None
     estimate_passed: bool | None = None
 
     def to_json_dict(self) -> dict:
@@ -99,7 +101,7 @@ class ProofTrace:
 
 
 def _step(name: str, expected: float, computed: float, tolerance: float,
-          estimate: simulate.Estimate | None = None) -> ProofStep:
+          estimate: Estimate | None = None) -> ProofStep:
     """Compare computed with expected; an estimate passes inside four
     standard errors of expected."""
     r = rel_err(expected, computed)
@@ -122,7 +124,7 @@ def replay(
     c: float = 1.0,
     tolerance: float = DEFAULT_TOLERANCE,
     simulate_with: tuple[int, int] | None = None,
-    step_cap: int = simulate.DEFAULT_STEP_CAP,
+    step_cap: int = DEFAULT_STEP_CAP,
 ) -> ProofTrace:
     """Re-run the pendant argument at z and check all six identities.
 
@@ -163,7 +165,7 @@ def replay(
 
 def _replay_batch(net: Network, anchors, c: float = 1.0, tolerance: float = DEFAULT_TOLERANCE,
                   simulate_with: tuple[int, int] | None = None,
-                  step_cap: int = simulate.DEFAULT_STEP_CAP) -> list[ProofTrace]:
+                  step_cap: int = DEFAULT_STEP_CAP) -> list[ProofTrace]:
     """``replay`` at each anchor in turn. Every argument is checked first.
 
     The sweeps run once, as far as the anchors' leaves need, and the leaf
@@ -178,17 +180,21 @@ def _replay_batch(net: Network, anchors, c: float = 1.0, tolerance: float = DEFA
     if not 0.0 < tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and > 0, got {tolerance!r}")
     if simulate_with is not None:
+        from . import simulate
+
         simulate._check_trial_args(simulate_with[0], step_cap)
         if simulate_with[0] < 2:
             raise ValueError(f"a simulated replay needs trials >= 2, got {simulate_with[0]}")
 
-    # C~_z and C~ are summed over the terms build_network would sum for G~.
-    vertex_conductance = net.arrays[3].tolist()
+    # C~_z and C~ are the correctly rounded sums of the terms build_network
+    # would sum for G~. C~ is C with C_z swapped for C~_z, plus c: each anchor
+    # adds three terms to the exact partials of C, not all n terms again.
+    partials = _partials(net.vertex_conductance.values())
     rows = [net.index[z] for z in anchors]
     leaky = [_sum([*(w for _, w in net.neighbors[z]), c]) for z in anchors]
     totals = []
-    for z, iz, cz in zip(anchors, rows, leaky):
-        total = _sum([*vertex_conductance[:iz], cz, *vertex_conductance[iz + 1:], c])
+    for z, cz in zip(anchors, leaky):
+        total = _sum([*partials, -net.vertex_conductance[z], cz, c])
         if not math.isfinite(total):
             raise NonPositiveConductance(f"total conductance with a pendant of {c!r} "
                                          f"at {z!r} is not finite")
@@ -210,6 +216,8 @@ def _trace(net: Network, z: VertexId, c: float, total: float, z_to_pendant: floa
 
     hit_est = ret_est = None
     if simulate_with is not None:
+        from . import simulate
+
         trials, seed = simulate_with
         aug = attach_pendant(net, z, c)
         hit_est = simulate.estimate_hitting_time(aug.combined, z, aug.pendant, trials, seed,

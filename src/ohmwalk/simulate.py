@@ -37,9 +37,7 @@ import numpy as np
 
 from .errors import CapExceeded
 from .network import AugmentedNetwork, Network, VertexId
-from .util import sized
-
-DEFAULT_STEP_CAP = 10**7
+from .util import DEFAULT_STEP_CAP, sized
 
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1

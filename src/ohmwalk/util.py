@@ -5,6 +5,11 @@ from contextlib import contextmanager
 
 from .errors import SystemTooLarge
 
+# Defaults shared by the CLI and the layers, kept here so that reading them
+# loads neither the simulator nor the replayer.
+DEFAULT_STEP_CAP = 10**7
+DEFAULT_TOLERANCE = 1e-9
+
 
 def rel_err(a: float, b: float) -> float:
     """Relative error |a - b| / max(1, |a|, |b|).

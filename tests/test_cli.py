@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,11 +15,44 @@ from hypothesis import strategies as st
 import ohmwalk
 from ohmwalk import (
     Disconnected,
+    Estimate,
     NonPositiveConductance,
     ParseError,
+    ProofStep,
+    ProofTrace,
     SelfLoop,
 )
-from ohmwalk.cli import parse_network_file, run
+from ohmwalk.cli import _verify_json, parse_network_file, run
+
+from netgen import grid_network
+
+
+_floats = st.one_of(st.floats(), st.sampled_from([-0.0, 5e-324, 1e308, 1e16, 1e-7]))
+_labels = st.one_of(
+    st.text(),
+    st.sampled_from(['say "hi"', "back\\slash", "\u00e9t\u00e9 \U0001f600", "\x00\x1f\n\t\x7f"]),
+    st.integers(),
+    st.floats(),
+    st.tuples(st.integers(), st.text(max_size=3)),
+)
+
+
+@st.composite
+def _proof_steps(draw):
+    estimate = draw(st.none() | st.builds(Estimate, _floats, _floats, st.integers(0, 10**6),
+                                           st.integers(0, 2**64), st.integers(0, 10**9),
+                                           st.integers(0, 10**7)))
+    return ProofStep(draw(st.text()), draw(_floats), draw(_floats), draw(_floats),
+                     draw(_floats), draw(st.booleans()), estimate,
+                     None if estimate is None else draw(st.booleans()))
+
+
+@st.composite
+def _proof_traces(draw):
+    return ProofTrace(draw(st.integers(0, 10**6)), draw(st.integers(0, 10**6)), draw(_floats),
+                      draw(_labels), draw(_floats),
+                      tuple(draw(st.lists(_proof_steps(), min_size=1, max_size=6))),
+                      draw(st.booleans()))
 
 
 @pytest.fixture
@@ -494,10 +528,46 @@ class TestOutputPrecision:
             ["return-time", tri_file, "c"],
             ["stationary", tri_file],
             ["simulate", "excursions", tri_file, "b", "--trials", "777", "--seed", "5"],
+            ["verify", tri_file],
+            ["verify", tri_file, "--vertex", "b"],
+            ["verify", tri_file, "--simulate", "--trials", "500", "--seed", "3"],
         ):
             code, out, _ = invoke(capsys, argv)
             assert code == 0
             assert json.dumps(json.loads(out), indent=2) + "\n" == out
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_proof_traces(), min_size=1, max_size=3), _floats, st.booleans())
+    def test_verify_encoder_writes_what_json_dumps_writes(self, traces, tolerance, verdict):
+        net = SimpleNamespace(n=len(traces), m=2 * len(traces), total_conductance=tolerance)
+        doc = {
+            "network": {"n": net.n, "m": net.m, "total_conductance": net.total_conductance},
+            "tolerance": tolerance,
+            "traces": [t.to_json_dict() for t in traces],
+            "pass": verdict,
+        }
+        out = "".join(_verify_json(net, tolerance, traces, verdict))
+        assert out == json.dumps(doc, indent=2) + "\n"
+
+    def test_verify_writes_in_blocks_whatever_stdout_buffers(self, tmp_path, monkeypatch):
+        # An unbuffered stdout makes one system call per write, so the
+        # document goes out in blocks of at least 64 KiB, not token by token.
+        class CountingStdout(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                return super().write(text)
+
+        path = tmp_path / "grid20.edges"
+        path.write_text("".join(f"{u} {v} {c!r}\n" for u, v, c in grid_network(20, 20).edges))
+        out = CountingStdout()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert run(["verify", str(path)]) == 0
+        text = out.getvalue()
+        assert len(text) > 4 * 2**16
+        assert json.dumps(json.loads(text), indent=2) + "\n" == text
+        assert out.writes <= -(-len(text) // 2**16) + 2
 
 
 def test_commands_that_never_solve_leave_scipy_unloaded(tri_file):
@@ -519,6 +589,55 @@ def test_commands_that_never_solve_leave_scipy_unloaded(tri_file):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stderr) == {"codes": [0, 0], "scipy": []}
+
+
+_BASE = ["ohmwalk", "ohmwalk.cli", "ohmwalk.errors", "ohmwalk.network", "ohmwalk.util"]
+
+
+@pytest.mark.parametrize("argvs,layers,secrets", [
+    ([["resistance", "{}", "a", "b"], ["hitting", "{}", "a", "b"], ["return-time", "{}", "a"],
+      ["commute", "{}", "a", "b"], ["stationary", "{}"]], ["exact"], False),
+    ([["simulate", "return", "{}", "a", "--trials", "10"],
+      ["simulate", "hitting", "{}", "a", "b", "--trials", "10"],
+      ["simulate", "excursions", "{}", "a", "--trials", "10", "--format", "csv"]],
+     ["simulate"], None),
+    ([["verify", "{}"], ["verify", "{}", "--vertex", "a", "--seed", "5"]],
+     ["exact", "replay"], False),
+    ([["verify", "{}", "--simulate", "--trials", "10"]], ["exact", "replay", "simulate"], None),
+    ([["verify", "{}", "--seed", "random"]], ["exact", "replay"], True),
+], ids=["solve", "simulate", "verify", "verify-simulate", "seed-random"])
+def test_commands_load_only_the_layers_they_run(tri_file, argvs, layers, secrets):
+    # Each module a process imports costs it start-up time, so a command
+    # loads only the layers it runs, and secrets only for --seed random. A
+    # walk loads numpy.random, which imports secrets itself (secrets None).
+    # Afterwards every exported name resolves, and ohmwalk.replay is still
+    # the function, though its module has loaded.
+    script = (
+        "import json, sys\n"
+        "import ohmwalk.cli as cli\n"
+        "codes = [cli.run(argv) for argv in json.loads(sys.argv[1])]\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'ohmwalk')\n"
+        "secrets = 'secrets' in sys.modules\n"
+        "import ohmwalk\n"
+        "names = {}\n"
+        "exec('from ohmwalk import *', names)\n"
+        "missing = [n for n in ohmwalk.__all__ if names.get(n) is not getattr(ohmwalk, n)]\n"
+        "sys.stderr.write(json.dumps({'codes': codes, 'loaded': loaded, 'secrets': secrets,\n"
+        "                             'missing': missing,\n"
+        "                             'replay': type(ohmwalk.replay).__name__}))\n"
+    )
+    argvs = [[a.format(tri_file) for a in argv] for argv in argvs]
+    env = dict(os.environ, PYTHONPATH=str(Path(ohmwalk.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argvs)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stderr)
+    assert report.pop("secrets") is secrets or secrets is None
+    assert report == {"codes": [0] * len(argvs),
+                      "loaded": sorted(_BASE + [f"ohmwalk.{m}" for m in layers]),
+                      "missing": [], "replay": "function"}
 
 
 def test_commands_that_solve_leave_scipy_unloaded(tri_file):

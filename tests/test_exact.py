@@ -499,10 +499,11 @@ def _anchor_solves(net, c):
     [(iz, C~_z, the leaf's vertex rows, leaked, grounded, values)]."""
     rows = list(range(net.n))
     leaky = [_sum([*(w for _, w in net.neighbors[z]), c]) for z in net.vertices]
-    order = _band(net)[0]
-    return [(iz, cz, order[a:a + len(grounded)], leaked, grounded, values)
+    band = _band(net)
+    return [(iz, cz, band[0][a:a + len(grounded)], leaked, grounded, values)
             for iz, cz, (a, leaked, grounded), values in zip(
-                rows, leaky, _leaf_solves(net, rows, leaky, c), _solve_anchors(net, rows, leaky, c))]
+                rows, leaky, _leaf_solves(net, band, rows, leaky, c),
+                _solve_anchors(net, rows, leaky, c))]
 
 
 def _leaf_count(net) -> int:

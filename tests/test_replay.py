@@ -1,9 +1,10 @@
 import importlib
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ohmwalk import (
@@ -17,6 +18,7 @@ from ohmwalk import (
     return_time_formula,
 )
 from ohmwalk import exact
+from ohmwalk.network import _partials, _sum
 from ohmwalk.replay import STEP_NAMES
 
 from netgen import grid_network, random_connected_network, resistances
@@ -338,6 +340,58 @@ class TestPendantNetworkBits:
         # C = 8e307 is finite, C + 2c = 2e308 is not
         with pytest.raises(NonPositiveConductance):
             replay(build_network([("a", "b", 4e307)]), "a", 6e307)
+
+
+def _pendant_total(values, i, leaky, c):
+    """C~ as one correctly rounded sum: the vertex conductances with the
+    anchor's C_z (values[i]) swapped for C~_z (leaky), plus c."""
+    return _sum([*values[:i], leaky, *values[i + 1:], c])
+
+
+_VERTEX_CONDUCTANCE = st.floats(min_value=5e-324, max_value=1e308) | st.sampled_from(
+    [5e-324, 1e-300, 1.0, 1e300, 1e308])
+
+
+class TestPendantTotal:
+    """replay adds -C_z, C~_z and c to the exact partials of C's terms, once
+    per anchor; C~ must keep the bits of one fsum over all of G~'s terms."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_VERTEX_CONDUCTANCE, min_size=1, max_size=40), st.data())
+    def test_partials_give_the_full_sum(self, values, data):
+        assume(math.isfinite(_sum(values)))  # as build_network requires of C
+        i = data.draw(st.integers(0, len(values) - 1))
+        c = data.draw(_VERTEX_CONDUCTANCE)
+        leaky = _sum([values[i], c])
+        total = _sum([*_partials(values), -values[i], leaky, c])
+        assert total == _pendant_total(values, i, leaky, c) or (
+            math.isinf(total) and math.isinf(_pendant_total(values, i, leaky, c)))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_commute_identity_expects_the_full_sum(self, seed):
+        rng = np.random.default_rng(7100 + seed)
+        net = random_connected_network(rng)
+        net = build_network([(u, v, float(10.0 ** rng.uniform(-6.0, 6.0)))
+                             for u, v, _ in net.edges])
+        values = list(net.vertex_conductance.values())
+        for c in (1e-7, 1.0, 1e7):
+            for i, z in enumerate(net.vertices):
+                leaky = _sum([*(w for _, w in net.neighbors[z]), c])
+                trace = replay(net, z, c)
+                resistance = trace.steps[1].computed
+                assert (trace.steps[2].expected
+                        == _pendant_total(values, i, leaky, c) * resistance), (z, c)
+
+    @pytest.mark.parametrize("edges,c", [
+        ([("a", "b", 4e307)], 6e307),  # C~_z is finite, C~ is not
+        ([("a", "b", 5e307), ("b", "c", 1.0)], 1.5e308),  # C~_z overflows too, but at c
+        ([("a", "b", 1.0), ("b", "c", 1e-300)], 1.7976931348623157e308),
+    ])
+    def test_overflow_raises_at_every_anchor(self, edges, c):
+        net = build_network(edges)
+        for z in net.vertices:
+            with pytest.raises(NonPositiveConductance):
+                replay(net, z, c)
 
 
 class TestAccuracy:
