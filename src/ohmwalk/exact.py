@@ -562,16 +562,17 @@ def _solve_anchors(net: Network, rows: list[int], leaky: list[float], c: float):
     band = _band(net)
     place = band[1]
     for iz, (a, leaked, grounded) in zip(rows, _leaf_solves(net, band, rows, leaky, c)):
-        z = net.vertices[iz]
-        h = {net.index[y]: grounded[place[net.index[y]] - a] for y, _ in net.neighbors[z]}
+        neighbours, _ = net.row(iz)
         z_to_pendant, resistance = leaked[:, place[iz] - a].tolist()
-        yield z_to_pendant, resistance, _first_return(net, z, h)
+        yield z_to_pendant, resistance, _first_return(net, iz, grounded[place[neighbours] - a])
 
 
-def _first_return(net: Network, z: VertexId, h) -> float:
-    """One step from z plus the conductance-weighted hitting times h (by row) back to z."""
-    cz = net.vertex_conductance[z]
-    return 1.0 + math.fsum(c / cz * h[net.index[y]] for y, c in net.neighbors[z])
+def _first_return(net: Network, iz: int, h: np.ndarray) -> float:
+    """One step from row iz plus the conductance-weighted hitting times h back
+    to it, h given at iz's neighbours in row order."""
+    cz = float(net.row_conductance[iz])
+    _, weights = net.row(iz)
+    return 1.0 + math.fsum(c / cz * x for c, x in zip(weights, h.tolist()))
 
 
 def effective_resistance(net: Network, x: VertexId, y: VertexId) -> float:
@@ -651,18 +652,18 @@ def return_time(net: Network, z: VertexId) -> float:
     ratio, so it serves as the independent oracle for it.
     """
     net.require(z)
-    *_, vertex_conductance = net.arrays
-    h = _solve_at(net, [net.index[z]], vertex_conductance[None, :, None])[0, :, 0]
-    return _first_return(net, z, h)
+    iz = net.index[z]
+    h = _solve_at(net, [iz], net.row_conductance[None, :, None])[0, :, 0]
+    return _first_return(net, iz, h[net.row(iz)[0]])
 
 
 def return_time_formula(net: Network, z: VertexId) -> float:
     """Closed-form expected return time: total over vertex conductance."""
     net.require(z)
-    return net.total_conductance / net.vertex_conductance[z]
+    return net.total_conductance / float(net.row_conductance[net.index[z]])
 
 
 def stationary_distribution(net: Network) -> Distribution:
     """Stationary law of the induced walk: each vertex weighted C_z / C."""
-    C = net.total_conductance
-    return Distribution({z: net.vertex_conductance[z] / C for z in net.vertices})
+    weights = net.row_conductance / net.total_conductance
+    return Distribution(dict(zip(net.vertices, weights.tolist())))

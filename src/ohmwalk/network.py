@@ -10,13 +10,21 @@ Vertex labels are opaque (strings or integers). Row indices for linear
 algebra are assigned by first appearance in the edge list, and the
 neighbour order stored per vertex is the first-appearance order of the
 corresponding edges, so downstream sampling and solves are reproducible.
+
+A network is held once, in arrays: compressed sparse rows (each row's
+neighbour rows and conductances in stored order), the merged edges, and
+every C_z, all built by ``build_network`` in one pass over the edge list.
+The solver, the simulator and the replayer index rows; the label-facing
+views (``edges``, ``neighbors``, ``vertex_conductance``) are built from
+the arrays only when something reads them.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
+from typing import NoReturn
 
 import numpy as np
 
@@ -43,22 +51,43 @@ DISTRIBUTION_TOL = 1e-12
 class Network:
     """Finite connected weighted graph with positive edge conductances.
 
-    Attributes:
+    Attributes, all fixed at construction (the arrays are read-only):
         vertices: labels in first-appearance order (defines row indices).
-        edges: merged undirected edges as (u, v, conductance) tuples.
         index: label -> row index.
-        neighbors: label -> tuple of (neighbour label, conductance).
-        vertex_conductance: label -> sum of incident conductances (C_z).
+        indptr: row v's neighbours sit at ``indptr[v]:indptr[v + 1]`` of
+            ``adjacent`` and ``weight`` (compressed sparse rows).
+        adjacent: each row's neighbour rows, in stored order: the order in
+            which their merged edges first appear in the edge list.
+        weight: the conductance of each entry of ``adjacent``.
+        tail, head, conductance: the merged undirected edges in
+            first-appearance order, as the rows of their two ends (tail <
+            head) and the summed conductance.
+        row_conductance: C_z of each row, the correctly rounded sum of its
+            row of ``weight``.
         total_conductance: sum of vertex conductances (C); equals twice
             the sum of edge conductances.
+
+    Cached on first use: the label views ``edges`` ((u, v, conductance)
+    tuples), ``neighbors`` (label -> tuple of (neighbour label,
+    conductance)) and ``vertex_conductance`` (label -> C_z), and the
+    derived tables ``walk``, ``spans`` and ``ordering``.
     """
 
     vertices: tuple[VertexId, ...]
-    edges: tuple[tuple[VertexId, VertexId, float], ...]
     index: dict[VertexId, int]
-    neighbors: dict[VertexId, tuple[tuple[VertexId, float], ...]]
-    vertex_conductance: dict[VertexId, float]
+    indptr: np.ndarray
+    adjacent: np.ndarray
+    weight: np.ndarray
+    tail: np.ndarray
+    head: np.ndarray
+    conductance: np.ndarray
+    row_conductance: np.ndarray
     total_conductance: float
+
+    def __post_init__(self):
+        for array in (self.indptr, self.adjacent, self.weight, self.tail, self.head,
+                      self.conductance, self.row_conductance):
+            array.flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -66,7 +95,7 @@ class Network:
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.tail)
 
     def __contains__(self, v: VertexId) -> bool:
         return v in self.index and type(self.vertices[self.index[v]]) is type(v)
@@ -74,7 +103,8 @@ class Network:
     def degree(self, z: VertexId) -> int:
         """Number of distinct neighbours of z (parallel edges were merged)."""
         self.require(z)
-        return len(self.neighbors[z])
+        i = self.index[z]
+        return int(self.indptr[i + 1] - self.indptr[i])
 
     def require(self, v: VertexId) -> None:
         """Raise UnknownVertex unless v belongs to this network, and
@@ -86,20 +116,40 @@ class Network:
             raise AmbiguousLabel(f"labels {self.vertices[i]!r} and {v!r} are equal "
                                  f"but of different types")
 
-    @cached_property
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The network as arrays: (tail, head, conductance, vertex conductance).
+    def row(self, v: int) -> tuple[list[int], list[float]]:
+        """Row v's neighbour rows and their conductances, in stored order."""
+        lo, hi = self.indptr[v], self.indptr[v + 1]
+        return self.adjacent[lo:hi].tolist(), self.weight[lo:hi].tolist()
 
-        The first three are parallel over ``edges``: the row indices of each
-        edge's two ends and its conductance. The last is C_z in vertex order.
-        Built on first use and kept, which is safe because a network never
-        changes.
+    @property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The network as arrays: (tail, head, conductance, row_conductance).
+
+        The first three are parallel over the merged edges: the row indices
+        of each edge's two ends and its conductance. The last is C_z in
+        vertex order.
         """
-        tail = np.array([self.index[u] for u, _, _ in self.edges], dtype=np.intp)
-        head = np.array([self.index[v] for _, v, _ in self.edges], dtype=np.intp)
-        conductance = np.array([c for _, _, c in self.edges])
-        vertex_conductance = np.array([self.vertex_conductance[v] for v in self.vertices])
-        return tail, head, conductance, vertex_conductance
+        return self.tail, self.head, self.conductance, self.row_conductance
+
+    @cached_property
+    def edges(self) -> tuple[tuple[VertexId, VertexId, float], ...]:
+        """The merged undirected edges as (u, v, conductance), in stored order."""
+        label = self.vertices.__getitem__
+        return tuple(zip(map(label, self.tail.tolist()), map(label, self.head.tolist()),
+                         self.conductance.tolist()))
+
+    @cached_property
+    def neighbors(self) -> dict[VertexId, tuple[tuple[VertexId, float], ...]]:
+        """label -> tuple of (neighbour label, conductance), in stored order."""
+        entries = list(zip(map(self.vertices.__getitem__, self.adjacent.tolist()),
+                           self.weight.tolist()))
+        bounds = self.indptr.tolist()
+        return {v: tuple(entries[lo:hi]) for v, lo, hi in zip(self.vertices, bounds, bounds[1:])}
+
+    @cached_property
+    def vertex_conductance(self) -> dict[VertexId, float]:
+        """label -> sum of incident conductances (C_z)."""
+        return dict(zip(self.vertices, self.row_conductance.tolist()))
 
     @cached_property
     def walk(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[float, ...]]:
@@ -113,14 +163,11 @@ class Network:
         scalar loop indexes them one step at a time; built on first use and
         kept.
         """
-        indptr = [0]
-        row: list[int] = []
-        cumulative: list[float] = []
-        for v in self.vertices:
-            row.extend(self.index[z] for z, _ in self.neighbors[v])
-            cumulative.extend(accumulate(c for _, c in self.neighbors[v]))
-            indptr.append(len(row))
-        return tuple(indptr), tuple(row), tuple(cumulative)
+        bounds = self.indptr.tolist()
+        weight = self.weight.tolist()
+        rows = map(weight.__getitem__, map(slice, bounds, bounds[1:]))
+        cumulative = tuple(chain.from_iterable(map(accumulate, rows)))
+        return tuple(bounds), tuple(self.adjacent.tolist()), cumulative
 
     @cached_property
     def spans(self) -> tuple[tuple[int, int, float], ...]:
@@ -142,17 +189,17 @@ class Network:
         Breadth-first from the first row of least degree, each vertex's unvisited
         neighbours taken by increasing degree (ties in stored order), then
         reversed. Neighbours land close together in the order, so the Laplacian
-        is a narrow band in it. Read from ``arrays``: one lexsort over both ends
-        of every edge puts each vertex's neighbours in that order, and an edge's
-        index is its stored position at both ends. Built on first use and kept.
+        is a narrow band in it. One stable sort of the rows' entries by (row,
+        neighbour degree) ranks every row's neighbours. It reaches every row
+        exactly when the graph is connected, so build_network builds it to
+        check that. Kept once built.
         """
-        tail, head, _, _ = self.arrays
-        ends, other = np.concatenate((tail, head)), np.concatenate((head, tail))
-        degree = np.bincount(ends, minlength=self.n)
-        ranked = np.lexsort((np.tile(np.arange(len(tail)), 2), degree[other], ends))
-        indptr = np.concatenate(([0], np.cumsum(degree))).tolist()
-        row = other[ranked].tolist()
-        order = _breadth_first(int(degree.argmin()), lambda v: row[indptr[v]:indptr[v + 1]])
+        degree = np.diff(self.indptr)
+        rank = np.repeat(np.arange(self.n), degree) * (int(degree.max()) + 1) + degree[self.adjacent]
+        ranked = np.argsort(rank, kind="stable")
+        bounds = self.indptr.tolist()
+        row = self.adjacent[ranked].tolist()
+        order = _breadth_first(int(degree.argmin()), bounds, row)
         return tuple(reversed(order))
 
 
@@ -193,14 +240,17 @@ class Distribution:
         return tuple(self.weights)
 
 
-def _breadth_first(start, neighbours) -> list:
-    """The vertices reachable from ``start``, in breadth-first order. Each vertex's
-    unseen ``neighbours(v)`` join the queue in their stored order."""
-    order, seen = [start], {start}
+def _breadth_first(start: int, bounds: list[int], rows: list[int]) -> list[int]:
+    """The rows reachable from row ``start`` of compressed rows (row v's
+    neighbours are rows[bounds[v]:bounds[v + 1]]), in breadth-first order.
+    Each row's unseen neighbours join the queue in their order there."""
+    order = [start]
+    seen = [False] * len(bounds)
+    seen[start] = True
     for v in order:  # grows while it is read: a breadth-first queue
-        for u in neighbours(v):
-            if u not in seen:
-                seen.add(u)
+        for u in rows[bounds[v]:bounds[v + 1]]:
+            if not seen[u]:
+                seen[u] = True
                 order.append(u)
     return order
 
@@ -221,6 +271,15 @@ def _sum(values) -> float:
         return math.fsum(values)
     except OverflowError:
         return math.inf
+
+
+def _row_sums(values: list[float], bounds: list[int]) -> list[float]:
+    """_sum of each row values[bounds[v]:bounds[v + 1]]."""
+    rows = map(values.__getitem__, map(slice, bounds, bounds[1:]))
+    try:
+        return list(map(math.fsum, rows))
+    except OverflowError:
+        return [_sum(values[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _partials(values) -> list[float]:
@@ -248,19 +307,99 @@ def build_network(edge_list) -> Network:
     """Build a validated Network from (u, v, conductance) triples.
 
     Parallel entries for the same vertex pair are merged by summing their
-    conductances. Self-loops are rejected, as is any conductance that is
-    not a finite positive real, and the resulting graph must be connected.
-    Labels that compare equal but differ in type (1, 1.0 and True) raise
-    AmbiguousLabel instead of silently naming one vertex. Sums that
-    overflow are rejected too: a merged edge, a vertex conductance C_z or
-    the total C that is not finite raises NonPositiveConductance naming
-    the pair or vertex. An error caused by one entry carries that entry's
-    index as ``edge``.
+    conductances, left to right in input order. Self-loops are rejected, as
+    is any conductance that is not a finite positive real, and the
+    resulting graph must be connected. Labels that compare equal but
+    differ in type (1, 1.0 and True) raise AmbiguousLabel instead of
+    silently naming one vertex. Sums that overflow are rejected too: a
+    merged edge, a vertex conductance C_z or the total C that is not finite
+    raises NonPositiveConductance naming the pair or vertex. An error
+    caused by one entry carries that entry's index as ``edge``; when
+    several entries are at fault, it is the first, as if the entries were
+    checked one by one (see _first_fault).
+
+    Every entry is checked at once, in arrays. Only when a check fails are
+    the entries read one by one, to name the entry at fault.
     """
     edge_list = list(edge_list)
     if not edge_list:
         raise ValueError("edge list is empty")
+    try:
+        shaped = set(map(len, edge_list)) == {3}
+    except TypeError:  # an entry without a length; _first_fault unpacks it
+        shaped = False
+    if not shaped:
+        _first_fault(edge_list)
+    return _build(*zip(*edge_list))
 
+
+def _build(tails, heads, conductances) -> Network:
+    """build_network of the entries zip(tails, heads, conductances), given as
+    three sequences of one length, at least 1."""
+    labels = [None] * (2 * len(tails))  # u, v of each entry in turn: first-appearance order
+    labels[0::2], labels[1::2] = tails, heads
+    index: dict[VertexId, int] = {}
+    try:
+        values = np.fromiter(map(float, conductances), dtype=float, count=len(conductances))
+        # Each label's row: a label met for the first time is given the next
+        # one, len(index), which map reads before setdefault inserts it.
+        rows = np.fromiter(map(index.setdefault, labels, map(len, repeat(index))),
+                           dtype=np.intp, count=len(labels))
+    except (TypeError, ValueError, OverflowError):  # a conductance or label _first_fault names
+        _first_fault(zip(tails, heads, conductances))
+    vertices = tuple(index)
+    n = len(vertices)
+    u, v = rows[0::2], rows[1::2]
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    # Each merged edge is the first entry of its pair; entry_edge maps an
+    # entry to its merged edge in first-appearance order.
+    _, first, inverse = np.unique(lo * n + hi, return_index=True, return_inverse=True)
+    by_appearance = np.argsort(first)
+    entry_edge = np.empty_like(by_appearance)
+    entry_edge[by_appearance] = np.arange(len(first))
+    conductance = np.zeros(len(first))
+    with np.errstate(all="ignore"):  # a sum that overflows, or inf - inf, is a fault
+        np.add.at(conductance, entry_edge[inverse.reshape(-1)], values)  # in input order
+        valid = np.all(np.isfinite(values) & (values > 0.0))
+    mixed = len(set(map(type, labels))) > 1
+    if (not valid or np.any(u == v) or not np.all(np.isfinite(conductance))
+            or (mixed and len(dict.fromkeys(zip(map(type, labels), labels))) > n)):
+        _first_fault(zip(tails, heads, conductances))
+    tail, head = lo[first[by_appearance]], hi[first[by_appearance]]
+
+    # Compressed rows: both ends of each edge, edge by edge, sorted by row
+    # and then by place in that sequence, so each row lists its edges in
+    # stored order.
+    ends = np.stack((tail, head), axis=1).reshape(-1)
+    entries = np.argsort(ends * len(ends) + np.arange(len(ends)))
+    adjacent = np.stack((head, tail), axis=1).reshape(-1)[entries]
+    weight = conductance[entries // 2]
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(ends, minlength=n), out=indptr[1:])
+
+    bounds, weights = indptr.tolist(), weight.tolist()
+    row_conductance = _row_sums(weights, bounds)
+    total = _sum(row_conductance)
+    net = Network(vertices=vertices, index=index, indptr=indptr, adjacent=adjacent,
+                  weight=weight, tail=tail, head=head, conductance=conductance,
+                  row_conductance=np.array(row_conductance), total_conductance=total)
+    # The elimination order is a breadth-first search, so it reaches every
+    # row exactly when the graph is connected; it is kept for the solver.
+    if len(net.ordering) != n:  # name the first vertex, in input order, not reached from 0
+        seen = np.zeros(n, dtype=bool)
+        seen[_breadth_first(0, bounds, adjacent.tolist())] = True
+        raise Disconnected(f"graph is not connected (no path to {vertices[int(seen.argmin())]!r})")
+    _check_total(vertices, row_conductance, total)
+    return net
+
+
+def _first_fault(edge_list) -> NoReturn:
+    """Raise the error of the first entry at fault, reading the entries one
+    by one: an entry's conductance, then its labels as they are first met
+    (AmbiguousLabel names the label met first), then a self-loop, then its
+    pair's running sum over the entries so far. An entry that is not three
+    values fails to unpack; entries that are but have no length raise
+    TypeError at the end."""
     index: dict[VertexId, int] = {}
     vertices: list[VertexId] = []
 
@@ -273,7 +412,7 @@ def build_network(edge_list) -> Network:
                                  f"but of different types")
         return i
 
-    merged: dict[tuple[int, int], float] = {}  # in first-appearance order
+    merged: dict[tuple[int, int], float] = {}
     for i, (u, v, c) in enumerate(edge_list):
         try:
             value = _check_conductance(c)
@@ -288,42 +427,25 @@ def build_network(edge_list) -> Network:
         except OhmwalkError as exc:
             exc.edge = i
             raise
+    raise TypeError("edge list entries must be (u, v, conductance) sequences")
 
-    adjacency: dict[VertexId, list[tuple[VertexId, float]]] = {v: [] for v in vertices}
-    edges = []
-    for (iu, iv), c in merged.items():
-        u, v = vertices[iu], vertices[iv]
-        edges.append((u, v, c))
-        adjacency[u].append((v, c))
-        adjacency[v].append((u, c))
 
-    reached = _breadth_first(vertices[0], lambda v: [y for y, _ in adjacency[v]])
-    if len(reached) != len(vertices):  # name the first vertex, in input order, not reached
-        missing = min(set(vertices) - set(reached), key=index.__getitem__)
-        raise Disconnected(f"graph is not connected (no path to {missing!r})")
-
-    vertex_conductance = {v: _sum(c for _, c in adjacency[v]) for v in vertices}
-    total = _sum(vertex_conductance.values())
+def _check_total(vertices, row_conductance: list[float], total: float) -> None:
+    """NonPositiveConductance unless the total C, the sum of the C_z, is
+    finite, naming the first vertex whose C_z is not, if one is not."""
     if not math.isfinite(total):  # C bounds every C_z, so this checks them all
-        v = next((v for v, cz in vertex_conductance.items() if not math.isfinite(cz)), None)
+        v = next((v for v, cz in zip(vertices, row_conductance) if not math.isfinite(cz)), None)
         what = "total conductance" if v is None else f"conductance of vertex {v!r}"
         raise NonPositiveConductance(f"{what} is not finite")
-
-    return Network(
-        vertices=tuple(vertices),
-        edges=tuple(edges),
-        index=index,
-        neighbors={v: tuple(adjacency[v]) for v in vertices},
-        vertex_conductance=vertex_conductance,
-        total_conductance=total,
-    )
 
 
 def transition_distribution(net: Network, y: VertexId) -> Distribution:
     """One-step law of the induced walk from y: each neighbour z gets C_yz / C_y."""
     net.require(y)
-    cy = net.vertex_conductance[y]
-    return Distribution({z: c / cy for z, c in net.neighbors[y]})
+    i = net.index[y]
+    cy = float(net.row_conductance[i])
+    rows, weights = net.row(i)
+    return Distribution({net.vertices[z]: c / cy for z, c in zip(rows, weights)})
 
 
 def transition_matrix(net: Network) -> np.ndarray:
@@ -345,13 +467,38 @@ def attach_pendant(net: Network, z: VertexId, c: float = 1.0) -> AugmentedNetwor
     original edge plus the single pendant edge, so its total conductance is
     net.total_conductance + 2 c. The pendant label is generated from z and
     guaranteed not to collide with existing labels.
+
+    The combined network is the base's arrays with one row and one edge
+    appended: what build_network makes of the base's edges followed by (z,
+    pendant, c), bit for bit, since the new edge is the last of z's row and
+    only C_z and C change.
     """
     net.require(z)
     value = _check_conductance(c)
     label = f"~{z}"
     while label in net.index:
         label += "~"
-    combined = build_network(list(net.edges) + [(z, label, value)])
+    n, iz = net.n, net.index[z]
+    end = int(net.indptr[iz + 1])
+    weight = np.append(np.insert(net.weight, end, value), value)
+    row_conductance = np.append(net.row_conductance, value)
+    row_conductance[iz] = _sum(weight[net.indptr[iz]:end + 1].tolist())
+    vertices = net.vertices + (label,)
+    sums = row_conductance.tolist()
+    total = _sum(sums)
+    _check_total(vertices, sums, total)
+    combined = Network(
+        vertices=vertices,
+        index={**net.index, label: n},
+        indptr=np.append(net.indptr + (np.arange(n + 1) > iz), 2 * net.m + 2),
+        adjacent=np.append(np.insert(net.adjacent, end, n), iz),
+        weight=weight,
+        tail=np.append(net.tail, iz),
+        head=np.append(net.head, n),
+        conductance=np.append(net.conductance, value),
+        row_conductance=row_conductance,
+        total_conductance=total,
+    )
     return AugmentedNetwork(
         base=net,
         pendant=label,
@@ -397,8 +544,11 @@ def chain_to_network(P, scale: float = 1.0, states=None) -> Network:
     loops = np.flatnonzero(np.diagonal(P) > 0.0)
     if loops.size:
         raise HasSelfLoopMass(f"kernel keeps mass in place at state {states[loops[0]]!r}")
-    if any(len(_breadth_first(0, lambda y: np.flatnonzero(arcs[y]).tolist())) < k
-           for arcs in (P > 0.0, P.T > 0.0)):  # 0 reaches every state, and every state reaches 0
+    # 0 reaches every state, and every state reaches 0; np.nonzero lists the
+    # arcs y -> z row by row, so they are compressed rows as they stand.
+    bounds = np.arange(k + 1)
+    if any(len(_breadth_first(0, np.searchsorted(y, bounds).tolist(), z.tolist())) < k
+           for y, z in map(np.nonzero, (P > 0.0, P.T > 0.0))):
         raise NotIrreducible("kernel support is not strongly connected")
 
     # pi solves (P^T - I) pi = 0; swap in the normalization sum(pi) = 1

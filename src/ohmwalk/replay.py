@@ -189,26 +189,27 @@ def _replay_batch(net: Network, anchors, c: float = 1.0, tolerance: float = DEFA
     # C~_z and C~ are the correctly rounded sums of the terms build_network
     # would sum for G~. C~ is C with C_z swapped for C~_z, plus c: each anchor
     # adds three terms to the exact partials of C, not all n terms again.
-    partials = _partials(net.vertex_conductance.values())
+    vertex_conductance = net.row_conductance.tolist()
+    partials = _partials(vertex_conductance)
     rows = [net.index[z] for z in anchors]
-    leaky = [_sum([*(w for _, w in net.neighbors[z]), c]) for z in anchors]
+    leaky = [_sum([*net.row(iz)[1], c]) for iz in rows]
     totals = []
-    for z, cz in zip(anchors, leaky):
-        total = _sum([*partials, -net.vertex_conductance[z], cz, c])
+    for z, iz, cz in zip(anchors, rows, leaky):
+        total = _sum([*partials, -vertex_conductance[iz], cz, c])
         if not math.isfinite(total):
             raise NonPositiveConductance(f"total conductance with a pendant of {c!r} "
                                          f"at {z!r} is not finite")
         totals.append(total)
 
     solved = exact._solve_anchors(net, rows, leaky, c)
-    return [_trace(net, z, c, total, *values, tolerance, simulate_with, step_cap)
-            for z, total, values in zip(anchors, totals, solved)]
+    return [_trace(net, z, iz, c, total, *values, tolerance, simulate_with, step_cap)
+            for z, iz, total, values in zip(anchors, rows, totals, solved)]
 
 
-def _trace(net: Network, z: VertexId, c: float, total: float, z_to_pendant: float,
+def _trace(net: Network, z: VertexId, iz: int, c: float, total: float, z_to_pendant: float,
            resistance: float, return_first_step: float, tolerance: float, simulate_with,
            step_cap: int) -> ProofTrace:
-    """One anchor's steps from its two solves (see exact._solve_anchors). The
+    """One anchor's steps, z at row iz, from its two solves (see exact._solve_anchors). The
     resistance comes from G~ grounded at the pendant, which rests on the
     whole network (reduced onto z's leaf); grounded at z it would be the
     bare 1 / c."""
@@ -225,7 +226,7 @@ def _trace(net: Network, z: VertexId, c: float, total: float, z_to_pendant: floa
         ret_est = simulate.estimate_return_time(net, z, trials, seed + 1, step_cap)
 
     C = net.total_conductance
-    Cz = net.vertex_conductance[z]
+    Cz = float(net.row_conductance[iz])
     steps = (
         _step("pendant-first-step", 1.0, pendant_first, tolerance),
         _step("pendant-resistance", 1.0 / c, resistance, tolerance),

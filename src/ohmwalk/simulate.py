@@ -245,16 +245,15 @@ def _uniform(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
 
 
 def _lockstep_tables(net: Network) -> tuple:
-    """``Network.walk`` as ``_pick`` reads it.
+    """The network's rows as ``_pick`` reads them.
 
-    (indptr, neighbour rows, cumulative conductances shifted one place
-    right so that before[i] is entry i - 1, each row's total, and the
+    (indptr, neighbour rows, the running sums of ``Network.walk`` shifted one
+    place right so that before[i] is entry i - 1, each row's total, and the
     binary-lifting strides that cover the largest degree, largest first).
     """
-    indptr = np.array(net.walk[0], dtype=np.intp)
     before = np.array((0.0,) + net.walk[2])
-    degree = int(np.diff(indptr).max())
-    return (indptr, np.array(net.walk[1], dtype=np.intp), before, before[indptr[1:]],
+    degree = int(np.diff(net.indptr).max())
+    return (net.indptr, net.adjacent, before, before[net.indptr[1:]],
             [1 << k for k in reversed(range(degree.bit_length()))])
 
 

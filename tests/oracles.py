@@ -16,6 +16,12 @@ pseudoinverse.
 breadth-first loop, and ``strongly_connected`` asks scipy's graph routines
 whether a kernel is irreducible.
 
+``build_network`` and ``parse_network_file`` are the library's network
+builder and edge-list parser as they were before the network was held in
+compressed rows: one entry, and one line, at a time, with label-keyed dicts
+(``ReferenceNetwork``). Every field of a library ``Network`` is checked
+against them bit for bit.
+
 The one exception is ``pendant_network_steps``: it is not an independent
 oracle but the reference route that ``replay``'s bits are pinned to, the
 library's own solves on an explicitly built pendant network.
@@ -23,7 +29,9 @@ library's own solves on an explicitly built pendant network.
 import math
 from bisect import bisect_right
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -31,8 +39,14 @@ from scipy.sparse.csgraph import connected_components
 from scipy.stats import chi2
 
 from ohmwalk import (
+    AmbiguousLabel,
     CapExceeded,
+    Disconnected,
     Network,
+    NonPositiveConductance,
+    OhmwalkError,
+    ParseError,
+    SelfLoop,
     attach_pendant,
     return_time,
     return_time_formula,
@@ -284,3 +298,214 @@ def pendant_network_steps(net: Network, z, c: float) -> list:
         (Cz / c * ret + 1.0, trip.x_to_y),
         (return_time_formula(net, z), ret),
     ]
+
+
+@dataclass(frozen=True, eq=False)
+class ReferenceNetwork:
+    """A network as the reference build_network makes it: label-keyed
+    fields, and the derived tables built from them one vertex at a time."""
+
+    vertices: tuple
+    edges: tuple
+    index: dict
+    neighbors: dict
+    vertex_conductance: dict
+    total_conductance: float
+
+    @property
+    def n(self) -> int:
+        return len(self.vertices)
+
+    @cached_property
+    def arrays(self):
+        tail = np.array([self.index[u] for u, _, _ in self.edges], dtype=np.intp)
+        head = np.array([self.index[v] for _, v, _ in self.edges], dtype=np.intp)
+        conductance = np.array([c for _, _, c in self.edges])
+        vertex_conductance = np.array([self.vertex_conductance[v] for v in self.vertices])
+        return tail, head, conductance, vertex_conductance
+
+    @cached_property
+    def walk(self):
+        indptr = [0]
+        row = []
+        cumulative = []
+        for v in self.vertices:
+            row.extend(self.index[z] for z, _ in self.neighbors[v])
+            cumulative.extend(accumulate(c for _, c in self.neighbors[v]))
+            indptr.append(len(row))
+        return tuple(indptr), tuple(row), tuple(cumulative)
+
+    @cached_property
+    def spans(self):
+        indptr, _, cumulative = self.walk
+        return tuple((lo, hi - 1, cumulative[hi - 1]) for lo, hi in zip(indptr, indptr[1:]))
+
+    @cached_property
+    def ordering(self):
+        tail, head, _, _ = self.arrays
+        ends, other = np.concatenate((tail, head)), np.concatenate((head, tail))
+        degree = np.bincount(ends, minlength=self.n)
+        ranked = np.lexsort((np.tile(np.arange(len(tail)), 2), degree[other], ends))
+        indptr = np.concatenate(([0], np.cumsum(degree))).tolist()
+        row = other[ranked].tolist()
+        order = _breadth_first(int(degree.argmin()), lambda v: row[indptr[v]:indptr[v + 1]])
+        return tuple(reversed(order))
+
+
+def _breadth_first(start, neighbours) -> list:
+    order, seen = [start], {start}
+    for v in order:
+        for u in neighbours(v):
+            if u not in seen:
+                seen.add(u)
+                order.append(u)
+    return order
+
+
+def _check_conductance(c) -> float:
+    try:
+        value = float(c)
+    except (TypeError, ValueError):
+        raise NonPositiveConductance(f"conductance {c!r} is not a real number")
+    if not math.isfinite(value) or value <= 0.0:
+        raise NonPositiveConductance(f"conductance must be finite and > 0, got {c!r}")
+    return value
+
+
+def _sum(values) -> float:
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
+
+
+def build_network(edge_list) -> ReferenceNetwork:
+    """Reference for ohmwalk.build_network: each entry checked and merged in
+    turn, then an adjacency dict, a breadth-first search and per-vertex sums."""
+    edge_list = list(edge_list)
+    if not edge_list:
+        raise ValueError("edge list is empty")
+
+    index = {}
+    vertices = []
+
+    def intern(v):
+        i = index.setdefault(v, len(vertices))
+        if i == len(vertices):
+            vertices.append(v)
+        elif type(vertices[i]) is not type(v):
+            raise AmbiguousLabel(f"labels {vertices[i]!r} and {v!r} are equal "
+                                 f"but of different types")
+        return i
+
+    merged = {}  # in first-appearance order
+    for i, (u, v, c) in enumerate(edge_list):
+        try:
+            value = _check_conductance(c)
+            iu, iv = intern(u), intern(v)
+            if iu == iv:
+                raise SelfLoop(f"self-loop at vertex {u!r}")
+            key = (iu, iv) if iu < iv else (iv, iu)
+            merged[key] = total = merged.get(key, 0.0) + value
+            if not math.isfinite(total):
+                raise NonPositiveConductance(f"conductance between {vertices[key[0]]!r} "
+                                             f"and {vertices[key[1]]!r} sums to {total!r}")
+        except OhmwalkError as exc:
+            exc.edge = i
+            raise
+
+    adjacency = {v: [] for v in vertices}
+    edges = []
+    for (iu, iv), c in merged.items():
+        u, v = vertices[iu], vertices[iv]
+        edges.append((u, v, c))
+        adjacency[u].append((v, c))
+        adjacency[v].append((u, c))
+
+    reached = _breadth_first(vertices[0], lambda v: [y for y, _ in adjacency[v]])
+    if len(reached) != len(vertices):
+        missing = min(set(vertices) - set(reached), key=index.__getitem__)
+        raise Disconnected(f"graph is not connected (no path to {missing!r})")
+
+    vertex_conductance = {v: _sum(c for _, c in adjacency[v]) for v in vertices}
+    total = _sum(vertex_conductance.values())
+    if not math.isfinite(total):
+        v = next((v for v, cz in vertex_conductance.items() if not math.isfinite(cz)), None)
+        what = "total conductance" if v is None else f"conductance of vertex {v!r}"
+        raise NonPositiveConductance(f"{what} is not finite")
+
+    return ReferenceNetwork(
+        vertices=tuple(vertices),
+        edges=tuple(edges),
+        index=index,
+        neighbors={v: tuple(adjacency[v]) for v in vertices},
+        vertex_conductance=vertex_conductance,
+        total_conductance=total,
+    )
+
+
+def parse_network_file(text: str) -> ReferenceNetwork:
+    """Reference for ohmwalk.cli.parse_network_file: one line at a time."""
+    edges = []
+    lines = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if len(tokens) == 2:
+            u, v = tokens
+            c = 1.0
+        elif len(tokens) == 3:
+            u, v = tokens[0], tokens[1]
+            try:
+                c = float(tokens[2])
+            except ValueError:
+                raise ParseError(lineno, f"bad conductance {tokens[2]!r}")
+        else:
+            raise ParseError(lineno, f"expected `u v [conductance]`, got {len(tokens)} fields")
+        edges.append((u, v, c))
+        lines.append(lineno)
+    if not edges:
+        raise ParseError(0, "no edges in input")
+    try:
+        return build_network(edges)
+    except OhmwalkError as exc:
+        if exc.edge is None:
+            raise
+        raise type(exc)(f"line {lines[exc.edge]}: {exc}") from exc
+
+
+NETWORK_FIELDS = ("vertices", "index", "edges", "neighbors", "vertex_conductance",
+                  "total_conductance", "arrays", "walk", "spans", "ordering")
+
+
+def bits(value):
+    """value with every float replaced by its hex form and every label by
+    (type, label), so that == compares bits and types, not values: 1 and
+    True, or 0.1 and a float that prints the same, stay apart. Dicts keep
+    their order, arrays their dtype."""
+    if isinstance(value, np.ndarray):
+        return str(value.dtype), bits(value.tolist())
+    if type(value) is float:
+        return float.hex(value)
+    if isinstance(value, (tuple, list)):
+        return type(value).__name__, [bits(v) for v in value]
+    if isinstance(value, dict):
+        return "dict", [(bits(k), bits(v)) for k, v in value.items()]
+    return type(value).__name__, value
+
+
+def network_bits(net) -> dict:
+    """Every field in NETWORK_FIELDS of a Network or a ReferenceNetwork, as bits."""
+    return {name: bits(getattr(net, name)) for name in NETWORK_FIELDS}
+
+
+def outcome(build, *args):
+    """network_bits of build(*args), or the error it raises: its type, edge,
+    line (ParseError) and message."""
+    try:
+        return network_bits(build(*args))
+    except (OhmwalkError, ValueError, TypeError) as exc:
+        return (type(exc).__name__, getattr(exc, "edge", None), getattr(exc, "line", None),
+                str(exc))

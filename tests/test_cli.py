@@ -24,7 +24,9 @@ from ohmwalk import (
 )
 from ohmwalk.cli import _verify_json, parse_network_file, run
 
+import oracles
 from netgen import grid_network
+from oracles import outcome
 
 
 _floats = st.one_of(st.floats(), st.sampled_from([-0.0, 5e-324, 1e308, 1e16, 1e-7]))
@@ -123,6 +125,46 @@ class TestParseNetworkFile:
     def test_disconnected_propagates(self):
         with pytest.raises(Disconnected):
             parse_network_file("a b 1\nc d 1\n")
+
+    @pytest.mark.parametrize("text", [
+        "a b\nc d e f\n",  # three tokens a line on average, but line 2 has four
+        "a b 1\r\nb c 2\r\n\r\nc a 3\r\n",
+        "a b 1\x0cb c 2\x1cc d 3\u2028d e 4\n",  # str.splitlines breaks at all three
+        "a b 1\x0cb b 2\n",  # the self-loop is on line 2
+        "a b 1\u2028b c x\n",
+        "a b 1\r\nc c\r\n",
+        "a\tb\t2  \n\t b c \t\n   \n",
+        "# header\n  # indented\na b 2\n#a a 1\nb c\n",
+        "a b\nb c 2.5\nc d\nd a 1e-3\n",
+        "a b 1\nb c",
+        "a b 1\nb c 2\nc d 1 2",
+        "# only a comment\n\n",
+        "a b 1\r\rb c\x85c d\u2029d e 1\x1d\x1ee f 3\x0bf g\n",
+        "a\u3000b\xa01\nb\x1fc\n",  # whitespace that is no line break
+        "a b 1e308\nb a 1e308\n",
+        "a b 1\r\nb a -2\r\n",
+    ])
+    def test_matches_the_line_by_line_reference(self, text):
+        assert outcome(parse_network_file, text) == outcome(oracles.parse_network_file, text)
+
+    def test_bad_conductance_on_the_last_of_7000_lines(self):
+        text = "".join(f"v{i} v{i + 1} 1.5\n" for i in range(6999)) + "v6999 v7000 1.5e\n"
+        with pytest.raises(ParseError, match="^line 7000: bad conductance '1.5e'$") as exc:
+            parse_network_file(text)
+        assert exc.value.line == 7000
+        assert outcome(parse_network_file, text) == outcome(oracles.parse_network_file, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from(["a b", "b c", "c a", "a c", "a a", "a", "a b c d", "# a b", "", " "]),
+        st.sampled_from(["", " 1", " 2.5", " 1e308", " x", " -1", " 5e-324"]),
+        st.sampled_from([" ", "\t", "  ", "\u3000"]),
+        st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\x1c", "\u2028", "\x85", "\x0b"]),
+    ), max_size=12))
+    def test_random_text_matches_the_reference(self, lines):
+        # the same network, or the same error, line number and message
+        text = "".join(pair.replace(" ", gap) + c + gap + end for pair, c, gap, end in lines)
+        assert outcome(parse_network_file, text) == outcome(oracles.parse_network_file, text)
 
 
 class TestSolverSubcommands:

@@ -534,7 +534,7 @@ class TestLeaves:
             got = np.concatenate([leaked.ravel(), grounded])
             want = np.concatenate([x[0, leaf].T.ravel(), x[1, leaf, 0]])
             assert np.all(np.abs(got - want) <= 1e-14 * want), iz
-            want = x[0, iz, 0], x[0, iz, 1], _first_return(net, net.vertices[iz], x[1, :, 0])
+            want = x[0, iz, 0], x[0, iz, 1], _first_return(net, iz, x[1, net.row(iz)[0], 0])
             assert all(abs(g - e) <= 1e-14 * e for g, e in zip(values, want)), iz
 
     @pytest.mark.parametrize("rows,cols,c", [(4, 4, 1e-8), (3, 7, 1.0), (4, 5, 1e8)])

@@ -23,8 +23,9 @@ from ohmwalk import (
     transition_matrix,
 )
 
+import oracles
 from netgen import random_connected_network, random_reversible_kernel
-from oracles import induced_kernel, reverse_cuthill_mckee, strongly_connected
+from oracles import induced_kernel, network_bits, outcome, reverse_cuthill_mckee, strongly_connected
 
 
 class TestBuildNetwork:
@@ -116,6 +117,107 @@ class TestBuildNetwork:
         assert net.index == {"x": 0, "b": 1, "a": 2}
 
 
+_LABEL_POOL = [0, 1, 2, 3, "a", "b", "c", "1"]  # str and int, none equal to another
+_CLASHES = [0.0, False, 1.0, True]  # each equal to 0 or 1
+_CONDUCTANCES = st.one_of(st.sampled_from([5e-324, 1e-308, 0.5, 1.0, 2.5, 1e308]),
+                          st.floats(min_value=0.1, max_value=10.0),
+                          st.floats(min_value=5e-324, max_value=1e308))
+_BAD_CONDUCTANCES = st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf, "x", None])
+
+
+@st.composite
+def _edge_lists(draw, faults=False):
+    """A connected edge list on 2-7 labels: a path through them, then more
+    pairs, each entry either way round and the whole shuffled, so pairs
+    repeat in both orientations. With faults, up to three faulty entries are
+    added: a label equal to another of another type, a self-loop, a bad
+    conductance, a pair summing past 1e308, or a second component."""
+    labels = draw(st.lists(st.sampled_from(_LABEL_POOL), min_size=2, max_size=7, unique=True))
+    vertex = st.sampled_from(labels)
+    pairs = list(zip(labels, labels[1:]))
+    pairs += draw(st.lists(st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1]),
+                           max_size=12))
+    edges = [(u, v, draw(_CONDUCTANCES)) if draw(st.booleans()) else (v, u, draw(_CONDUCTANCES))
+             for u, v in pairs]
+    if faults:
+        for _ in range(draw(st.integers(1, 3))):
+            kind = draw(st.sampled_from(["clash", "loop", "bad", "overflow", "apart"]))
+            u, v = draw(vertex), draw(vertex)
+            if kind == "clash":
+                edges.append((draw(st.sampled_from(_CLASHES)), v, draw(_CONDUCTANCES)))
+            elif kind == "loop":
+                edges.append((u, u, draw(_CONDUCTANCES)))
+            elif kind == "bad":
+                edges.append((u, v, draw(_BAD_CONDUCTANCES)))
+            elif kind == "overflow":
+                edges += [(u, v, 1e308), (v, u, 1e308)]
+            else:
+                edges.append(("x", "y", draw(_CONDUCTANCES)))
+    return draw(st.permutations(edges))
+
+
+class TestAgainstReference:
+    """Every field, bit for bit and label type for label type, against the
+    one-entry-at-a-time builder in tests/oracles.py."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_edge_lists())
+    def test_every_field_matches(self, edges):
+        assert outcome(build_network, edges) == outcome(oracles.build_network, edges)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_edge_lists(faults=True))
+    def test_every_error_matches(self, edges):
+        # the same type, entry (.edge) and message, or the same network
+        assert outcome(build_network, edges) == outcome(oracles.build_network, edges)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_edge_lists(), st.data())
+    def test_attach_pendant_matches_a_rebuilt_network(self, edges, data):
+        try:
+            net = build_network(edges)
+        except NonPositiveConductance:  # a sum overflowed
+            return
+        z = data.draw(st.sampled_from(net.vertices))
+        c = data.draw(_CONDUCTANCES)
+        reference = oracles.build_network(edges)
+
+        def rebuilt():
+            return oracles.build_network([*reference.edges, (z, f"~{z}", c)])
+
+        assert (outcome(lambda: attach_pendant(net, z, c).combined)
+                == outcome(rebuilt))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_larger_networks_with_parallel_edges(self, seed):
+        rng = np.random.default_rng(seed)
+        base = random_connected_network(rng, n_lo=20, n_hi=60)
+        repeats = [(v, u, float(rng.uniform(0.1, 10.0))) if rng.random() < 0.5
+                   else (u, v, float(rng.uniform(0.1, 10.0)))
+                   for u, v, _ in base.edges for _ in range(int(rng.integers(0, 4)))]
+        listed = list(base.edges) + repeats
+        edges = [listed[i] for i in rng.permutation(len(listed))]
+        net = build_network(edges)
+        assert network_bits(net) == network_bits(oracles.build_network(edges))
+        z = net.vertices[int(rng.integers(net.n))]
+        combined = attach_pendant(net, z, 0.3).combined
+        assert network_bits(combined) == network_bits(
+            oracles.build_network([*edges, (z, f"~{z}", 0.3)]))
+
+    def test_parallel_entries_sum_left_to_right(self):
+        net = build_network([("a", "b", 0.1), ("b", "a", 0.2), ("a", "b", 0.3), ("b", "c", 1.0)])
+        assert net.edges[0][2] == (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+
+    def test_entries_without_a_length(self):
+        # a generator of three values unpacks, but is not a triple
+        with pytest.raises(TypeError, match="sequences"):
+            build_network([("a", "b", 1.0), (x for x in ("b", "c", 1.0))])
+
+    def test_arrays_are_read_only(self, triangle):
+        with pytest.raises(ValueError):
+            triangle.weight[0] = 2.0
+
+
 class TestNetworkInvariants:
     @pytest.mark.parametrize("seed", range(20))
     def test_conductance_sums_consistent(self, seed):
@@ -171,9 +273,17 @@ class TestOrdering:
         assert net.ordering == reverse_cuthill_mckee(net)
 
     def test_solves_do_not_build_the_walk_tables(self):
+        # nor the label views: the solver, the replayer and the simulator read rows
         net = random_connected_network(np.random.default_rng(0), n_lo=6)
-        ohmwalk.hitting_time(net, net.vertices[0])
-        assert "ordering" in net.__dict__ and "walk" not in net.__dict__
+        z, y = net.vertices[:2]
+        ohmwalk.hitting_time(net, z)
+        ohmwalk.round_trip(net, z, y)
+        ohmwalk.replay(net, z)
+        assert "ordering" in net.__dict__
+        assert not {"edges", "neighbors", "vertex_conductance", "walk"} & net.__dict__.keys()
+        ohmwalk.estimate_return_time(net, z, 100, 0)
+        assert "walk" in net.__dict__
+        assert not {"edges", "neighbors", "vertex_conductance"} & net.__dict__.keys()
 
 
 # Entry points of every layer, each given a label that only equals vertex 1.
