@@ -19,12 +19,7 @@ import math
 import os
 import sys
 from dataclasses import asdict
-from itertools import compress
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter, methodcaller
-from typing import NoReturn
-
-import numpy as np
 
 from .errors import OhmwalkError, ParseError
 from .network import Network, _build, attach_pendant
@@ -43,57 +38,39 @@ def parse_network_file(text: str) -> Network:
     Lines hold `u v c` separated by whitespace; `u v` alone means c = 1;
     blank lines and lines starting with `#` are skipped. Labels are
     arbitrary non-whitespace tokens. A bad token count or an unparsable
-    conductance raises ParseError here; every other check is made by
-    build_network, and an error it blames on one edge (non-positive
-    conductance, self-loop) is re-raised with that edge's 1-based line
-    number and its type kept.
+    conductance raises ParseError here, for the first such line; every
+    other check is made by build_network, and an error it blames on one
+    edge (non-positive conductance, self-loop) is re-raised with that
+    edge's 1-based line number and its type kept.
 
-    Lines are those of str.splitlines, which also numbers them. Each is
-    split into tokens once, and every line is checked at once in arrays;
-    only when a line is at fault are they read one by one, to name the
-    first (_line_fault).
+    Lines are those of str.splitlines, which also numbers them. A leading
+    byte-order mark (U+FEFF), which some editors write, is dropped.
     """
-    lines = list(map(str.split, text.splitlines()))
-    fields = np.fromiter(map(len, lines), dtype=np.intp, count=len(lines))
-    numbers = np.flatnonzero(fields)  # of the edge lines, from 0
-    if "#" in text:  # drop the comment lines
-        firsts = map(itemgetter(0), map(lines.__getitem__, numbers.tolist()))
-        comment = map(methodcaller("startswith", "#"), firsts)
-        numbers = numbers[~np.fromiter(comment, dtype=bool, count=len(numbers))]
-    if not len(numbers):
+    tails, heads, conductances, numbers = [], [], [], []
+    for number, line in enumerate(text.removeprefix("\ufeff").splitlines(), 1):
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        if len(tokens) == 3:
+            try:
+                conductances.append(float(tokens[2]))
+            except ValueError:
+                raise ParseError(number, f"bad conductance {tokens[2]!r}")
+        elif len(tokens) == 2:
+            conductances.append(1.0)
+        else:
+            raise ParseError(number, f"expected `u v [conductance]`, got {len(tokens)} fields")
+        tails.append(tokens[0])
+        heads.append(tokens[1])
+        numbers.append(number)
+    if not numbers:
         raise ParseError(0, "no edges in input")
-    rows = list(map(lines.__getitem__, numbers.tolist()))
-    fields = fields[numbers]
-    triple = fields == 3
-    if not np.all(triple | (fields == 2)):
-        _line_fault(rows, numbers)
-    conductance = np.ones(len(rows))
     try:
-        conductance[triple] = list(map(float, map(itemgetter(2), compress(rows, triple.tolist()))))
-    except ValueError:
-        _line_fault(rows, numbers)
-    try:
-        return _build(list(map(itemgetter(0), rows)), list(map(itemgetter(1), rows)),
-                      conductance.tolist())
+        return _build(tails, heads, conductances)
     except OhmwalkError as exc:
         if exc.edge is None:
             raise
-        raise type(exc)(f"line {numbers[exc.edge] + 1}: {exc}") from exc
-
-
-def _line_fault(rows: list[list[str]], numbers) -> NoReturn:
-    """Raise ParseError for the first edge line, in order, with a bad token
-    count or conductance: rows holds each line's tokens, numbers its index
-    among all lines."""
-    for tokens, i in zip(rows, numbers.tolist()):
-        if len(tokens) not in (2, 3):
-            raise ParseError(i + 1, f"expected `u v [conductance]`, got {len(tokens)} fields")
-        if len(tokens) == 3:
-            try:
-                float(tokens[2])
-            except ValueError:
-                raise ParseError(i + 1, f"bad conductance {tokens[2]!r}")
-    raise AssertionError("no edge line is at fault")
+        raise type(exc)(f"line {numbers[exc.edge]}: {exc}") from exc
 
 
 def _load(path: str) -> Network:

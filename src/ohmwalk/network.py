@@ -70,7 +70,7 @@ class Network:
     Cached on first use: the label views ``edges`` ((u, v, conductance)
     tuples), ``neighbors`` (label -> tuple of (neighbour label,
     conductance)) and ``vertex_conductance`` (label -> C_z), and the
-    derived tables ``walk``, ``spans`` and ``ordering``.
+    derived tables ``walk`` and ``ordering``.
     """
 
     vertices: tuple[VertexId, ...]
@@ -152,35 +152,28 @@ class Network:
         return dict(zip(self.vertices, self.row_conductance.tolist()))
 
     @cached_property
-    def walk(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[float, ...]]:
-        """Inverse-CDF tables of the walk: (indptr, neighbour row, cumulative conductance).
+    def walk(self) -> tuple[tuple[tuple[int, int, float], ...], tuple[int, ...],
+                            tuple[float, ...]]:
+        """Inverse-CDF tables of the walk: (spans, neighbour row, cumulative conductance).
 
-        The neighbours of row v sit at ``indptr[v]:indptr[v + 1]`` in their
-        stored order, each with its row index and the running sum of the
+        Row v's neighbours sit at ``indptr[v]:indptr[v + 1]`` in their stored
+        order, each with its row index and the running sum of the
         conductances up to and including it. Every running sum is its own
         left-to-right sum, so the last entry of a row is bit for bit the
-        total that sampling scales by. Tuples, because the simulator's
-        scalar loop indexes them one step at a time; built on first use and
-        kept.
+        total that sampling scales by. ``spans[v]`` is (first entry, last
+        entry, total) of row v: bisecting the running sums for ``u * total``
+        over ``first:last`` picks a neighbour for any u in [0, 1], and
+        leaving the last entry out of the search means a target at or above
+        it still lands on the last neighbour. Tuples, because the
+        simulator's scalar loop indexes them one step at a time; built on
+        first use and kept.
         """
         bounds = self.indptr.tolist()
         weight = self.weight.tolist()
         rows = map(weight.__getitem__, map(slice, bounds, bounds[1:]))
         cumulative = tuple(chain.from_iterable(map(accumulate, rows)))
-        return tuple(bounds), tuple(self.adjacent.tolist()), cumulative
-
-    @cached_property
-    def spans(self) -> tuple[tuple[int, int, float], ...]:
-        """Each row's span of ``walk``: (first entry, last entry, total conductance).
-
-        The total is the row's last running sum, bit for bit. Bisecting a
-        row's running sums for ``u * total`` over ``first:last`` picks a
-        neighbour for any u in [0, 1]: leaving the last entry out of the
-        search means a target at or above it still lands on the last
-        neighbour. Built on first use and kept.
-        """
-        indptr, _, cumulative = self.walk
-        return tuple((lo, hi - 1, cumulative[hi - 1]) for lo, hi in zip(indptr, indptr[1:]))
+        spans = tuple((lo, hi - 1, cumulative[hi - 1]) for lo, hi in zip(bounds, bounds[1:]))
+        return spans, tuple(self.adjacent.tolist()), cumulative
 
     @cached_property
     def ordering(self) -> tuple[int, ...]:

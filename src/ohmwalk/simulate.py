@@ -281,10 +281,10 @@ def _path(net: Network, v: int, uniforms):
     """Yield the rows a walk from row v visits, drawing one uniform per step.
 
     The walk of ``step`` and ``trace_walk``. Its pick, a bisect of the row's
-    running sums bounded at the row's last entry (``Network.spans``), is the
+    running sums bounded at the row's last entry (``Network.walk``), is the
     one ``_finish`` inlines.
     """
-    spans, (_, row, cum) = net.spans, net.walk
+    spans, row, cum = net.walk
     for u in uniforms:
         lo, last, total = spans[v]
         v = row[bisect_right(cum, u * total, lo, last)]
@@ -312,7 +312,7 @@ def _finish(net: Network, v: int, target: int, anchor: int, m: int, count: int, 
     per block: on arrival, the steps taken in the block are its length less
     the uniforms its iterator has left.
     """
-    spans, (_, row, cum) = net.spans, net.walk
+    spans, row, cum = net.walk
     for block in _blocks(bits):
         if cap - m < len(block):
             block = block[:cap - m]

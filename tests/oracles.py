@@ -127,7 +127,7 @@ def reverse_cuthill_mckee(net: Network) -> tuple:
     """Reference for ``Network.ordering``: breadth-first from the first row of
     least degree, unvisited neighbours by increasing degree (ties in stored
     order), then reversed."""
-    indptr, row, _ = net.walk
+    indptr, row = net.indptr.tolist(), net.adjacent.tolist()
     degree = [indptr[v + 1] - indptr[v] for v in range(net.n)]
     start = min(range(net.n), key=degree.__getitem__)
     order = [start]
@@ -333,12 +333,8 @@ class ReferenceNetwork:
             row.extend(self.index[z] for z, _ in self.neighbors[v])
             cumulative.extend(accumulate(c for _, c in self.neighbors[v]))
             indptr.append(len(row))
-        return tuple(indptr), tuple(row), tuple(cumulative)
-
-    @cached_property
-    def spans(self):
-        indptr, _, cumulative = self.walk
-        return tuple((lo, hi - 1, cumulative[hi - 1]) for lo, hi in zip(indptr, indptr[1:]))
+        spans = tuple((lo, hi - 1, cumulative[hi - 1]) for lo, hi in zip(indptr, indptr[1:]))
+        return spans, tuple(row), tuple(cumulative)
 
     @cached_property
     def ordering(self):
@@ -445,7 +441,10 @@ def build_network(edge_list) -> ReferenceNetwork:
 
 
 def parse_network_file(text: str) -> ReferenceNetwork:
-    """Reference for ohmwalk.cli.parse_network_file: one line at a time."""
+    """Reference for ohmwalk.cli.parse_network_file: one line at a time,
+    after dropping one leading byte-order mark."""
+    if text.startswith("\ufeff"):
+        text = text[1:]
     edges = []
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -477,7 +476,7 @@ def parse_network_file(text: str) -> ReferenceNetwork:
 
 
 NETWORK_FIELDS = ("vertices", "index", "edges", "neighbors", "vertex_conductance",
-                  "total_conductance", "arrays", "walk", "spans", "ordering")
+                  "total_conductance", "arrays", "walk", "ordering")
 
 
 def bits(value):

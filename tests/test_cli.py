@@ -143,9 +143,18 @@ class TestParseNetworkFile:
         "a\u3000b\xa01\nb\x1fc\n",  # whitespace that is no line break
         "a b 1e308\nb a 1e308\n",
         "a b 1\r\nb a -2\r\n",
+        "\ufeff\ufeffa b 1\nb c\n",  # only the first mark is dropped
+        "\ufeffa b 1\nb c 2\n\ufeffc a\n",  # a mark after the first line is a label's
+        "\ufeff# a b\r\na b 1\r\nb c x\r\n",  # the comment is skipped, lines kept
     ])
     def test_matches_the_line_by_line_reference(self, text):
         assert outcome(parse_network_file, text) == outcome(oracles.parse_network_file, text)
+
+    def test_leading_byte_order_mark_is_dropped(self):
+        plain = "a b 1\r\nb c 1\r\nc a 1\r\n"
+        marked = parse_network_file("\ufeff" + plain)
+        assert oracles.network_bits(marked) == oracles.network_bits(parse_network_file(plain))
+        assert marked.vertices == ("a", "b", "c")
 
     def test_bad_conductance_on_the_last_of_7000_lines(self):
         text = "".join(f"v{i} v{i + 1} 1.5\n" for i in range(6999)) + "v6999 v7000 1.5e\n"
@@ -252,6 +261,18 @@ class TestSolverSubcommands:
         code, out, err = invoke(capsys, ["verify", "-"])
         assert (code, err) == (0, "")
         assert json.loads(out)["pass"] is True
+
+    def test_return_time_ignores_a_byte_order_mark(self, capsys, monkeypatch, tmp_path):
+        # C / C_z = 6 / 2 on the triangle; read as a label, the mark would make a
+        # fourth vertex and a first step of 6
+        text = "\ufeffa b 1\r\nb c 1\r\nc a 1\r\n"
+        path = tmp_path / "marked.edges"
+        path.write_bytes(text.encode("utf-8"))
+        for source in (str(path), "-"):
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            code, out, err = invoke(capsys, ["return-time", source, "a"])
+            assert (code, err) == (0, "")
+            assert json.loads(out) == {"vertex": "a", "formula": 3.0, "first_step": 3.0}
 
     def test_stdin_input(self, capsys, monkeypatch):
         import io
