@@ -6,7 +6,8 @@ solver, the simulator, or the verification replayer, and prints one JSON
 document (CSV for flat estimate rows) on standard output.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input errors. A
-reader that closes stdout early (``| head``) does not change the code.
+stdout closed early (``| head``) or from the start (``>&-``) does not change
+the code. Input, a file or standard input (``-``), is decoded as UTF-8.
 Identical invocations produce byte-identical output; the default seed is
 0 so casual runs reproduce, with `--seed random` as the escape hatch.
 """
@@ -74,10 +75,15 @@ def parse_network_file(text: str) -> Network:
 
 
 def _load(path: str) -> Network:
-    if path == "-":
-        return parse_network_file(sys.stdin.read())
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_network_file(fh.read())
+    """The network in file ``path``, or ``-`` for stdin, decoded as UTF-8 whatever the locale."""
+    if path != "-":
+        with open(path, "rb") as fh:
+            data = fh.read()
+    elif sys.stdin is None:  # closed before the command started (<&-)
+        raise OSError("standard input is closed")
+    else:
+        data = sys.stdin.buffer.read()
+    return parse_network_file(data.decode("utf-8"))
 
 
 def _seed_value(text: str) -> int:
@@ -96,7 +102,10 @@ def _emit(parts) -> None:
     characters (the last may be shorter), and flush. A reader that stops
     reading (``| head``) ends the output, not the command, whose exit code
     stays its own: stdout then points at devnull, as the Python docs advise,
-    so that the flush at exit cannot raise BrokenPipeError again."""
+    so that the flush at exit cannot raise BrokenPipeError again. A stdout
+    closed before the command started (``>&-``) is written nothing."""
+    if sys.stdout is None:
+        return
     try:
         block, size = [], 0
         for part in parts:

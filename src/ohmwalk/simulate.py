@@ -109,16 +109,18 @@ def trial_generator(seed: int, trial: int) -> np.random.Generator:
 
 
 def _hash_constants(init: int, mult: int, count: int) -> list[tuple[np.uint64, np.uint64]]:
-    """The (xor, multiply) constant pairs of SeedSequence's successive hashes.
-
-    The hash constant evolves the same way whatever is hashed, so every
-    pair is known in advance.
-    """
+    """The (xor, multiply) pairs of SeedSequence's successive hashes, known in
+    advance: the hash constant evolves the same way whatever is hashed."""
     pairs = []
     for _ in range(count):
         pairs.append((np.uint64(init), np.uint64(init * mult & _MASK32)))
         init = init * mult & _MASK32
     return pairs
+
+
+# The 16 hashes that fill and mix the pool, and the 8 that draw the state.
+_POOL_HASHES = _hash_constants(_INIT_A, _MULT_A, 16)
+_STATE_HASHES = _hash_constants(_INIT_B, _MULT_B, 8)
 
 
 def _hash(value: np.ndarray, xor: np.uint64, mult: np.uint64) -> np.ndarray:
@@ -128,46 +130,6 @@ def _hash(value: np.ndarray, xor: np.uint64, mult: np.uint64) -> np.ndarray:
     value &= _LOW32
     value ^= value >> _SHIFT16
     return value
-
-
-def _words(value: int) -> list[int]:
-    """A non-negative integer as SeedSequence reads it: little-endian 32-bit words."""
-    words = [value & _MASK32]
-    while value > _MASK32:
-        value >>= 32
-        words.append(value & _MASK32)
-    return words
-
-
-def _pool(seed_words: list[int], first: int, stop: int) -> list[np.ndarray]:
-    """SeedSequence's mixed 4-word pool of trials first .. stop - 1, elementwise.
-
-    The trials must have equal word counts. The entropy, the seed's words
-    then the trial's, holds at most 4 words, so there are no leftover words
-    to mix in after the pool is full. Words are 32-bit values in uint64
-    lanes: the product of two fits, and masking takes it mod 2**32.
-    """
-    trials = np.arange(first, stop, dtype=np.uint64)
-    entropy = [np.full(stop - first, w, dtype=np.uint64) for w in seed_words]
-    entropy.append(trials & _LOW32)
-    if first >= 1 << 32:
-        entropy.append(trials >> _SHIFT32)
-    entropy += [np.zeros_like(trials)] * (4 - len(entropy))
-    # Inputs are dropped once hashed: seeding sets the kernel's peak memory.
-    del trials
-    hashes = iter(_hash_constants(_INIT_A, _MULT_A, 16))
-    pool = [_hash(word, *next(hashes)) for word in entropy]
-    del entropy
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                x, y = pool[dst], _hash(pool[src], *next(hashes))
-                x *= _MIX_L
-                y *= _MIX_R
-                x -= y
-                x &= _LOW32
-                x ^= x >> _SHIFT16
-    return pool
 
 
 def _pcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray) -> None:
@@ -198,20 +160,37 @@ def _seed_states(seed: int, first: int, count: int) -> tuple[np.ndarray, ...]:
     """PCG64 (state, inc) of trials first .. first + count - 1, as uint64 halves.
 
     Returns (state_hi, state_lo, inc_hi, inc_lo); for each trial i the pair
-    equals ``PCG64(SeedSequence((seed mod 2**64, i))).state``. The entropy is
-    the seed's words then the trial's, one word below 2**32 and two from
-    there on, so trials are seeded in groups of equal word count.
+    equals ``PCG64(SeedSequence((seed mod 2**64, i))).state``. The entropy,
+    the seed's one or two 32-bit words then the trial's, fits the pool of
+    four words, which SeedSequence pads with zero words, so every trial's
+    high word (0 below 2**32) is hashed and one pass seeds them all. Words
+    sit in uint64 lanes: the product of two fits, and masking takes it mod
+    2**32.
     """
-    seed_words = _words(seed & _MASK64)
-    split = min(max(first, 1 << 32), first + count)
-    groups = [_pool(seed_words, lo, hi)
-              for lo, hi in ((first, split), (split, first + count)) if lo < hi]
-    pool = groups[0] if len(groups) == 1 else [np.concatenate(w) for w in zip(*groups)]
-    del groups
+    seed &= _MASK64
+    seed_words = (seed & _MASK32, seed >> 32) if seed > _MASK32 else (seed,)
+    trials = np.arange(first, first + count, dtype=np.uint64)
+    entropy = [np.full(count, word, dtype=np.uint64) for word in seed_words]
+    entropy += [trials & _LOW32, trials >> _SHIFT32]
+    entropy += [np.zeros_like(trials)] * (4 - len(entropy))
+    # Inputs are dropped once hashed: seeding sets the kernel's peak memory.
+    del trials
+    hashes = iter(_POOL_HASHES)
+    pool = [_hash(word, *next(hashes)) for word in entropy]
+    del entropy
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                x, y = pool[dst], _hash(pool[src], *next(hashes))
+                x *= _MIX_L
+                y *= _MIX_R
+                x -= y
+                x &= _LOW32
+                x ^= x >> _SHIFT16
 
     # generate_state(4, uint64): eight hashed 32-bit words, paired little-endian.
     halves = []
-    for i, (xor, mult) in enumerate(_hash_constants(_INIT_B, _MULT_B, 8)):
+    for i, (xor, mult) in enumerate(_STATE_HASHES):
         word = _hash(pool[i % 4], xor, mult)
         if i % 2:
             halves[-1] |= word << _SHIFT32

@@ -76,6 +76,11 @@ def k4_file(tmp_path):
     return str(path)
 
 
+def _stdin(text):
+    """A standard input that reads text: the CLI reads its bytes."""
+    return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
+
+
 def invoke(capsys, argv):
     code = run(argv)
     out = capsys.readouterr()
@@ -249,15 +254,14 @@ class TestSolverSubcommands:
     def test_subnormal_conductances_are_scaled_before_the_solve(self, capsys, monkeypatch):
         # every conductance and vertex conductance is a multiple of 5e-324, so
         # unscaled Kron updates keep only a few bits (hitting 1.667, return 2.667)
-        import io
         text = "c b 5e-324\nTrue c 5e-324\nTrue c 5e-324\n"
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        monkeypatch.setattr("sys.stdin", _stdin(text))
         code, out, _ = invoke(capsys, ["hitting", "-", "c", "True"])
         assert (code, json.loads(out)["expected_steps"]) == (0, 2.0)
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        monkeypatch.setattr("sys.stdin", _stdin(text))
         code, out, _ = invoke(capsys, ["return-time", "-", "True"])
         assert (code, json.loads(out)["first_step"]) == (0, 3.0)
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        monkeypatch.setattr("sys.stdin", _stdin(text))
         code, out, err = invoke(capsys, ["verify", "-"])
         assert (code, err) == (0, "")
         assert json.loads(out)["pass"] is True
@@ -269,14 +273,13 @@ class TestSolverSubcommands:
         path = tmp_path / "marked.edges"
         path.write_bytes(text.encode("utf-8"))
         for source in (str(path), "-"):
-            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            monkeypatch.setattr("sys.stdin", _stdin(text))
             code, out, err = invoke(capsys, ["return-time", source, "a"])
             assert (code, err) == (0, "")
             assert json.loads(out) == {"vertex": "a", "formula": 3.0, "first_step": 3.0}
 
     def test_stdin_input(self, capsys, monkeypatch):
-        import io
-        monkeypatch.setattr("sys.stdin", io.StringIO("a b 1\n"))
+        monkeypatch.setattr("sys.stdin", _stdin("a b 1\n"))
         code, out, _ = invoke(capsys, ["return-time", "-", "b"])
         assert code == 0
         assert json.loads(out)["formula"] == 2.0
@@ -557,21 +560,29 @@ class TestExitCodes:
                        "more than could be allocated\n")
 
 
-@pytest.mark.parametrize("tolerance,code", [("1e-9", 0), ("1e-300", 1)])
-def test_closed_stdout_keeps_the_exit_code(tmp_path, tolerance, code):
-    # A reader that stops after one line (| head -1) is no input error, and
-    # nothing goes to stderr. verify's document for this 10x10 grid (about
-    # 150 kB) outgrows the pipe's buffer, so the command is still writing when
-    # the reader goes. Conductances like 0.1 are inexact in binary, so an
-    # absurd tolerance fails some step.
+def _grid10(tmp_path) -> Path:
+    """A 10x10 grid whose verify document (about 150 kB) outgrows a pipe's
+    buffer. Conductances like 0.1 are inexact in binary, so verify with an
+    absurd tolerance fails some step."""
     path = tmp_path / "grid10.edges"
     path.write_text("".join(f"{i * 10 + j} {i * 10 + j + d} {0.1 * (1 + (i + j) % 3)!r}\n"
                             for i in range(10) for j in range(10) for d in (1, 10)
                             if (d == 1 and j < 9) or (d == 10 and i < 9)))
-    env = dict(os.environ, PYTHONPATH=str(Path(ohmwalk.__file__).parents[1]))
+    return path
+
+
+def _cli_env(**env) -> dict:
+    return dict(os.environ, PYTHONPATH=str(Path(ohmwalk.__file__).parents[1]), **env)
+
+
+@pytest.mark.parametrize("tolerance,code", [("1e-9", 0), ("1e-300", 1)])
+def test_closed_stdout_keeps_the_exit_code(tmp_path, tolerance, code):
+    # A reader that stops after one line (| head -1) is no input error, and
+    # nothing goes to stderr. The command is still writing when the reader goes.
     proc = subprocess.Popen(
-        [sys.executable, "-m", "ohmwalk.cli", "verify", str(path), "--tolerance", tolerance],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        [sys.executable, "-m", "ohmwalk.cli", "verify", str(_grid10(tmp_path)), "--tolerance",
+         tolerance],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(),
     )
     try:
         assert proc.stdout.readline() == b"{\n"
@@ -581,6 +592,55 @@ def test_closed_stdout_keeps_the_exit_code(tmp_path, tolerance, code):
         proc.kill()
     assert proc.stderr.read() == b""
     proc.stderr.close()
+
+
+def _shell_cli(argv, redirect="", stdin=b"", **env) -> tuple[int, bytes, bytes]:
+    """(exit code, stdout, stderr) of ``python -m ohmwalk.cli argv`` started by
+    the shell with ``redirect`` (``<&-`` closes its stdin, ``>&-`` its stdout)
+    and fed the bytes ``stdin``, under the environment variables ``env``."""
+    proc = subprocess.run(["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m",
+                           "ohmwalk.cli", *argv],
+                          input=stdin, capture_output=True, env=_cli_env(**env), timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestStandardStreams:
+    # Whatever the locale decodes standard input as, and whatever errors it
+    # forgives, `-` reads the bytes a file holds as the file's path does.
+    ENCODINGS = ["latin-1", "utf-8:surrogateescape"]
+
+    @pytest.mark.parametrize("encoding", ENCODINGS)
+    def test_stdin_is_decoded_as_utf8_as_a_file_is(self, tmp_path, encoding):
+        # Decoded as latin-1, the mark and the e-acute of the first line would
+        # make a fourth vertex "\u00ef\u00bb\u00bf\u00c3\u00a9".
+        data = "\ufeff\u00e9 b 1\nb c 2\nc \u00e9 1\n".encode("utf-8")
+        path = tmp_path / "marked.edges"
+        path.write_bytes(data)
+        by_path = _shell_cli(["stationary", str(path)])
+        assert by_path[0::2] == (0, b"")
+        assert json.loads(by_path[1])["weights"] == {"\u00e9": 0.25, "b": 0.375, "c": 0.375}
+        assert _shell_cli(["stationary", "-"], stdin=data, PYTHONIOENCODING=encoding) == by_path
+
+    @pytest.mark.parametrize("encoding", ENCODINGS)
+    def test_bytes_that_are_not_utf8_exit_2_from_stdin_as_from_a_file(self, tmp_path, encoding):
+        data = b"\xff a 1\na b 1\n"
+        path = tmp_path / "latin1.edges"
+        path.write_bytes(data)
+        error = (b"ohmwalk: error: 'utf-8' codec can't decode byte 0xff in position 0: "
+                 b"invalid start byte\n")
+        assert _shell_cli(["stationary", str(path)]) == (2, b"", error)
+        assert _shell_cli(["stationary", "-"], stdin=data, PYTHONIOENCODING=encoding) == (
+            2, b"", error)
+
+    def test_closed_stdin_exits_2_naming_it(self):
+        assert _shell_cli(["stationary", "-"], "<&-") == (
+            2, b"", b"ohmwalk: error: standard input is closed\n")
+
+    @pytest.mark.parametrize("argv,code", [(["stationary"], 0),
+                                           (["verify", "--tolerance", "1e-300"], 1)])
+    def test_closed_stdout_writes_nothing_and_keeps_the_exit_code(self, tmp_path, argv, code):
+        command, *options = argv
+        assert _shell_cli([command, str(_grid10(tmp_path)), *options], ">&-") == (code, b"", b"")
 
 
 class TestOutputPrecision:
@@ -779,7 +839,7 @@ def test_any_input_gets_an_exit_code_and_json(invocation):
     # without NaN or Infinity. Runs in process: no thread or process starts.
     text, argv = invocation
     out, err, stdin = io.StringIO(), io.StringIO(), sys.stdin
-    sys.stdin = io.StringIO(text)
+    sys.stdin = _stdin(text)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run(argv)

@@ -284,6 +284,10 @@ class TestOrdering:
         ohmwalk.estimate_return_time(net, z, 100, 0)
         assert "walk" in net.__dict__
         assert not {"edges", "neighbors", "vertex_conductance"} & net.__dict__.keys()
+        # a pendant network is built from the base's arrays, not its label views
+        ohmwalk.estimate_excursions(ohmwalk.attach_pendant(net, z), 100, 0)
+        ohmwalk.replay(net, z, simulate_with=(10, 0))
+        assert not {"edges", "neighbors", "vertex_conductance"} & net.__dict__.keys()
 
 
 # Entry points of every layer, each given a label that only equals vertex 1.
