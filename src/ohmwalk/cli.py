@@ -81,6 +81,8 @@ def _load(path: str) -> Network:
             data = fh.read()
     elif sys.stdin is None:  # closed before the command started (<&-)
         raise OSError("standard input is closed")
+    elif not hasattr(sys.stdin, "buffer"):  # text only, such as an io.StringIO
+        raise OSError("standard input has no bytes to decode (a text stream with no .buffer)")
     else:
         data = sys.stdin.buffer.read()
     return parse_network_file(data.decode("utf-8"))

@@ -382,10 +382,7 @@ def _build(tails, heads, conductances) -> Network:
         seen = np.zeros(n, dtype=bool)
         seen[_breadth_first(0, bounds, adjacent.tolist())] = True
         raise Disconnected(f"graph is not connected (no path to {vertices[int(seen.argmin())]!r})")
-    if not math.isfinite(total):  # C bounds every C_z, so this checks them all
-        v = next((v for v, cz in zip(vertices, row_conductance) if not math.isfinite(cz)), None)
-        what = "total conductance" if v is None else f"conductance of vertex {v!r}"
-        raise NonPositiveConductance(f"{what} is not finite")
+    _check_total(vertices, row_conductance, total)
     return net
 
 
@@ -426,6 +423,15 @@ def _first_fault(edge_list) -> NoReturn:
     raise TypeError("edge list entries must be (u, v, conductance) sequences")
 
 
+def _check_total(vertices, row_conductance: list[float], total: float) -> None:
+    """NonPositiveConductance unless the total C, the sum of the C_z, is
+    finite, naming the first vertex whose C_z is not, if one is not."""
+    if not math.isfinite(total):  # C bounds every C_z, so this checks them all
+        v = next((v for v, cz in zip(vertices, row_conductance) if not math.isfinite(cz)), None)
+        what = "total conductance" if v is None else f"conductance of vertex {v!r}"
+        raise NonPositiveConductance(f"{what} is not finite")
+
+
 def transition_distribution(net: Network, y: VertexId) -> Distribution:
     """One-step law of the induced walk from y: each neighbour z gets C_yz / C_y."""
     net.require(y)
@@ -455,21 +461,44 @@ def attach_pendant(net: Network, z: VertexId, c: float = 1.0) -> AugmentedNetwor
     net.total_conductance + 2 c. The pendant label is generated from z and
     guaranteed not to collide with existing labels.
 
-    The combined network is what build_network makes of the base's merged
-    edges, in stored order, followed by (z, pendant, c). Their labels are
-    read from the base's arrays, so the base builds no label view.
+    The combined network is the base's arrays with one row and one edge
+    appended: what build_network makes of the base's edges followed by (z,
+    pendant, c), bit for bit, since the new edge is the last of z's row and
+    only C_z and C change.
     """
     net.require(z)
-    value = _check_conductance(c)  # here, so that a bad c names no entry (.edge)
+    value = _check_conductance(c)
     label = f"~{z}"
     while label in net.index:
         label += "~"
-    vertex = net.vertices.__getitem__
-    tails = [*map(vertex, net.tail.tolist()), z]
-    combined = _build(tails, [*map(vertex, net.head.tolist()), label],
-                      [*net.conductance.tolist(), value])
-    return AugmentedNetwork(base=net, pendant=label, anchor=z, pendant_conductance=value,
-                            combined=combined)
+    n, iz = net.n, net.index[z]
+    end = int(net.indptr[iz + 1])
+    weight = np.append(np.insert(net.weight, end, value), value)
+    row_conductance = np.append(net.row_conductance, value)
+    row_conductance[iz] = _sum(weight[net.indptr[iz]:end + 1].tolist())
+    vertices = net.vertices + (label,)
+    sums = row_conductance.tolist()
+    total = _sum(sums)
+    _check_total(vertices, sums, total)
+    combined = Network(
+        vertices=vertices,
+        index={**net.index, label: n},
+        indptr=np.append(net.indptr + (np.arange(n + 1) > iz), 2 * net.m + 2),
+        adjacent=np.append(np.insert(net.adjacent, end, n), iz),
+        weight=weight,
+        tail=np.append(net.tail, iz),
+        head=np.append(net.head, n),
+        conductance=np.append(net.conductance, value),
+        row_conductance=row_conductance,
+        total_conductance=total,
+    )
+    return AugmentedNetwork(
+        base=net,
+        pendant=label,
+        anchor=z,
+        pendant_conductance=value,
+        combined=combined,
+    )
 
 
 def _require_square_stochastic(P: np.ndarray) -> None:

@@ -109,8 +109,11 @@ def trial_generator(seed: int, trial: int) -> np.random.Generator:
 
 
 def _hash_constants(init: int, mult: int, count: int) -> list[tuple[np.uint64, np.uint64]]:
-    """The (xor, multiply) pairs of SeedSequence's successive hashes, known in
-    advance: the hash constant evolves the same way whatever is hashed."""
+    """The (xor, multiply) constant pairs of SeedSequence's successive hashes.
+
+    The hash constant evolves the same way whatever is hashed, so every
+    pair is known in advance.
+    """
     pairs = []
     for _ in range(count):
         pairs.append((np.uint64(init), np.uint64(init * mult & _MASK32)))

@@ -636,6 +636,13 @@ class TestStandardStreams:
         assert _shell_cli(["stationary", "-"], "<&-") == (
             2, b"", b"ohmwalk: error: standard input is closed\n")
 
+    def test_text_only_stdin_exits_2_in_process(self, capsys, monkeypatch):
+        # An io.StringIO holds text, not the bytes the CLI decodes as UTF-8.
+        monkeypatch.setattr("sys.stdin", io.StringIO("a b 1\n"))
+        assert invoke(capsys, ["stationary", "-"]) == (2, "", (
+            "ohmwalk: error: standard input has no bytes to decode (a text stream with no "
+            ".buffer)\n"))
+
     @pytest.mark.parametrize("argv,code", [(["stationary"], 0),
                                            (["verify", "--tolerance", "1e-300"], 1)])
     def test_closed_stdout_writes_nothing_and_keeps_the_exit_code(self, tmp_path, argv, code):
