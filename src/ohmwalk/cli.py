@@ -7,7 +7,8 @@ document (CSV for flat estimate rows) on standard output.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input errors. A
 stdout closed early (``| head``) or from the start (``>&-``) does not change
-the code. Input, a file or standard input (``-``), is decoded as UTF-8.
+the code, nor does a stderr that is closed or cannot be written. Input, a
+file or standard input (``-``), is decoded as UTF-8.
 Identical invocations produce byte-identical output; the default seed is
 0 so casual runs reproduce, with `--seed random` as the escape hatch.
 """
@@ -85,7 +86,15 @@ def _load(path: str) -> Network:
         raise OSError("standard input has no bytes to decode (a text stream with no .buffer)")
     else:
         data = sys.stdin.buffer.read()
-    return parse_network_file(data.decode("utf-8"))
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The bytes before the first bad one decode; its line is the last
+        # of theirs, numbered by str.splitlines as parse_network_file numbers
+        # lines, or a new one if they end with a line break.
+        line = len((data[:exc.start].decode("utf-8") + "_").splitlines())
+        raise ParseError(line, f"can't decode byte 0x{data[exc.start]:02x} as UTF-8: {exc.reason}")
+    return parse_network_file(text)
 
 
 def _seed_value(text: str) -> int:
@@ -123,6 +132,20 @@ def _emit(parts) -> None:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+
+
+def _report(message: str) -> None:
+    """Write the error line for ``message`` to stderr. Like stdout in _emit, a
+    stderr closed before the command started (``2>&-``) is written nothing,
+    and so is one that cannot be written (OSError): the exit code stays 2,
+    and nothing lands on stdout."""
+    if sys.stderr is None:
+        return
+    try:
+        sys.stderr.write(f"ohmwalk: error: {message}\n")
+        sys.stderr.flush()
+    except OSError:
+        pass
 
 
 def _emit_json(doc: dict) -> None:
@@ -391,7 +414,7 @@ def run(argv) -> int:
         net = _load(ns.file)
         return _HANDLERS[ns.subcommand](ns, net)
     except (OhmwalkError, ValueError, OSError) as exc:
-        print(f"ohmwalk: error: {exc}", file=sys.stderr)
+        _report(str(exc))
         return 2
 
 

@@ -118,9 +118,8 @@ def _band(net: Network):
     order = np.array(net.ordering, dtype=np.intp)
     place = np.empty(net.n, dtype=np.intp)
     place[order] = np.arange(net.n)
-    tail, head, _, _ = net.arrays
-    lo = np.minimum(place[tail], place[head])
-    hi = np.maximum(place[tail], place[head])
+    lo = np.minimum(place[net.tail], place[net.head])
+    hi = np.maximum(place[net.tail], place[net.head])
     return order, place, lo, hi, _envelope(lo, hi, net.n)
 
 
@@ -368,7 +367,7 @@ def _scale(net: Network, leak: float = 0.0) -> int:
     unscaled values are all normal keeps every bit, and one whose
     conductances are subnormal no longer loses bits to the multiples of
     5e-324 they round to. At most 2**1022, so a unit current stays finite."""
-    top = max(float(net.arrays[2].max()), leak)
+    top = max(float(net.conductance.max()), leak)
     return min(max(0, 1 - math.frexp(top)[1]), 1022)
 
 
@@ -384,13 +383,12 @@ def _solve_at(net: Network, grounds, b: np.ndarray, leak: np.ndarray | None = No
     scaled by its own power of two (_scale).
     """
     order, place, lo, hi, width = _band(net)
-    _, _, conductance, _ = net.arrays
     S, n, m = b.shape
     w = int(width.max())
     k = np.array([_scale(net) if leak is None else _scale(net, leak[s].max()) for s in range(S)])
     with _sized(_band_bytes(S, n, w, m)):
         U = np.zeros((S, n + w, w + 1))
-        U[:, lo, hi - lo] = np.ldexp(conductance, k[:, None])
+        U[:, lo, hi - lo] = np.ldexp(net.conductance, k[:, None])
         R = np.zeros((S, m + 1, n + w))
         R[:, 1:, :n] = np.ldexp(b[:, order], k[:, None, None]).transpose(0, 2, 1)
         if leak is not None:
@@ -461,13 +459,12 @@ def _leaf_systems(net: Network, band, first: np.ndarray, end: np.ndarray, L: int
     spans 3w places, so the two never meet.
     """
     order, _, lo, hi, width = band
-    _, _, conductance, vertex_conductance = net.arrays
-    conductance = np.ldexp(conductance, scale)
+    conductance = np.ldexp(net.conductance, scale)
     n, w, k = net.n, int(width.max()), len(first)
     U0 = np.zeros((n + w, w + 1))
     U0[lo, hi - lo] = conductance
     rhs = np.zeros(n + w)
-    rhs[:n] = np.ldexp(vertex_conductance[order], scale)
+    rhs[:n] = np.ldexp(net.row_conductance[order], scale)
 
     rows = first[:, None] + np.arange(L)
     inside = rows < end[:, None]
@@ -601,8 +598,7 @@ def hitting_time(net: Network, target: VertexId) -> HittingProfile:
     the vertex conductances as right-hand side.
     """
     net.require(target)
-    *_, vertex_conductance = net.arrays
-    h = _solve_at(net, [net.index[target]], vertex_conductance[None, :, None])[0, :, 0].tolist()
+    h = _solve_at(net, [net.index[target]], net.row_conductance[None, :, None])[0, :, 0].tolist()
     return HittingProfile(target=target, values=dict(zip(net.vertices, h)))
 
 
@@ -629,9 +625,8 @@ def round_trip(net: Network, x: VertexId, y: VertexId) -> RoundTrip:
     if x == y:
         raise SameVertex(f"a round trip needs two distinct vertices, got {x!r} twice")
     ix, iy = net.index[x], net.index[y]
-    *_, vertex_conductance = net.arrays
     b = np.zeros((2, net.n, 2))
-    b[:, :, 0] = vertex_conductance
+    b[:, :, 0] = net.row_conductance
     b[0, ix, 1] = 1.0  # the unit current, grounded at y
     x = _solve_at(net, [iy, ix], b)
     return RoundTrip(x_to_y=float(x[0, ix, 0]), y_to_x=float(x[1, iy, 0]),

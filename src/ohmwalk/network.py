@@ -121,16 +121,6 @@ class Network:
         lo, hi = self.indptr[v], self.indptr[v + 1]
         return self.adjacent[lo:hi].tolist(), self.weight[lo:hi].tolist()
 
-    @property
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The network as arrays: (tail, head, conductance, row_conductance).
-
-        The first three are parallel over the merged edges: the row indices
-        of each edge's two ends and its conductance. The last is C_z in
-        vertex order.
-        """
-        return self.tail, self.head, self.conductance, self.row_conductance
-
     @cached_property
     def edges(self) -> tuple[tuple[VertexId, VertexId, float], ...]:
         """The merged undirected edges as (u, v, conductance), in stored order."""
@@ -275,25 +265,19 @@ def _row_sums(values: list[float], bounds: list[int]) -> list[float]:
         return [_sum(values[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _partials(values) -> list[float]:
-    """Shewchuk's nonoverlapping partials of finite values whose sum does not
-    overflow, the expansion math.fsum keeps: they add up to the values' sum
-    exactly, so ``math.fsum([*partials, *more])`` is the correctly rounded sum
-    of the values and ``more`` together."""
-    partials: list[float] = []
-    for x in values:
-        i = 0
-        for y in partials:
-            if abs(x) < abs(y):
-                x, y = y, x
-            hi = x + y
-            lo = y - (hi - x)
-            if lo:
-                partials[i] = lo
-                i += 1
-            x = hi
-        partials[i:] = [x]
-    return partials
+def _partials(values: list[float]) -> list[float]:
+    """Terms that add up to the sum of finite values exactly, when that sum
+    does not overflow, so that ``math.fsum([*terms, *more])`` is the
+    correctly rounded sum of the values and ``more`` together.
+
+    Each term is math.fsum of the values less the terms before it, until
+    that rest is 0. A term is at most half an ulp of the one before it, and
+    every rest is a multiple of 2**-1074, so there are a few dozen terms at
+    most, and one when the values' sum is a double (unit conductances)."""
+    terms: list[float] = []
+    while rest := math.fsum([*values, *(-term for term in terms)]):
+        terms.append(rest)
+    return terms
 
 
 def build_network(edge_list) -> Network:
@@ -446,10 +430,9 @@ def transition_matrix(net: Network) -> np.ndarray:
 
     Each entry is C_yz / C_y, one division, from the edge arrays.
     """
-    tail, head, conductance, vertex_conductance = net.arrays
     P = np.zeros((net.n, net.n))
-    P[tail, head] = conductance / vertex_conductance[tail]
-    P[head, tail] = conductance / vertex_conductance[head]
+    P[net.tail, net.head] = net.conductance / net.row_conductance[net.tail]
+    P[net.head, net.tail] = net.conductance / net.row_conductance[net.head]
     return P
 
 
@@ -560,7 +543,7 @@ def chain_to_network(P, scale: float = 1.0, states=None) -> Network:
         y, z = worst
         raise NotReversible(
             f"detailed balance fails between states {states[y]!r} and {states[z]!r}: "
-            f"{flows[worst]!r} vs {flows.T[worst]!r}"
+            f"{float(flows[worst])!r} vs {float(flows.T[worst])!r}"
         )
 
     edges = []

@@ -188,14 +188,14 @@ def _replay_batch(net: Network, anchors, c: float = 1.0, tolerance: float = DEFA
 
     # C~_z and C~ are the correctly rounded sums of the terms build_network
     # would sum for G~. C~ is C with C_z swapped for C~_z, plus c: each anchor
-    # adds three terms to the exact partials of C, not all n terms again.
-    vertex_conductance = net.row_conductance.tolist()
-    partials = _partials(vertex_conductance)
+    # adds three terms to a few that sum to C exactly, not all n terms again.
+    row_conductance = net.row_conductance.tolist()
+    partials = _partials(row_conductance)
     rows = [net.index[z] for z in anchors]
     leaky = [_sum([*net.row(iz)[1], c]) for iz in rows]
     totals = []
     for z, iz, cz in zip(anchors, rows, leaky):
-        total = _sum([*partials, -vertex_conductance[iz], cz, c])
+        total = _sum([*partials, -row_conductance[iz], cz, c])
         if not math.isfinite(total):
             raise NonPositiveConductance(f"total conductance with a pendant of {c!r} "
                                          f"at {z!r} is not finite")

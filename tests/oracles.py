@@ -317,12 +317,20 @@ class ReferenceNetwork:
         return len(self.vertices)
 
     @cached_property
-    def arrays(self):
-        tail = np.array([self.index[u] for u, _, _ in self.edges], dtype=np.intp)
-        head = np.array([self.index[v] for _, v, _ in self.edges], dtype=np.intp)
-        conductance = np.array([c for _, _, c in self.edges])
-        vertex_conductance = np.array([self.vertex_conductance[v] for v in self.vertices])
-        return tail, head, conductance, vertex_conductance
+    def tail(self):
+        return np.array([self.index[u] for u, _, _ in self.edges], dtype=np.intp)
+
+    @cached_property
+    def head(self):
+        return np.array([self.index[v] for _, v, _ in self.edges], dtype=np.intp)
+
+    @cached_property
+    def conductance(self):
+        return np.array([c for _, _, c in self.edges])
+
+    @cached_property
+    def row_conductance(self):
+        return np.array([self.vertex_conductance[v] for v in self.vertices])
 
     @cached_property
     def walk(self):
@@ -338,7 +346,7 @@ class ReferenceNetwork:
 
     @cached_property
     def ordering(self):
-        tail, head, _, _ = self.arrays
+        tail, head = self.tail, self.head
         ends, other = np.concatenate((tail, head)), np.concatenate((head, tail))
         degree = np.bincount(ends, minlength=self.n)
         ranked = np.lexsort((np.tile(np.arange(len(tail)), 2), degree[other], ends))
@@ -476,7 +484,8 @@ def parse_network_file(text: str) -> ReferenceNetwork:
 
 
 NETWORK_FIELDS = ("vertices", "index", "edges", "neighbors", "vertex_conductance",
-                  "total_conductance", "arrays", "walk", "ordering")
+                  "total_conductance", "tail", "head", "conductance", "row_conductance", "walk",
+                  "ordering")
 
 
 def bits(value):

@@ -556,7 +556,7 @@ class TestExitCodes:
         code, out, err = invoke(capsys, [a.format(tri_file) for a in argv]
                                 + ["--trials", "1000000"])
         assert (code, out) == (2, "")
-        assert err == ("ohmwalk: error: the estimate needs 22.9 MiB of sample storage, "
+        assert err == ("ohmwalk: error: the estimate needs 17.2 MiB of sample storage, "
                        "more than could be allocated\n")
 
 
@@ -626,11 +626,25 @@ class TestStandardStreams:
         data = b"\xff a 1\na b 1\n"
         path = tmp_path / "latin1.edges"
         path.write_bytes(data)
-        error = (b"ohmwalk: error: 'utf-8' codec can't decode byte 0xff in position 0: "
-                 b"invalid start byte\n")
+        error = b"ohmwalk: error: line 1: can't decode byte 0xff as UTF-8: invalid start byte\n"
         assert _shell_cli(["stationary", str(path)]) == (2, b"", error)
         assert _shell_cli(["stationary", "-"], stdin=data, PYTHONIOENCODING=encoding) == (
             2, b"", error)
+
+    # Bad bytes on line 1 are the case above.
+    @pytest.mark.parametrize("data,error", [
+        (b"a b 1\r\nb \xff 1\n", "line 2: can't decode byte 0xff as UTF-8: invalid start byte"),
+        (b"\xef\xbb\xbfa b 1\r\nb \xff 1\n",  # a byte-order mark moves no line
+         "line 2: can't decode byte 0xff as UTF-8: invalid start byte"),
+        (b"a b 1\n\n\xe2\x82 c 1\n",
+         "line 3: can't decode byte 0xe2 as UTF-8: invalid continuation byte"),
+    ], ids=["after-crlf", "marked", "after-blank-line"])
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path, data, error):
+        path = tmp_path / "bad.edges"
+        path.write_bytes(data)
+        want = (2, b"", f"ohmwalk: error: {error}\n".encode())
+        assert _shell_cli(["stationary", str(path)]) == want
+        assert _shell_cli(["stationary", "-"], stdin=data) == want
 
     def test_closed_stdin_exits_2_naming_it(self):
         assert _shell_cli(["stationary", "-"], "<&-") == (
@@ -648,6 +662,22 @@ class TestStandardStreams:
     def test_closed_stdout_writes_nothing_and_keeps_the_exit_code(self, tmp_path, argv, code):
         command, *options = argv
         assert _shell_cli([command, str(_grid10(tmp_path)), *options], ">&-") == (code, b"", b"")
+
+    # 2>&- closes stderr, so sys.stderr is None; 2</dev/null leaves fd 2
+    # open but read-only, as a wrapper script that starts python may.
+    @pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"])
+    def test_an_error_with_no_stderr_exits_2_with_nothing_on_stdout(self, redirect):
+        assert _shell_cli(["stationary", "/nonexistent"], redirect) == (2, b"", b"")
+
+    @pytest.mark.parametrize("stderr", [None, "unwritable"])
+    def test_an_error_with_no_stderr_exits_2_in_process(self, capsys, monkeypatch, stderr):
+        class Unwritable(io.StringIO):
+            def write(self, text):
+                raise OSError(9, "Bad file descriptor")
+
+        monkeypatch.setattr("sys.stderr", None if stderr is None else Unwritable())
+        code = run(["stationary", "/nonexistent"])
+        assert (code, capsys.readouterr().out) == (2, "")
 
 
 class TestOutputPrecision:

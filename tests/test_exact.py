@@ -360,7 +360,7 @@ class TestConditioning:
     def test_grounded_drops_row_and_column(self):
         # grounding g solves L with row and column g deleted, and x[g] is 0
         net = random_connected_network(np.random.default_rng(0))
-        *_, vertex_conductance = net.arrays
+        vertex_conductance = net.row_conductance
         for ground in range(net.n):
             x = _solve_at(net, [ground], vertex_conductance[None, :, None])[0, :, 0]
             keep = np.arange(net.n) != ground
@@ -422,7 +422,7 @@ def _accuracy_sample() -> tuple:
             shape = random_connected_network(rng, n_lo=6, n_hi=12)
             net = build_network([(u, v, float(span ** rng.uniform(0.0, 1.0)))
                                  for u, v, _ in shape.edges])
-            *_, vertex_conductance = net.arrays
+            vertex_conductance = net.row_conductance
             conductances = [w for _, _, w in net.edges]
             lo, hi = math.log10(min(conductances)), math.log10(max(conductances))
             systems = [(g, vertex_conductance[:, None], None) for g in range(net.n)]
@@ -481,7 +481,7 @@ class TestAccuracy:
 
 
 def _assert_batch_members_match(net):
-    *_, vertex_conductance = net.arrays
+    vertex_conductance = net.row_conductance
     grounds = [None, *range(net.n)]
     b = np.broadcast_to(vertex_conductance[None, :, None], (len(grounds), net.n, 2)).copy()
     b[0, 0, 1] = 1.0
@@ -523,7 +523,7 @@ class TestLeaves:
         # Both are subtraction-free eliminations of one system in two orders.
         net = grid_network(k, k, np.random.default_rng(k), span=6.0)
         assert _leaf_count(net) >= 3
-        *_, vertex_conductance = net.arrays
+        vertex_conductance = net.row_conductance
         for iz, cz, leaf, leaked, grounded, values in _anchor_solves(net, c):
             b = np.zeros((2, net.n, 2))
             b[:, :, 0] = vertex_conductance
@@ -541,7 +541,7 @@ class TestLeaves:
     def test_match_exact_solves(self, rows, cols, c):
         net = grid_network(rows, cols, np.random.default_rng(rows * cols), span=6.0)
         assert _leaf_count(net) >= 3
-        *_, vertex_conductance = net.arrays
+        vertex_conductance = net.row_conductance
         for iz, cz, leaf, leaked, grounded, _ in _anchor_solves(net, c):
             leak = np.zeros(net.n)
             leak[iz] = c

@@ -444,6 +444,14 @@ class TestChainToNetwork:
         with pytest.raises(NotReversible):
             chain_to_network(P)
 
+    def test_non_reversible_message_prints_plain_floats(self):
+        # A 4-cycle: pi is 1/4 at every state, so the flows are exact on any
+        # LAPACK, and the message must not show numpy's scalar repr.
+        P = np.roll(np.eye(4), 1, axis=1)
+        with pytest.raises(NotReversible) as info:
+            chain_to_network(P)
+        assert str(info.value) == "detailed balance fails between states 0 and 1: 0.25 vs 0.0"
+
     def test_rejects_self_loop_mass(self):
         P = [[0.5, 0.5], [1.0, 0.0]]
         with pytest.raises(HasSelfLoopMass):

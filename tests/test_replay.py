@@ -367,6 +367,18 @@ class TestPendantTotal:
         assert total == _pendant_total(values, i, leaky, c) or (
             math.isinf(total) and math.isinf(_pendant_total(values, i, leaky, c)))
 
+    def test_an_expansion_of_many_terms(self):
+        # Each power of two sits below half an ulp of the value before it, so
+        # each is a term of its own: 39 terms, from 1e308 down to 5e-324.
+        values = [1e308, *(math.ldexp(1.0, 960 - 54 * k) for k in range(37)), 5e-324]
+        terms = _partials(values)
+        assert len(terms) >= 20
+        for i in (0, 1, 20, len(values) - 1):
+            for c in (5e-324, 1.0, 1e300):
+                leaky = _sum([values[i], c])
+                total = _sum([*terms, -values[i], leaky, c])
+                assert total.hex() == _pendant_total(values, i, leaky, c).hex(), (i, c)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_commute_identity_expects_the_full_sum(self, seed):
         rng = np.random.default_rng(7100 + seed)

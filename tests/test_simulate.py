@@ -125,16 +125,16 @@ class TestReturnTimeEstimator:
             estimate_return_time(k2, "a", trials=0, seed=0)
 
     def test_too_many_trials_raise_system_too_large(self, k4, small_memory):
-        # 24 bytes a trial: the samples, their float copy and one temporary
-        with pytest.raises(SystemTooLarge, match=r"needs 22\.9 MiB of sample storage"):
+        # 18 bytes a trial: the samples, and np.unique's sorted copy and mask in excursions
+        with pytest.raises(SystemTooLarge, match=r"needs 17\.2 MiB of sample storage"):
             estimate_return_time(k4, "a", trials=10**6, seed=0)
 
     @pytest.mark.parametrize("estimator", ("return", "hitting", "excursions"))
     def test_out_of_memory_in_the_summary_raises_system_too_large(self, k4, monkeypatch,
                                                                     estimator):
-        # the samples fit, but the summary's float copy does not
+        # the samples fit, but the summary's temporary does not
         def refuse(*args):
-            raise MemoryError("cannot allocate the float copy")
+            raise MemoryError("cannot allocate the temporary of the standard deviation")
 
         monkeypatch.setattr(simulate, "_summary", refuse)
         run = {"return": lambda: estimate_return_time(k4, "a", 100, seed=0),
@@ -142,6 +142,31 @@ class TestReturnTimeEstimator:
                "excursions": lambda: estimate_excursions(attach_pendant(k4, "a", 1.0), 100, 0)}
         with pytest.raises(SystemTooLarge, match="MiB of sample storage"):
             run[estimator]()
+
+
+class TestSummaryBits:
+    """_summary reduces the int64 samples without a float copy of them. numpy
+    sums them through a casting buffer, in another order than it sums a
+    float copy, so at 10**5 trials the mean and std_error keep the copy's
+    bits only because every partial sum is exact."""
+
+    @pytest.mark.parametrize("estimator", ("return", "hitting", "excursions"))
+    def test_mean_and_std_error_keep_the_float_copy_bits(self, k4, estimator):
+        trials, seed, cap = 10**5, 11, 10**7
+        aug = attach_pendant(k4, "a", 1.0)
+        a, b, pendant = (aug.combined.index[v] for v in ("a", "b", aug.pendant))
+        if estimator == "return":
+            est = estimate_return_time(k4, "a", trials, seed)
+            walked = simulate._walk_trials(k4, a, a, None, trials, seed, cap)
+        elif estimator == "hitting":
+            est = estimate_hitting_time(k4, "a", "b", trials, seed)
+            walked = simulate._walk_trials(k4, a, b, None, trials, seed, cap)
+        else:
+            est = estimate_excursions(aug, trials, seed)
+            walked = simulate._walk_trials(aug.combined, a, pendant, a, trials, seed, cap)
+        data = walked[0].astype(float)
+        mean, se = float(data.mean()), float(data.std(ddof=1) / math.sqrt(trials))
+        assert (est.mean.hex(), est.std_error.hex()) == (mean.hex(), se.hex())
 
 
 class TestHittingTimeEstimator:
