@@ -13,10 +13,11 @@ corresponding edges, so downstream sampling and solves are reproducible.
 
 A network is held once, in arrays: compressed sparse rows (each row's
 neighbour rows and conductances in stored order), the merged edges, and
-every C_z, all built by ``build_network`` in one pass over the edge list.
-The solver, the simulator and the replayer index rows; the label-facing
-views (``edges``, ``neighbors``, ``vertex_conductance``) are built from
-the arrays only when something reads them.
+every C_z, laid out by one step for both ``build_network`` (after one
+pass over the edge list) and ``attach_pendant``. The solver, the
+simulator and the replayer index rows; the label-facing views
+(``edges``, ``neighbors``, ``vertex_conductance``) are built from the
+arrays only when something reads them.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ from .errors import (
     SelfLoop,
     UnknownVertex,
 )
-from .util import rel_err
+from .util import rel_err, sized
 
 VertexId = str | int
 
@@ -210,9 +211,11 @@ class Distribution:
     weights: dict[VertexId, float]
 
     def __post_init__(self):
+        for v, w in self.weights.items():
+            if not 0.0 <= w < math.inf:  # false for nan too
+                raise ValueError(f"distribution weight of {v!r} is {w!r}, "
+                                 "not a finite number >= 0")
         total = math.fsum(self.weights.values())
-        if any(w < 0.0 for w in self.weights.values()):
-            raise ValueError("distribution has a negative weight")
         if abs(total - 1.0) > DISTRIBUTION_TOL:
             raise ValueError(f"distribution weights sum to {total!r}, not 1")
 
@@ -342,32 +345,40 @@ def _build(tails, heads, conductances) -> Network:
     if (not valid or np.any(u == v) or not np.all(np.isfinite(conductance))
             or (mixed and len(dict.fromkeys(zip(map(type, labels), labels))) > n)):
         _first_fault(zip(tails, heads, conductances))
-    tail, head = lo[first[by_appearance]], hi[first[by_appearance]]
-
-    # Compressed rows: both ends of each edge, edge by edge, sorted by row
-    # and then by place in that sequence, so each row lists its edges in
-    # stored order.
-    ends = np.stack((tail, head), axis=1).reshape(-1)
-    entries = np.argsort(ends * len(ends) + np.arange(len(ends)))
-    adjacent = np.stack((head, tail), axis=1).reshape(-1)[entries]
-    weight = conductance[entries // 2]
-    indptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(ends, minlength=n), out=indptr[1:])
-
-    bounds, weights = indptr.tolist(), weight.tolist()
-    row_conductance = _row_sums(weights, bounds)
-    total = _sum(row_conductance)
-    net = Network(vertices=vertices, index=index, indptr=indptr, adjacent=adjacent,
-                  weight=weight, tail=tail, head=head, conductance=conductance,
-                  row_conductance=np.array(row_conductance), total_conductance=total)
+    net = _from_edges(vertices, index, lo[first[by_appearance]], hi[first[by_appearance]],
+                      conductance)
     # The elimination order is a breadth-first search, so it reaches every
     # row exactly when the graph is connected; it is kept for the solver.
     if len(net.ordering) != n:  # name the first vertex, in input order, not reached from 0
         seen = np.zeros(n, dtype=bool)
-        seen[_breadth_first(0, bounds, adjacent.tolist())] = True
+        seen[_breadth_first(0, net.indptr.tolist(), net.adjacent.tolist())] = True
         raise Disconnected(f"graph is not connected (no path to {vertices[int(seen.argmin())]!r})")
-    _check_total(vertices, row_conductance, total)
+    _check_total(net)
     return net
+
+
+def _from_edges(vertices, index, tail, head, conductance, row_conductance=None) -> Network:
+    """The Network of the merged edges tail[i] < head[i] with conductance[i],
+    in stored order, over rows 0..len(vertices) - 1; row_conductance, the
+    array of each row's C_z, is summed from the rows unless given.
+
+    Compressed rows: both ends of each edge, edge by edge, sorted by row and
+    then by place in that sequence, so each row lists its edges in stored
+    order. Unique keys sort as fast in any order; a stable sort of the rows
+    alone, a timsort, took three times as long on a shuffled grid60.
+    """
+    ends = np.stack((tail, head), axis=1).reshape(-1)
+    entries = np.argsort(ends * len(ends) + np.arange(len(ends)))
+    adjacent = np.stack((head, tail), axis=1).reshape(-1)[entries]
+    weight = conductance[entries // 2]
+    indptr = np.zeros(len(vertices) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(ends, minlength=len(vertices)), out=indptr[1:])
+    if row_conductance is None:
+        row_conductance = np.array(_row_sums(weight.tolist(), indptr.tolist()))
+    return Network(vertices=vertices, index=index, indptr=indptr, adjacent=adjacent,
+                   weight=weight, tail=tail, head=head, conductance=conductance,
+                   row_conductance=row_conductance,
+                   total_conductance=_sum(row_conductance.tolist()))
 
 
 def _first_fault(edge_list) -> NoReturn:
@@ -407,12 +418,12 @@ def _first_fault(edge_list) -> NoReturn:
     raise TypeError("edge list entries must be (u, v, conductance) sequences")
 
 
-def _check_total(vertices, row_conductance: list[float], total: float) -> None:
+def _check_total(net: Network) -> None:
     """NonPositiveConductance unless the total C, the sum of the C_z, is
     finite, naming the first vertex whose C_z is not, if one is not."""
-    if not math.isfinite(total):  # C bounds every C_z, so this checks them all
-        v = next((v for v, cz in zip(vertices, row_conductance) if not math.isfinite(cz)), None)
-        what = "total conductance" if v is None else f"conductance of vertex {v!r}"
+    if not math.isfinite(net.total_conductance):  # C bounds every C_z, so this checks them all
+        bad = np.flatnonzero(~np.isfinite(net.row_conductance))
+        what = f"conductance of vertex {net.vertices[bad[0]]!r}" if bad.size else "total conductance"
         raise NonPositiveConductance(f"{what} is not finite")
 
 
@@ -428,9 +439,11 @@ def transition_distribution(net: Network, y: VertexId) -> Distribution:
 def transition_matrix(net: Network) -> np.ndarray:
     """Row-stochastic kernel of the induced walk, rows in vertex order.
 
-    Each entry is C_yz / C_y, one division, from the edge arrays.
+    Each entry is C_yz / C_y, one division, from the edge arrays. Running
+    out of memory for the n x n array raises SystemTooLarge.
     """
-    P = np.zeros((net.n, net.n))
+    with sized(8 * net.n**2, "the transition matrix", "dense storage"):
+        P = np.zeros((net.n, net.n))
     P[net.tail, net.head] = net.conductance / net.row_conductance[net.tail]
     P[net.head, net.tail] = net.conductance / net.row_conductance[net.head]
     return P
@@ -444,37 +457,23 @@ def attach_pendant(net: Network, z: VertexId, c: float = 1.0) -> AugmentedNetwor
     net.total_conductance + 2 c. The pendant label is generated from z and
     guaranteed not to collide with existing labels.
 
-    The combined network is the base's arrays with one row and one edge
-    appended: what build_network makes of the base's edges followed by (z,
-    pendant, c), bit for bit, since the new edge is the last of z's row and
-    only C_z and C change.
+    The combined network is the base's edges followed by (z, pendant, c),
+    laid out by build_network's compressed-row step: what build_network
+    makes of them, bit for bit. Only C_z is summed again, and ``ordering``
+    waits for a solve, since the network is connected by construction.
     """
     net.require(z)
     value = _check_conductance(c)
     label = f"~{z}"
     while label in net.index:
         label += "~"
-    n, iz = net.n, net.index[z]
-    end = int(net.indptr[iz + 1])
-    weight = np.append(np.insert(net.weight, end, value), value)
+    iz = net.index[z]
     row_conductance = np.append(net.row_conductance, value)
-    row_conductance[iz] = _sum(weight[net.indptr[iz]:end + 1].tolist())
-    vertices = net.vertices + (label,)
-    sums = row_conductance.tolist()
-    total = _sum(sums)
-    _check_total(vertices, sums, total)
-    combined = Network(
-        vertices=vertices,
-        index={**net.index, label: n},
-        indptr=np.append(net.indptr + (np.arange(n + 1) > iz), 2 * net.m + 2),
-        adjacent=np.append(np.insert(net.adjacent, end, n), iz),
-        weight=weight,
-        tail=np.append(net.tail, iz),
-        head=np.append(net.head, n),
-        conductance=np.append(net.conductance, value),
-        row_conductance=row_conductance,
-        total_conductance=total,
-    )
+    row_conductance[iz] = _sum([*net.row(iz)[1], value])
+    combined = _from_edges(net.vertices + (label,), {**net.index, label: net.n},
+                           np.append(net.tail, iz), np.append(net.head, net.n),
+                           np.append(net.conductance, value), row_conductance)
+    _check_total(combined)
     return AugmentedNetwork(
         base=net,
         pendant=label,
@@ -546,9 +545,8 @@ def chain_to_network(P, scale: float = 1.0, states=None) -> Network:
             f"{float(flows[worst])!r} vs {float(flows.T[worst])!r}"
         )
 
-    edges = []
-    for y in range(k):
-        for z in range(y + 1, k):
-            if P[y, z] > 0.0:
-                edges.append((states[y], states[z], scale * 0.5 * (flows[y, z] + flows[z, y])))
-    return build_network(edges)
+    y, z = np.nonzero(np.triu(P > 0.0, 1))  # row by row
+    conductance = scale * 0.5 * (flows[y, z] + flows[z, y])
+    label = states.__getitem__
+    return build_network(zip(map(label, y.tolist()), map(label, z.tolist()),
+                             conductance.tolist()))

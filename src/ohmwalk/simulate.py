@@ -49,12 +49,11 @@ _CHUNK = 2048
 # finish in the scalar loop, where a step costs less than a lock-step
 # round's fixed numpy overhead.
 _SCALAR_TAIL = 64
-# Bytes an estimate holds per trial at its peak, the most of the three
-# estimators': the int64 samples plus, in estimate_excursions, np.unique's
-# sorted copy and its mask (18); the others peak at the samples and the
-# float temporary of the standard deviation (16). Measured with tracemalloc
-# as the slope between 10**6 and 2 * 10**6 trials on K4.
-_SAMPLE_BYTES = 18
+# Bytes an estimate holds per trial at its peak: the int64 samples and the
+# float temporary of the standard deviation, in each of the three
+# estimators. Measured with tracemalloc as the slope between 10**6 and
+# 2 * 10**6 trials on K4.
+_SAMPLE_BYTES = 16
 # Uniforms drawn at a time for a trial in the scalar loop: the first block,
 # then doubling up to the last. A trial's stream is its own, so draws past
 # its end are simply dropped.
@@ -526,8 +525,9 @@ def estimate_excursions(
     with _sample_storage(trials):
         returns, *steps = _walk_trials(net, anchor, net.index[aug.pendant], anchor,
                                        trials, seed, step_cap)
-        values, counts = np.unique(returns, return_counts=True)
-        return ExcursionEstimate(
-            **_summary(returns, *steps, seed),
-            counts=dict(zip(values.tolist(), counts.tolist())),
-        )
+        summary = _summary(returns, *steps, seed)
+        returns.sort()  # in place, once the summary has read the trial order
+        last = np.append(np.flatnonzero(returns[1:] != returns[:-1]), len(returns) - 1)
+        counts = np.diff(last, prepend=-1)  # the length of each run of one value
+        return ExcursionEstimate(**summary, counts=dict(zip(returns[last].tolist(),
+                                                            counts.tolist())))

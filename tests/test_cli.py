@@ -556,7 +556,7 @@ class TestExitCodes:
         code, out, err = invoke(capsys, [a.format(tri_file) for a in argv]
                                 + ["--trials", "1000000"])
         assert (code, out) == (2, "")
-        assert err == ("ohmwalk: error: the estimate needs 17.2 MiB of sample storage, "
+        assert err == ("ohmwalk: error: the estimate needs 15.3 MiB of sample storage, "
                        "more than could be allocated\n")
 
 

@@ -15,6 +15,7 @@ from ohmwalk import (
     NotIrreducible,
     NotReversible,
     SelfLoop,
+    SystemTooLarge,
     UnknownVertex,
     attach_pendant,
     build_network,
@@ -370,6 +371,11 @@ class TestTransitionMatrix:
                 want[net.index[y], net.index[z]] = c / net.vertex_conductance[y]
         assert transition_matrix(net).tolist() == want.tolist()
 
+    def test_out_of_memory_raises_system_too_large(self, small_memory):
+        net = build_network(_grid_edges(20))  # 160000 entries
+        with pytest.raises(SystemTooLarge, match=r"the transition matrix needs 1\.2 MiB "):
+            transition_matrix(net)
+
 
 class TestDistributionType:
     def test_rejects_unnormalized(self):
@@ -379,6 +385,12 @@ class TestDistributionType:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             Distribution({"a": 1.5, "b": -0.5})
+
+    @pytest.mark.parametrize("weights,vertex", [({"a": 0.5, "b": math.nan, "c": 0.5}, "b"),
+                                                ({"a": math.inf, "b": -math.inf}, "a")])
+    def test_rejects_a_weight_that_is_not_finite(self, weights, vertex):
+        with pytest.raises(ValueError, match=f"weight of {vertex!r} is .*, not a finite"):
+            Distribution(weights)
 
     def test_absent_weight_is_zero(self):
         d = Distribution({"a": 1.0})
@@ -417,6 +429,15 @@ class TestAttachPendant:
         aug = attach_pendant(net, "a", 1.0)
         assert aug.pendant not in net.index
         assert aug.combined.degree(aug.pendant) == 1
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_ordering_is_built_only_when_read(self, seed):
+        # the pendant network is connected by construction; a solve builds it
+        rng = np.random.default_rng(seed)
+        net = random_connected_network(rng, n_hi=30)
+        combined = attach_pendant(net, net.vertices[int(rng.integers(net.n))], 0.5).combined
+        assert "ordering" not in combined.__dict__
+        assert combined.ordering == reverse_cuthill_mckee(combined)
 
     def test_errors(self, triangle):
         with pytest.raises(UnknownVertex):
@@ -524,6 +545,25 @@ class TestChainToNetwork:
             assert irreducible == strongly_connected(P), P
             seen.add(irreducible)
         assert seen == {True, False}
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_edges_match_a_double_loop(self, seed):
+        P, _ = random_reversible_kernel(np.random.default_rng(seed), n_hi=12)
+        k = len(P)
+        states = [f"s{k - y}" for y in range(k)]
+        A = P.T - np.eye(k)  # pi, solved as chain_to_network solves it
+        A[-1, :] = 1.0
+        b = np.zeros(k)
+        b[-1] = 1.0
+        pi = np.linalg.solve(A, b)
+        flows = (pi / pi.sum())[:, None] * P
+        edges = []
+        for y in range(k):
+            for z in range(y + 1, k):
+                if P[y, z] > 0.0:
+                    edges.append((states[y], states[z], 3.7 * 0.5 * (flows[y, z] + flows[z, y])))
+        assert (network_bits(chain_to_network(P, scale=3.7, states=states))
+                == network_bits(build_network(edges)))
 
     @pytest.mark.parametrize("seed", range(12))
     def test_round_trip_on_induced_kernels(self, seed):

@@ -125,8 +125,8 @@ class TestReturnTimeEstimator:
             estimate_return_time(k2, "a", trials=0, seed=0)
 
     def test_too_many_trials_raise_system_too_large(self, k4, small_memory):
-        # 18 bytes a trial: the samples, and np.unique's sorted copy and mask in excursions
-        with pytest.raises(SystemTooLarge, match=r"needs 17\.2 MiB of sample storage"):
+        # 16 bytes a trial: the samples and the standard deviation's temporary
+        with pytest.raises(SystemTooLarge, match=r"needs 15\.3 MiB of sample storage"):
             estimate_return_time(k4, "a", trials=10**6, seed=0)
 
     @pytest.mark.parametrize("estimator", ("return", "hitting", "excursions"))
