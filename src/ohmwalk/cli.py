@@ -3,7 +3,7 @@
 Loads a network from an edge-list file (one `u v conductance` triple per
 line, `#` comments, conductance defaulting to 1), dispatches to the exact
 solver, the simulator, or the verification replayer, and prints one JSON
-document (CSV for flat estimate rows) on standard output.
+document (CSV for flat estimate rows) on standard output, in one write.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input errors. A
 stdout closed early (``| head``) or from the start (``>&-``) does not change
@@ -29,9 +29,6 @@ from .util import DEFAULT_STEP_CAP, DEFAULT_TOLERANCE
 
 DEFAULT_TRIALS = 100_000
 DEFAULT_SEED = 0
-# Standard output is written in blocks of at least this many characters, so
-# that an unbuffered stdout makes a few large writes, not one per token.
-_BLOCK = 1 << 16
 
 
 def parse_network_file(text: str) -> Network:
@@ -109,24 +106,15 @@ def _seed_value(text: str) -> int:
 
 
 def _emit(parts) -> None:
-    """Write the text parts to stdout, joined into blocks of at least _BLOCK
-    characters (the last may be shorter), and flush. A reader that stops
-    reading (``| head``) ends the output, not the command, whose exit code
-    stays its own: stdout then points at devnull, as the Python docs advise,
-    so that the flush at exit cannot raise BrokenPipeError again. A stdout
-    closed before the command started (``>&-``) is written nothing."""
+    """Write the text parts to stdout in one write, and flush. A reader that
+    stops reading (``| head``) ends the output, not the command, whose exit
+    code stays its own: stdout then points at devnull, as the Python docs
+    advise, so that the flush at exit cannot raise BrokenPipeError again. A
+    stdout closed before the command started (``>&-``) is written nothing."""
     if sys.stdout is None:
         return
     try:
-        block, size = [], 0
-        for part in parts:
-            block.append(part)
-            size += len(part)
-            if size >= _BLOCK:
-                sys.stdout.write("".join(block))
-                block, size = [], 0
-        if block:
-            sys.stdout.write("".join(block))
+        sys.stdout.write("".join(parts))
         sys.stdout.flush()
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)

@@ -7,15 +7,16 @@ the singular Laplacian invertible without touching pseudoinverses.
 
 Every solve goes through one numpy kernel, ``_eliminate``: Gaussian
 elimination in the subtraction-free form of Grassmann, Taksar and Heyman
-(GTH). A system is a network with a *leak* (a conductance to ground) at
-some vertices. Eliminating a vertex is a Kron reduction: its neighbours
-gain couplings and leak in proportion to theirs, and each pivot is the sum
-of a vertex's remaining couplings and its leak, never a difference. Every
-update and the back-substitution add nonnegative terms only, so with the
-nonnegative right-hand sides used here (vertex conductances, unit
-currents) every entry of the solution is accurate to a few ulps whatever
-the conductance ratios. A grounded vertex moves its couplings into its
-neighbours' leak and keeps an empty unit row.
+(GTH). A whole system (``_solve_at``) is the network held at 0 at one
+vertex, whose couplings become its neighbours' *leak* (a conductance to
+ground) while it keeps an empty unit row; only replay's leaf systems
+(``_leaf_solves``) also leak at their anchor. Eliminating a vertex is a
+Kron reduction: its neighbours gain couplings and leak in proportion to
+theirs, and each pivot is the sum of a vertex's remaining couplings and its
+leak, never a difference. Every update and the back-substitution add
+nonnegative terms only, so with the nonnegative right-hand sides used here
+(vertex conductances, unit currents) every entry of the solution is
+accurate to a few ulps whatever the conductance ratios.
 
 Vertices are eliminated in reverse Cuthill-McKee order
 (``Network.ordering``), in which the Laplacian is a band; the kernel
@@ -44,7 +45,8 @@ reads both hitting times and R(x, y) from one batch of two.
 
 Each system is scaled by one power of two before it is eliminated
 (``_scale``), chosen from the network and its leak alone: when its largest
-conductance is below 1, up to [1, 2). That changes no solution and, for
+conductance is below 1, up to [1, 2); whole systems have no leak, so a
+batch of them shares one scale. That changes no solution and, for
 inputs without subnormal values, no bit; subnormal conductances, which are
 multiples of 5e-324, would otherwise keep only a few bits through the
 Kron updates.
@@ -371,31 +373,25 @@ def _scale(net: Network, leak: float = 0.0) -> int:
     return min(max(0, 1 - math.frexp(top)[1]), 1022)
 
 
-def _solve_at(net: Network, grounds, b: np.ndarray, leak: np.ndarray | None = None) -> np.ndarray:
+def _solve_at(net: Network, grounds, b: np.ndarray) -> np.ndarray:
     """Solve a batch of net's grounded systems, eliminating each once.
 
-    Member s is net's Laplacian plus ``leak[s]`` (a conductance from each
-    vertex to ground; none when leak is None) with vertex row ``grounds[s]``
-    held at 0, or no vertex when it is None (the leak must then reach
-    ground). b[s] has a row per vertex and a column per right-hand side, all
-    >= 0; row grounds[s], the current the ground absorbs, is ignored.
-    Returns x of b's shape, with x[s, grounds[s]] = 0. Each member is
-    scaled by its own power of two (_scale).
+    Member s is net's Laplacian with vertex row ``grounds[s]`` held at 0.
+    b[s] has a row per vertex and a column per right-hand side, all >= 0;
+    row grounds[s], the current the ground absorbs, is ignored. Returns x
+    of b's shape, with x[s, grounds[s]] = 0. The batch is scaled as net is
+    (_scale).
     """
     order, place, lo, hi, width = _band(net)
     S, n, m = b.shape
     w = int(width.max())
-    k = np.array([_scale(net) if leak is None else _scale(net, leak[s].max()) for s in range(S)])
+    k = _scale(net)
     with _sized(_band_bytes(S, n, w, m)):
         U = np.zeros((S, n + w, w + 1))
-        U[:, lo, hi - lo] = np.ldexp(net.conductance, k[:, None])
+        U[:, lo, hi - lo] = np.ldexp(net.conductance, k)
         R = np.zeros((S, m + 1, n + w))
-        R[:, 1:, :n] = np.ldexp(b[:, order], k[:, None, None]).transpose(0, 2, 1)
-        if leak is not None:
-            R[:, 0, :n] = np.ldexp(leak[:, order], k[:, None])
-        held = [s for s, g in enumerate(grounds) if g is not None]
-        if held:
-            _ground(U, R, np.array(held), place[[grounds[i] for i in held]])
+        R[:, 1:, :n] = np.ldexp(b[:, order], k).transpose(0, 2, 1)
+        _ground(U, R, np.arange(S), place[grounds])
         with np.errstate(all="ignore"):
             x, pivots = _eliminate(U, R, width.tolist())
     _check(pivots, x)

@@ -711,7 +711,7 @@ class TestOutputPrecision:
 
     def test_verify_writes_in_blocks_whatever_stdout_buffers(self, tmp_path, monkeypatch):
         # An unbuffered stdout makes one system call per write, so the
-        # document goes out in blocks of at least 64 KiB, not token by token.
+        # document goes out in one write, not token by token.
         class CountingStdout(io.StringIO):
             writes = 0
 

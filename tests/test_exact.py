@@ -410,9 +410,10 @@ def _accuracy_sample() -> tuple:
     """(entrywise relative errors, warnings emitted) over a seeded sample:
     6-12-vertex networks with log-uniform conductances over spans 1e2..1e18,
     grounded at every vertex (hitting-time right-hand side), and each
-    anchor's replay leak system with a log-uniform pendant c. The error is
-    against the exact rational solve of the system its couplings and leak
-    define."""
+    anchor's replay leak system with a log-uniform pendant c, solved in the
+    anchor's leaf as replay solves it (_leaf_solves). The error is against
+    the exact rational solve of the system its couplings and leak define,
+    over the leaf's vertices."""
     rng = np.random.default_rng(0)
     errors = []
     with warnings.catch_warnings(record=True) as caught:
@@ -425,7 +426,13 @@ def _accuracy_sample() -> tuple:
             vertex_conductance = net.row_conductance
             conductances = [w for _, _, w in net.edges]
             lo, hi = math.log10(min(conductances)), math.log10(max(conductances))
-            systems = [(g, vertex_conductance[:, None], None) for g in range(net.n)]
+            solves = []
+            for ground in range(net.n):
+                keep = np.arange(net.n) != ground
+                got = _solve_at(net, [ground], vertex_conductance[None, :, None])[0, keep, 0]
+                solves.append((got, grounded_solve_exact(dense_laplacian(net, ground),
+                                                         vertex_conductance[keep])))
+            band = _band(net)
             for z in net.vertices:
                 c = float(10.0 ** rng.uniform(lo - 3.0, hi + 3.0))
                 iz = net.index[z]
@@ -433,13 +440,12 @@ def _accuracy_sample() -> tuple:
                 leaky[iz] = _sum([*(w for _, w in net.neighbors[z]), c])
                 leak = np.zeros(net.n)
                 leak[iz] = c
-                systems.append((None, np.column_stack((leaky, np.arange(net.n) == iz)), leak))
-            for ground, b, leak in systems:
-                keep = np.arange(net.n) != ground
-                got = _solve_at(net, [ground], b[None],
-                                None if leak is None else leak[None])[0][keep].ravel()
-                want = np.ravel(np.array(grounded_solve_exact(
-                    dense_laplacian(net, ground, leak), b[keep]), dtype=object))
+                a, leaked, _ = next(_leaf_solves(net, band, [iz], [leaky[iz]], c))
+                leaf = band[0][a:a + leaked.shape[1]]
+                want = grounded_solve_exact(dense_laplacian(net, None, leak),
+                                            np.column_stack((leaky, np.arange(net.n) == iz)))
+                solves.append((leaked.T.ravel(), [e for v in leaf for e in want[v]]))
+            for got, want in solves:
                 errors.append(max(float(abs(Fraction(float(x)) - e) / e)
                                   for x, e in zip(got, want)))
     return tuple(errors), len(caught)
@@ -482,16 +488,14 @@ class TestAccuracy:
 
 def _assert_batch_members_match(net):
     vertex_conductance = net.row_conductance
-    grounds = [None, *range(net.n)]
-    b = np.broadcast_to(vertex_conductance[None, :, None], (len(grounds), net.n, 2)).copy()
-    b[0, 0, 1] = 1.0
-    leak = np.zeros((len(grounds), net.n))
-    leak[0, 0] = 0.5
-    batch = _solve_at(net, grounds, b, leak)
+    grounds = list(range(net.n))
+    b = np.broadcast_to(vertex_conductance[None, :, None], (net.n, net.n, 2)).copy()
+    b[1, 0, 1] = 1.0
+    batch = _solve_at(net, grounds, b)
     for s, ground in enumerate(grounds):
-        one = _solve_at(net, [ground], b[s:s + 1], leak[s:s + 1])
+        one = _solve_at(net, [ground], b[s:s + 1])
         assert batch[s].tolist() == one[0].tolist()
-    assert _solve_at(net, grounds[:3], b[:3], leak[:3]).tolist() == batch[:3].tolist()
+    assert _solve_at(net, grounds[:3], b[:3]).tolist() == batch[:3].tolist()
 
 
 def _anchor_solves(net, c):
@@ -523,14 +527,18 @@ class TestLeaves:
         # Both are subtraction-free eliminations of one system in two orders.
         net = grid_network(k, k, np.random.default_rng(k), span=6.0)
         assert _leaf_count(net) >= 3
-        vertex_conductance = net.row_conductance
+        order, place, lo, hi, _ = _band(net)
+        couplings = dict(zip(zip(lo.tolist(), hi.tolist()), net.conductance.tolist()))
         for iz, cz, leaf, leaked, grounded, values in _anchor_solves(net, c):
-            b = np.zeros((2, net.n, 2))
-            b[:, :, 0] = vertex_conductance
-            b[0, iz] = cz, 1.0
-            leak = np.zeros((2, net.n))
-            leak[0, iz] = c
-            x = _solve_at(net, [None, iz], b, leak)
+            z = place[iz]
+            b = np.zeros((2, net.n, 2))  # by place
+            b[:, :, 0] = net.row_conductance[order]
+            b[0, z] = cz, 1.0
+            leaks = np.zeros((2, net.n))
+            leaks[0, z] = c
+            x, pivots = _kernel_solves(net.n, couplings, [None, z], leaks, b)
+            _check(pivots, x)
+            x = x[:, place]  # by vertex row
             got = np.concatenate([leaked.ravel(), grounded])
             want = np.concatenate([x[0, leaf].T.ravel(), x[1, leaf, 0]])
             assert np.all(np.abs(got - want) <= 1e-14 * want), iz

@@ -551,12 +551,7 @@ class TestChainToNetwork:
         P, _ = random_reversible_kernel(np.random.default_rng(seed), n_hi=12)
         k = len(P)
         states = [f"s{k - y}" for y in range(k)]
-        A = P.T - np.eye(k)  # pi, solved as chain_to_network solves it
-        A[-1, :] = 1.0
-        b = np.zeros(k)
-        b[-1] = 1.0
-        pi = np.linalg.solve(A, b)
-        flows = (pi / pi.sum())[:, None] * P
+        flows = _gth_stationary(P)[:, None] * P
         edges = []
         for y in range(k):
             for z in range(y + 1, k):
@@ -565,6 +560,29 @@ class TestChainToNetwork:
         assert (network_bits(chain_to_network(P, scale=3.7, states=states))
                 == network_bits(build_network(edges)))
 
+    def test_realizes_a_chain_whose_stationary_law_spans_1e76(self):
+        # pi falls by about 99 per state; a dense solve lost the small masses
+        # and realized row 19 off by a factor of 49
+        P = _birth_death(40, 0.01)
+        net = chain_to_network(P)
+        Q = induced_kernel(net, tuple(range(40)))
+        support = P > 0.0
+        assert np.all(np.abs(Q[support] - P[support]) <= 1e-12 * P[support])
+        assert np.all(Q[~support] == 0.0)
+
+    def test_rejects_a_one_way_arc_however_small_its_flow(self):
+        # pi is about 7e-73 at 37, so the arc 37 -> 39 carries a flow far
+        # below 1e-9: only a relative balance test sees it
+        P = _birth_death(40, 0.01)
+        P[37, 39], P[37, 36] = 0.005, P[37, 36] - 0.005
+        with pytest.raises(NotReversible, match="between states 37 and 39: .* vs 0.0$"):
+            chain_to_network(P)
+
+    def test_stationary_flows_past_the_normal_range_raise_a_typed_error(self):
+        # pi falls below 1e-308 near state 155, so no network of doubles has this walk
+        with pytest.raises(NonPositiveConductance, match="flows leave the normal floating-point"):
+            chain_to_network(_birth_death(200, 0.01))
+
     @pytest.mark.parametrize("seed", range(12))
     def test_round_trip_on_induced_kernels(self, seed):
         source = random_connected_network(np.random.default_rng(seed), n_hi=8)
@@ -572,6 +590,37 @@ class TestChainToNetwork:
         rebuilt = chain_to_network(P, scale=3.7)
         states = tuple(range(source.n))
         assert np.max(np.abs(induced_kernel(rebuilt, states) - P)) < 1e-9
+
+
+def _gth_stationary(P) -> np.ndarray:
+    """pi of an irreducible kernel by GTH in scalar loops: states eliminated
+    last to first, each pivot the sum of the probabilities of leaving for an
+    earlier state, then back-substitution; every sum a math.fsum, as in
+    chain_to_network."""
+    k = len(P)
+    A = P.tolist()
+    for j in range(k - 1, 0, -1):
+        pivot = math.fsum(A[j][:j])
+        for i in range(j):
+            A[i][j] /= pivot
+        for i in range(j):
+            for col in range(j):
+                A[i][col] += A[i][j] * A[j][col]
+    pi = [1.0]
+    for j in range(1, k):
+        pi.append(math.fsum(pi[i] * A[i][j] for i in range(j)))
+    total = math.fsum(pi)
+    return np.array([p / total for p in pi])
+
+
+def _birth_death(k: int, up: float) -> np.ndarray:
+    """The walk on 0..k-1 that steps up with probability ``up`` and down
+    otherwise, reflecting at both ends."""
+    P = np.zeros((k, k))
+    P[0, 1] = P[k - 1, k - 2] = 1.0
+    for i in range(1, k - 1):
+        P[i, i + 1], P[i, i - 1] = up, 1.0 - up
+    return P
 
 
 @st.composite
