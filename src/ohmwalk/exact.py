@@ -65,9 +65,9 @@ batches of up to ``_batch_limit`` systems (``_leaf_solves``). A sweep
 over n anchors costs about 2n · 3w · w² plus two sweeps, against 2n · n ·
 w² for whole systems. When 3w >= n the one leaf is the whole network. All
 of it is GTH pivots, run by the same kernel loop (``_reduce``). Its panels
-start at multiples of ``_PANEL`` in each system's own order, and a sweep
-takes each copy between two pivots without cutting the panel short, so a
-copy's bits do not depend on where else the sweep stops.
+start at multiples of ``_PANEL`` in each system's own order; a sweep also
+cuts one at every leaf boundary up to the furthest it needs and copies
+there, between panels, so no copy depends on which anchors were asked for.
 
 Storage is sized before it is allocated; running out of memory raises
 SystemTooLarge, naming that size.
@@ -171,85 +171,73 @@ def _skewed(T: np.ndarray, w: int) -> np.ndarray:
                       writeable=True)
 
 
-def _panel_ends(width) -> list:
-    """For each panel, one past the furthest row any of its rows reaches."""
-    n = len(width)
-    return (np.maximum.reduceat(np.arange(n) + width, np.arange(0, n, _PANEL)) + 1).tolist()
+def _panel_ends(width, starts) -> list:
+    """For each panel, the rows from one of ``starts`` to the next or to the
+    end, one past the furthest row any of its rows reaches."""
+    return (np.maximum.reduceat(np.arange(len(width)) + width, starts) + 1).tolist()
 
 
-def _kron(D: np.ndarray, R: np.ndarray, T: np.ndarray, pivots: np.ndarray, col: int,
+def _kron(D: np.ndarray, R: np.ndarray, T: np.ndarray, pivots: np.ndarray,
           upper: np.ndarray) -> None:
-    """Add into h band rows the Kron reduction of a panel's eliminated rows:
-    T's rows (see _reduce) with their pivots (rows, S), T's column col + a
-    coupling the a-th of the h rows. D is those rows' h x h block (see
-    _diagonals) and R their leak and right-hand sides (S, m + 1, h).
-    ``upper`` is the h x h strict upper triangle, as a mask. One matmul per
-    member: its sum runs over the panel's rows, and each product is of
-    nonnegative numbers."""
-    h = len(upper)
-    F = T[:, :, col:col + h] / pivots.T[:, :, None]
+    """Add into h band rows the Kron reduction of a panel's p eliminated rows:
+    T's rows (see _reduce) with their pivots (p, S), T's column p + a
+    coupling the a-th of the h rows, the rows just after the panel. D is
+    those rows' h x h block (see _diagonals) and R their leak and right-hand
+    sides (S, m + 1, h). ``upper`` is a strict upper triangle at least h x h,
+    as a mask. One matmul per member: its sum runs over the panel's rows,
+    and each product is of nonnegative numbers."""
+    h, p = D.shape[1], T.shape[1]
+    F = T[:, :, p:p + h] / pivots.T[:, :, None]
     if h > 1:
-        G = np.matmul(F.transpose(0, 2, 1), T[:, :, col:])
+        G = np.matmul(F.transpose(0, 2, 1), T[:, :, p:])
     else:  # numpy's matmul would call gemv, whose sums depend on the row's length
-        G = (F * T[:, :, col:]).sum(1)[:, None]
-    np.add(D, G[:, :, :h], out=D, where=upper)
-    R += G[:, :, T.shape[2] - R.shape[1] - col:].transpose(0, 2, 1)
+        G = (F * T[:, :, p:]).sum(1)[:, None]
+    np.add(D, G[:, :, :h], out=D, where=upper[:h, :h])
+    R += G[:, :, T.shape[2] - R.shape[1] - p:].transpose(0, 2, 1)
 
 
 def _reduce(U: np.ndarray, R: np.ndarray, width, pivots: np.ndarray, stops=(),
             blocks: np.ndarray | None = None) -> list:
     """GTH-eliminate a batch of banded systems from their first row, in
-    panels of _PANEL rows; layout as for _eliminate. Row k's pivot goes to
-    pivots[k], and row k keeps its couplings and right-hand sides as they
-    stood at its pivot.
+    panels of at most _PANEL rows; layout as for _eliminate. Row k's pivot
+    goes to pivots[k], and row k keeps its couplings and right-hand sides as
+    they stood at its pivot.
 
     A panel's rows are copied into a buffer T in absolute column order:
     T[s, i, j] is W(k0 + i, k0 + j) for i < j < _PANEL + w, followed by
     the leak and the right-hand sides. One outer product per pivot updates
     the rest of the panel; then one matmul applies the panel's Kron
     reduction to the rows after it (_kron). Panels start at multiples of
-    _PANEL whatever the stops, so a member's bits depend on its own system
-    only. When blocks is given, panel b's couplings among its own rows,
-    T[s, a, c] once its pivots are taken, go to blocks[a, c, b, s]; their
-    strict upper triangle is what _substitute needs.
+    _PANEL and at every stop, so a member's bits depend on its own system
+    and the stops only. When blocks is given (with no stops), panel b's
+    couplings among its own rows, T[s, a, c] once its pivots are taken, go
+    to blocks[a, c, b, s]; their strict upper triangle is what _substitute
+    needs.
 
     Without stops every row is eliminated and [] returned. Otherwise rows
     [0, stops[-1]) are, and for each (nondecreasing) stop s a copy of the
-    band rows [s, s + w), U (S, w, w + 1) and R (S, m + 1, w), as they stand
-    once rows [0, s) are eliminated: the panel's rows from T, and the rows
-    past the panel with its pending update added to the copy only.
+    band rows [s, s + w), U (S, w, w + 1) and R (S, m + 1, w), taken
+    between panels once rows [0, s) are eliminated and nothing is pending.
     """
     S, N, L = U.shape
-    w, n, P = L - 1, len(width), _PANEL
+    w, P = L - 1, _PANEL
+    n = stops[-1] if stops else len(width)  # the rows to eliminate
+    starts = sorted({*range(0, n, P), *stops} - {n})
     lead = P + w
     # T's entries at and below the diagonal take updates that nothing reads.
     T = np.zeros((S, P, lead + R.shape[1]))
     skew = _skewed(T, w)
     diagonals = _diagonals(U, w)
     upper = np.triu(np.ones((w, w), dtype=bool), 1)
-    last = stops[-1] if stops else n
-    taken = dict.fromkeys(stops)
-    for k0, end in zip(range(0, n, P), _panel_ends(width)):
-        k1 = min(k0 + P, n)
+    copies = dict.fromkeys(stops)
+    for k0, k1, end in zip(starts, starts[1:] + [n], _panel_ends(width[:n], starts)):
         p = k1 - k0
         skew[:, :p] = U[:, k0:k1, 1:]
         T[:, :p, lead:] = R[:, :, k0:k1].transpose(0, 2, 1)
         for i in range(p):
-            k = k0 + i
-            if k in taken:
-                U[:, k:k1, 1:] = skew[:, i:p]  # the panel's live rows, up to date
-                R[:, :, k:k1] = T[:, i:p, lead:].transpose(0, 2, 1)
-                Uc, Rc = U[:, k:k + w].copy(), R[:, :, k:k + w].copy()
-                h = k + w - k1  # the copy's rows past the panel
-                if i and h > 0:
-                    _kron(_diagonals(Uc, h)[:, k1 - k], Rc[:, :, k1 - k:], T[:, :i], pivots[k0:k],
-                          p, upper[:h, :h])
-                taken[k] = Uc, Rc
-                if k == last:
-                    return [taken[stop] for stop in stops]
             row = T[:, i, i + 1:]
             pivot = np.add.reduce(row[:, :lead - i], -1)  # the couplings and the leak
-            pivots[k] = pivot
+            pivots[k0 + i] = pivot
             if i + 1 < p:
                 f = row[:, :p - i - 1] / pivot[:, None]
                 T[:, i + 1:p, i + 1:] += f[:, :, None] * row[:, None, :]
@@ -259,9 +247,10 @@ def _reduce(U: np.ndarray, R: np.ndarray, width, pivots: np.ndarray, stops=(),
             blocks[:p, :p, k0 // P] = T[:, :p, :p].transpose(1, 2, 0)
         h = end - k1
         if h > 0:
-            _kron(diagonals[:, k1, :h, :h], R[:, :, k1:end], T[:, :p], pivots[k0:k1], p,
-                  upper[:h, :h])
-    return []
+            _kron(diagonals[:, k1, :h, :h], R[:, :, k1:end], T[:, :p], pivots[k0:k1], upper)
+        if k1 in copies:
+            copies[k1] = U[:, k1:k1 + w].copy(), R[:, :, k1:k1 + w].copy()
+    return [copies[stop] for stop in stops]
 
 
 def _panel_inverses(blocks: np.ndarray, pivots: np.ndarray) -> np.ndarray:
@@ -309,7 +298,7 @@ def _substitute(U: np.ndarray, R: np.ndarray, width, pivots: np.ndarray,
     x[:, :, :m] = R[:, 1:, :n].transpose(0, 2, 1)  # the right-hand sides, replaced panel by panel
     T = np.zeros((S, P, P + w))
     skew = _skewed(T, w)
-    ends = _panel_ends(width)
+    ends = _panel_ends(width, range(0, n, P))
     for k0 in range((n - 1) // P * P, -1, -P):
         k1 = min(k0 + P, n)
         p, e = k1 - k0, ends[k0 // P] - k0
@@ -428,7 +417,8 @@ def _sweep(U: np.ndarray, R: np.ndarray, width, stops: list):
     """Eliminate one banded system (a batch of one, laid out as for
     _eliminate) from its first row, and at each of the nondecreasing
     ``stops`` copy the next w rows, w the band width: their couplings U and
-    their leak and right-hand side R (see _reduce). Eliminating rows
+    their leak and right-hand side R (see _reduce). A panel ends at every
+    stop, so each copy is taken between two panels. Eliminating rows
     [0, stop) changes no entry outside those w rows, so a copy and the
     untouched rows after it are the system Kron-reduced onto [stop, n).
     Returns the copies, stacked."""
@@ -441,27 +431,32 @@ def _sweep(U: np.ndarray, R: np.ndarray, width, stops: list):
     return Uc, Rc
 
 
-def _leaf_systems(net: Network, band, first: np.ndarray, end: np.ndarray, L: int, scale: int):
-    """The leaves [first[i], end[i]) of net's system with no leak and the
-    vertex conductances on the right, all scaled by 2**scale: net
-    Kron-reduced onto each leaf, laid out as for _eliminate over L rows
-    (rows past a leaf's end are empty unit rows). Returns U (k, L + w, w + 1)
-    and R (k, 2, L + w).
+def _leaf_systems(net: Network, band, leaves, ids: np.ndarray, scale: int):
+    """Leaves ids (increasing) of the partition ``leaves`` (see _leaves) of
+    net's system with no leak and the vertex conductances on the right, all
+    scaled by 2**scale: net Kron-reduced onto each leaf [first, end), laid
+    out as for _eliminate over L rows (rows past a leaf's end are empty
+    unit rows). Returns U (k, L + w, w + 1) and R (k, 2, L + w).
 
     The reduction onto [a, b) is the forward sweep's copy at a, the original
     band in the middle, and the backward sweep's copy at b: eliminating
     [0, a) changes entries among [a, a + w) only, eliminating [b, n) from
     the back entries among [b - w, b) only, and a leaf with a > 0 and b < n
-    spans 3w places, so the two never meet.
+    spans 3w places, so the two never meet. Each sweep stops at every leaf
+    boundary up to the furthest one that ids need, so where it cuts its
+    panels depends on the network alone, not on which leaves were asked for.
     """
     order, _, lo, hi, width = band
+    _, first, end, L = leaves
     conductance = np.ldexp(net.conductance, scale)
-    n, w, k = net.n, int(width.max()), len(first)
+    n, w, k = net.n, int(width.max()), len(ids)
     U0 = np.zeros((n + w, w + 1))
     U0[lo, hi - lo] = conductance
     rhs = np.zeros(n + w)
     rhs[:n] = np.ldexp(net.row_conductance[order], scale)
 
+    forward, backward = first[first > 0], (n - end[end < n])[::-1]  # every cut, ascending
+    first, end = first[ids], end[ids]
     rows = first[:, None] + np.arange(L)
     inside = rows < end[:, None]
     rows = np.where(inside, rows, n)  # a padding row
@@ -475,24 +470,27 @@ def _leaf_systems(net: Network, band, first: np.ndarray, end: np.ndarray, L: int
     if len(ahead):
         U1, R1 = U0[None].copy(), np.zeros((1, 2, n + w))
         R1[0, 1] = rhs
-        Uc, Rc = _sweep(U1, R1, width.tolist(), first[ahead].tolist())
-        U[ahead, :w] = Uc
-        R[ahead, :, :w] = Rc
+        stops = forward[forward <= first[-1]]
+        Uc, Rc = _sweep(U1, R1, width.tolist(), stops.tolist())
+        at = np.searchsorted(stops, first[ahead])
+        U[ahead, :w] = Uc[at]
+        R[ahead, :, :w] = Rc[at]
     behind = np.flatnonzero(end < n)
     if len(behind):
         # The reversed band: reversed row j is place n - 1 - j.
         Ur, Rr = np.zeros((1, n + w, w + 1)), np.zeros((1, 2, n + w))
         Ur[0, n - 1 - hi, hi - lo] = conductance
         Rr[0, 1, :n] = rhs[n - 1::-1]
-        stops = (n - end[behind])[::-1].tolist()
-        Uc, Rc = _sweep(Ur, Rr, _envelope(n - 1 - hi, n - 1 - lo, n).tolist(), stops)
+        stops = backward[backward <= n - end[behind[0]]]
+        Uc, Rc = _sweep(Ur, Rr, _envelope(n - 1 - hi, n - 1 - lo, n).tolist(), stops.tolist())
+        at = np.searchsorted(stops, n - end[behind])
         # Copy row r, reversed row n - end + r, is the leaf's local row
         # last - r, with last = end - 1 - first; its coupling q reaches down to
         # local row last - r - q, where the band stores it in column q.
         last = (end - 1 - first)[behind][:, None, None]
         r, q = np.arange(w)[:, None], np.arange(1, w + 1)
-        U[behind[:, None, None], last - r - q, q] = Uc[::-1, :, 1:]
-        R[behind[:, None], :, last[:, :, 0] - np.arange(w)] = Rc[::-1].transpose(0, 2, 1)
+        U[behind[:, None, None], last - r - q, q] = Uc[at, :, 1:]
+        R[behind[:, None], :, last[:, :, 0] - np.arange(w)] = Rc[at].transpose(0, 2, 1)
     return U, R
 
 
@@ -513,17 +511,18 @@ def _leaf_solves(net: Network, band, rows: list[int], leaky: list[float], c: flo
     """
     _, place, _, _, width = band
     n, w = net.n, int(width.max())
-    B, first, end, L = _leaves(n, w)
+    leaves = B, first, end, L = _leaves(n, w)
     leaf_width = _leaf_width(width, first, end, L)
     ids, at = np.unique(place[rows] // B, return_inverse=True)
     starts, sizes = first[ids], (end - first)[ids]
     chunk = max(1, _batch_limit(L, w, 2) // 2)
     sweeps = 2 if len(first) > 1 else 0
+    copies = sweeps * len(first) * w * (w + 3) * 8  # every stop's w rows, stacked
     nbytes = (_band_bytes(len(ids), L, w, 1) + _band_bytes(2 * min(chunk, len(rows)), L, w, 2)
-              + _band_bytes(sweeps, n, w, 1))
+              + _band_bytes(sweeps, n, w, 1) + copies)
     scale, leak_scale = _scale(net), _scale(net, c)
     with _sized(nbytes):
-        Ub, Rb = _leaf_systems(net, band, starts, end[ids], L, scale)
+        Ub, Rb = _leaf_systems(net, band, leaves, ids, scale)
     for start in range(0, len(rows), chunk):
         part = slice(start, start + chunk)
         leaf = at[part]
