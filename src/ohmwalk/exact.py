@@ -58,16 +58,19 @@ Comput. Phys. 227, 2008). The order is cut into blocks of w anchors, w
 the bandwidth; a block's *leaf* is the block and w places either side,
 which holds every neighbour of its anchors. One forward sweep eliminates
 the order from the front and one backward sweep from the back, each a
-single system keeping a copy of the w rows next to each leaf. A leaf's
-Kron reduction is the forward copy, the band in between and the backward
-copy, and its two systems of at most 3w rows per anchor are solved in
-batches of up to ``_batch_limit`` systems (``_leaf_solves``). A sweep
-over n anchors costs about 2n · 3w · w² plus two sweeps, against 2n · n ·
-w² for whole systems. When 3w >= n the one leaf is the whole network. All
-of it is GTH pivots, run by the same kernel loop (``_reduce``). Its panels
-start at multiples of ``_PANEL`` in each system's own order; a sweep also
-cuts one at every leaf boundary up to the furthest it needs and copies
-there, between panels, so no copy depends on which anchors were asked for.
+single system that hands over the w rows next to each leaf as it reaches
+them, written straight into the leaf. A leaf's Kron reduction is those
+forward rows, the band in between and those backward rows, and its two
+systems of at most 3w rows per anchor are solved in batches of up to
+``_batch_limit`` systems (``_leaf_solves``). A sweep over n anchors costs
+about 2n · 3w · w² plus two sweeps, against 2n · n · w² for whole
+systems. When 3w >= n the one leaf is the whole network. All of it is GTH
+pivots, run by the same kernel loop (``_reduce``), which eliminates every
+row it is given in panels that start at multiples of ``_PANEL``. A sweep
+calls it once for each segment between two leaf boundaries, on the band
+from the segment's first row, and stops at every boundary up to the
+furthest it needs, so no leaf's rows depend on which anchors were asked
+for.
 
 Storage is sized before it is allocated; running out of memory raises
 SystemTooLarge, naming that size.
@@ -157,7 +160,7 @@ def _diagonals(U: np.ndarray, h: int) -> np.ndarray:
     """The view D[s, r, a, b] = U[s, r + a, b - a] (a, b < h) of a band U:
     for b > a, W(r + a, r + b). Where b <= a it lands on column 0 or on
     other rows' entries, so it must only be added to where b > a. Built
-    once per band; D[:, r] is then the h x h block at row r."""
+    once per _reduce; D[:, r] is then the h x h block at row r."""
     s0, s1, s2 = U.strides
     return as_strided(U, shape=(U.shape[0], U.shape[1] - h + 1, h, h),
                       strides=(s0, s1, s1 - s2, s2), writeable=True)
@@ -171,10 +174,11 @@ def _skewed(T: np.ndarray, w: int) -> np.ndarray:
                       writeable=True)
 
 
-def _panel_ends(width, starts) -> list:
-    """For each panel, the rows from one of ``starts`` to the next or to the
-    end, one past the furthest row any of its rows reaches."""
-    return (np.maximum.reduceat(np.arange(len(width)) + width, starts) + 1).tolist()
+def _panel_ends(width) -> list:
+    """For each panel of _PANEL rows, one past the furthest row any of its
+    rows reaches."""
+    return (np.maximum.reduceat(np.arange(len(width)) + width, range(0, len(width), _PANEL))
+            + 1).tolist()
 
 
 def _kron(D: np.ndarray, R: np.ndarray, T: np.ndarray, pivots: np.ndarray,
@@ -196,41 +200,34 @@ def _kron(D: np.ndarray, R: np.ndarray, T: np.ndarray, pivots: np.ndarray,
     R += G[:, :, T.shape[2] - R.shape[1] - p:].transpose(0, 2, 1)
 
 
-def _reduce(U: np.ndarray, R: np.ndarray, width, pivots: np.ndarray, stops=(),
-            blocks: np.ndarray | None = None) -> list:
-    """GTH-eliminate a batch of banded systems from their first row, in
-    panels of at most _PANEL rows; layout as for _eliminate. Row k's pivot
-    goes to pivots[k], and row k keeps its couplings and right-hand sides as
-    they stood at its pivot.
+def _reduce(U: np.ndarray, R: np.ndarray, width) -> tuple[np.ndarray, np.ndarray]:
+    """GTH-eliminate every row of a batch of banded systems, in panels of
+    _PANEL rows from the first; layout as for _eliminate. Returns the pivots
+    (n, S) and each panel's couplings among its own rows: blocks[a, c, b, s]
+    is T[s, a, c] of panel b once its pivots are taken, whose strict upper
+    triangle is what _substitute needs. Row k keeps its couplings and
+    right-hand sides as they stood at its pivot.
 
     A panel's rows are copied into a buffer T in absolute column order:
     T[s, i, j] is W(k0 + i, k0 + j) for i < j < _PANEL + w, followed by
     the leak and the right-hand sides. One outer product per pivot updates
     the rest of the panel; then one matmul applies the panel's Kron
-    reduction to the rows after it (_kron). Panels start at multiples of
-    _PANEL and at every stop, so a member's bits depend on its own system
-    and the stops only. When blocks is given (with no stops), panel b's
-    couplings among its own rows, T[s, a, c] once its pivots are taken, go
-    to blocks[a, c, b, s]; their strict upper triangle is what _substitute
-    needs.
-
-    Without stops every row is eliminated and [] returned. Otherwise rows
-    [0, stops[-1]) are, and for each (nondecreasing) stop s a copy of the
-    band rows [s, s + w), U (S, w, w + 1) and R (S, m + 1, w), taken
-    between panels once rows [0, s) are eliminated and nothing is pending.
+    reduction to the rows after it (_kron), which may lie past the last
+    row eliminated. Panels start at multiples of _PANEL, so a member's bits
+    depend on its own system only.
     """
     S, N, L = U.shape
-    w, P = L - 1, _PANEL
-    n = stops[-1] if stops else len(width)  # the rows to eliminate
-    starts = sorted({*range(0, n, P), *stops} - {n})
+    w, n, P = L - 1, len(width), _PANEL
     lead = P + w
+    pivots = np.empty((n, S))
+    blocks = np.zeros((P, P, -(-n // P), S))
     # T's entries at and below the diagonal take updates that nothing reads.
     T = np.zeros((S, P, lead + R.shape[1]))
     skew = _skewed(T, w)
     diagonals = _diagonals(U, w)
-    upper = np.triu(np.ones((w, w), dtype=bool), 1)
-    copies = dict.fromkeys(stops)
-    for k0, k1, end in zip(starts, starts[1:] + [n], _panel_ends(width[:n], starts)):
+    upper = np.less.outer(np.arange(w), np.arange(w))
+    for k0, end in zip(range(0, n, P), _panel_ends(width)):
+        k1 = min(k0 + P, n)
         p = k1 - k0
         skew[:, :p] = U[:, k0:k1, 1:]
         T[:, :p, lead:] = R[:, :, k0:k1].transpose(0, 2, 1)
@@ -243,14 +240,11 @@ def _reduce(U: np.ndarray, R: np.ndarray, width, pivots: np.ndarray, stops=(),
                 T[:, i + 1:p, i + 1:] += f[:, :, None] * row[:, None, :]
         U[:, k0:k1, 1:] = skew[:, :p]
         R[:, :, k0:k1] = T[:, :p, lead:].transpose(0, 2, 1)
-        if blocks is not None:
-            blocks[:p, :p, k0 // P] = T[:, :p, :p].transpose(1, 2, 0)
+        blocks[:p, :p, k0 // P] = T[:, :p, :p].transpose(1, 2, 0)
         h = end - k1
         if h > 0:
             _kron(diagonals[:, k1, :h, :h], R[:, :, k1:end], T[:, :p], pivots[k0:k1], upper)
-        if k1 in copies:
-            copies[k1] = U[:, k1:k1 + w].copy(), R[:, :, k1:k1 + w].copy()
-    return [copies[stop] for stop in stops]
+    return pivots, blocks
 
 
 def _panel_inverses(blocks: np.ndarray, pivots: np.ndarray) -> np.ndarray:
@@ -298,7 +292,7 @@ def _substitute(U: np.ndarray, R: np.ndarray, width, pivots: np.ndarray,
     x[:, :, :m] = R[:, 1:, :n].transpose(0, 2, 1)  # the right-hand sides, replaced panel by panel
     T = np.zeros((S, P, P + w))
     skew = _skewed(T, w)
-    ends = _panel_ends(width, range(0, n, P))
+    ends = _panel_ends(width)
     for k0 in range((n - 1) // P * P, -1, -P):
         k1 = min(k0 + P, n)
         p, e = k1 - k0, ends[k0 // P] - k0
@@ -319,10 +313,7 @@ def _eliminate(U: np.ndarray, R: np.ndarray, width) -> tuple[np.ndarray, np.ndar
     and finite. Row k holds nothing past width[k]. U and R are overwritten.
     Returns x with x[s, j, k] solving right-hand side j, and the pivots (n, S).
     """
-    n = len(width)
-    pivots = np.empty((n, U.shape[0]))
-    blocks = np.zeros((_PANEL, _PANEL, -(-n // _PANEL), U.shape[0]))
-    _reduce(U, R, width, pivots, blocks=blocks)
+    pivots, blocks = _reduce(U, R, width)
     return _substitute(U, R, width, pivots, blocks), pivots
 
 
@@ -362,6 +353,19 @@ def _scale(net: Network, leak: float = 0.0) -> int:
     return min(max(0, 1 - math.frexp(top)[1]), 1022)
 
 
+def _banded(lo, hi, conductance, rhs: np.ndarray, w: int):
+    """A batch of systems laid out as for _eliminate at band width w: the
+    couplings ``conductance`` between places lo < hi, no leak, and the
+    right-hand sides rhs (S, m, n). Returns U (S, n + w, w + 1) and R
+    (S, m + 1, n + w)."""
+    S, m, n = rhs.shape
+    U = np.zeros((S, n + w, w + 1))
+    U[:, lo, hi - lo] = conductance
+    R = np.zeros((S, m + 1, n + w))
+    R[:, 1:, :n] = rhs
+    return U, R
+
+
 def _solve_at(net: Network, grounds, b: np.ndarray) -> np.ndarray:
     """Solve a batch of net's grounded systems, eliminating each once.
 
@@ -376,10 +380,8 @@ def _solve_at(net: Network, grounds, b: np.ndarray) -> np.ndarray:
     w = int(width.max())
     k = _scale(net)
     with _sized(_band_bytes(S, n, w, m)):
-        U = np.zeros((S, n + w, w + 1))
-        U[:, lo, hi - lo] = np.ldexp(net.conductance, k)
-        R = np.zeros((S, m + 1, n + w))
-        R[:, 1:, :n] = np.ldexp(b[:, order], k).transpose(0, 2, 1)
+        U, R = _banded(lo, hi, np.ldexp(net.conductance, k),
+                       np.ldexp(b[:, order], k).transpose(0, 2, 1), w)
         _ground(U, R, np.arange(S), place[grounds])
         with np.errstate(all="ignore"):
             x, pivots = _eliminate(U, R, width.tolist())
@@ -415,20 +417,21 @@ def _leaf_width(width: np.ndarray, first: np.ndarray, end: np.ndarray, L: int) -
 
 def _sweep(U: np.ndarray, R: np.ndarray, width, stops: list):
     """Eliminate one banded system (a batch of one, laid out as for
-    _eliminate) from its first row, and at each of the nondecreasing
-    ``stops`` copy the next w rows, w the band width: their couplings U and
-    their leak and right-hand side R (see _reduce). A panel ends at every
-    stop, so each copy is taken between two panels. Eliminating rows
-    [0, stop) changes no entry outside those w rows, so a copy and the
-    untouched rows after it are the system Kron-reduced onto [stop, n).
-    Returns the copies, stacked."""
-    pivots = np.empty((len(width), 1))
-    with np.errstate(all="ignore"):
-        copies = _reduce(U, R, width, pivots, stops)
-    Uc = np.stack([u[0] for u, _ in copies])
-    Rc = np.stack([r[0] for _, r in copies])
-    _check(pivots[:stops[-1]], Uc, Rc)
-    return Uc, Rc
+    _eliminate) from its first row up to each of the increasing ``stops`` in
+    turn, and at each stop s yield s and views of the next w rows, w the
+    band width: their couplings U (w, w + 1) and their leak and right-hand
+    side R (2, w). Each segment [a, s) between stops is one _reduce over the
+    band from row a, so its panels start at a and then every _PANEL rows.
+    Eliminating rows [0, s) changes no entry outside the w rows at s, so
+    they and the untouched rows after them are the system Kron-reduced onto
+    [s, n). The views hold until the sweep goes on."""
+    w, a = U.shape[2] - 1, 0
+    for s in stops:
+        with np.errstate(all="ignore"):
+            pivots, _ = _reduce(U[:, a:], R[:, :, a:], width[a:s])
+        _check(pivots, U[:, s:s + w], R[:, :, s:s + w])
+        yield s, U[0, s:s + w], R[0, :, s:s + w]
+        a = s
 
 
 def _leaf_systems(net: Network, band, leaves, ids: np.ndarray, scale: int):
@@ -438,22 +441,21 @@ def _leaf_systems(net: Network, band, leaves, ids: np.ndarray, scale: int):
     out as for _eliminate over L rows (rows past a leaf's end are empty
     unit rows). Returns U (k, L + w, w + 1) and R (k, 2, L + w).
 
-    The reduction onto [a, b) is the forward sweep's copy at a, the original
-    band in the middle, and the backward sweep's copy at b: eliminating
+    The reduction onto [a, b) is the forward sweep's rows at a, the original
+    band in the middle, and the backward sweep's rows at b: eliminating
     [0, a) changes entries among [a, a + w) only, eliminating [b, n) from
     the back entries among [b - w, b) only, and a leaf with a > 0 and b < n
-    spans 3w places, so the two never meet. Each sweep stops at every leaf
-    boundary up to the furthest one that ids need, so where it cuts its
-    panels depends on the network alone, not on which leaves were asked for.
+    spans 3w places, so the two never meet. The middle is gathered from the
+    forward band before it is swept. Each sweep stops at every leaf boundary
+    up to the furthest one that ids need, so where it cuts its segments
+    depends on the network alone, not on which leaves were asked for.
     """
     order, _, lo, hi, width = band
     _, first, end, L = leaves
     conductance = np.ldexp(net.conductance, scale)
+    rhs = np.ldexp(net.row_conductance[order], scale)
     n, w, k = net.n, int(width.max()), len(ids)
-    U0 = np.zeros((n + w, w + 1))
-    U0[lo, hi - lo] = conductance
-    rhs = np.zeros(n + w)
-    rhs[:n] = np.ldexp(net.row_conductance[order], scale)
+    Uf, Rf = _banded(lo, hi, conductance, rhs[None, None], w)
 
     forward, backward = first[first > 0], (n - end[end < n])[::-1]  # every cut, ascending
     first, end = first[ids], end[ids]
@@ -461,36 +463,30 @@ def _leaf_systems(net: Network, band, leaves, ids: np.ndarray, scale: int):
     inside = rows < end[:, None]
     rows = np.where(inside, rows, n)  # a padding row
     U = np.zeros((k, L + w, w + 1))
-    U[:, :L] = np.where(rows[:, :, None] + np.arange(w + 1) < end[:, None, None], U0[rows], 0.0)
+    U[:, :L] = np.where(rows[:, :, None] + np.arange(w + 1) < end[:, None, None], Uf[0, rows], 0.0)
     R = np.zeros((k, 2, L + w))
     R[:, 0, :L] = ~inside  # an empty unit row: pivot 1, value 0
-    R[:, 1, :L] = rhs[rows]
+    R[:, 1, :L] = Rf[0, 1, rows]
 
-    ahead = np.flatnonzero(first > 0)
-    if len(ahead):
-        U1, R1 = U0[None].copy(), np.zeros((1, 2, n + w))
-        R1[0, 1] = rhs
-        stops = forward[forward <= first[-1]]
-        Uc, Rc = _sweep(U1, R1, width.tolist(), stops.tolist())
-        at = np.searchsorted(stops, first[ahead])
-        U[ahead, :w] = Uc[at]
-        R[ahead, :, :w] = Rc[at]
-    behind = np.flatnonzero(end < n)
-    if len(behind):
-        # The reversed band: reversed row j is place n - 1 - j.
-        Ur, Rr = np.zeros((1, n + w, w + 1)), np.zeros((1, 2, n + w))
-        Ur[0, n - 1 - hi, hi - lo] = conductance
-        Rr[0, 1, :n] = rhs[n - 1::-1]
-        stops = backward[backward <= n - end[behind[0]]]
-        Uc, Rc = _sweep(Ur, Rr, _envelope(n - 1 - hi, n - 1 - lo, n).tolist(), stops.tolist())
-        at = np.searchsorted(stops, n - end[behind])
-        # Copy row r, reversed row n - end + r, is the leaf's local row
-        # last - r, with last = end - 1 - first; its coupling q reaches down to
-        # local row last - r - q, where the band stores it in column q.
-        last = (end - 1 - first)[behind][:, None, None]
-        r, q = np.arange(w)[:, None], np.arange(1, w + 1)
-        U[behind[:, None, None], last - r - q, q] = Uc[at, :, 1:]
-        R[behind[:, None], :, last[:, :, 0] - np.arange(w)] = Rc[at].transpose(0, 2, 1)
+    at = {f: i for i, f in enumerate(first.tolist())}
+    for s, Us, Rs in _sweep(Uf, Rf, width.tolist(), forward[forward <= first[-1]].tolist()):
+        if s in at:
+            U[at[s], :w] = Us
+            R[at[s], :, :w] = Rs
+    # The reversed band: reversed row j is place n - 1 - j. Its rows at
+    # n - end are the leaf's last w rows, last first: row r is local row
+    # last - r, with last = end - 1 - first, and its coupling q reaches down
+    # to local row last - r - q, where the leaf's band stores it in column q.
+    stops = backward[backward <= n - end[0]].tolist()
+    if stops:
+        Ur, Rr = _banded(n - 1 - hi, n - 1 - lo, conductance, rhs[None, None, ::-1], w)
+        at = {n - e: i for i, e in enumerate(end.tolist())}
+        r, q = np.arange(w), np.arange(1, w + 1)
+        for s, Us, Rs in _sweep(Ur, Rr, _envelope(n - 1 - hi, n - 1 - lo, n).tolist(), stops):
+            if s in at:
+                last = end[at[s]] - 1 - first[at[s]]
+                U[at[s], last - r[:, None] - q, q] = Us[:, 1:]
+                R[at[s]][:, last - r] = Rs
     return U, R
 
 
@@ -517,9 +513,8 @@ def _leaf_solves(net: Network, band, rows: list[int], leaky: list[float], c: flo
     starts, sizes = first[ids], (end - first)[ids]
     chunk = max(1, _batch_limit(L, w, 2) // 2)
     sweeps = 2 if len(first) > 1 else 0
-    copies = sweeps * len(first) * w * (w + 3) * 8  # every stop's w rows, stacked
     nbytes = (_band_bytes(len(ids), L, w, 1) + _band_bytes(2 * min(chunk, len(rows)), L, w, 2)
-              + _band_bytes(sweeps, n, w, 1) + copies)
+              + _band_bytes(sweeps, n, w, 1))
     scale, leak_scale = _scale(net), _scale(net, c)
     with _sized(nbytes):
         Ub, Rb = _leaf_systems(net, band, leaves, ids, scale)

@@ -170,10 +170,10 @@ def _replay_batch(net: Network, anchors, c: float = 1.0, tolerance: float = DEFA
 
     The sweeps run once, as far as the anchors' leaves need, and the leaf
     systems in batches of up to ``exact._batch_limit``. A leaf's system
-    depends only on net and the partition, each sweep's copies only on the
-    place they are taken at, and the kernel's updates are elementwise or one
-    matmul per member, so a trace's bits do not depend on the other anchors
-    or on the batch it ran in."""
+    depends only on net and the partition, each sweep's rows at a leaf
+    boundary only on the boundaries before it, and the kernel's updates are
+    elementwise or one matmul per member, so a trace's bits do not depend on
+    the other anchors or on the batch it ran in."""
     for z in anchors:
         net.require(z)
     c = _check_conductance(c)

@@ -45,7 +45,8 @@ def eliminations(monkeypatch):
 
     Every solve goes through ``exact._eliminate``, which takes a batch of
     systems, and every sweep through ``exact._sweep``, so patching the module
-    attributes sees every elimination.
+    attributes sees every elimination. A sweep is a generator, eliminating up
+    to each stop it yields; it is recorded once it is done, with the last.
     """
     from ohmwalk import exact
 
@@ -57,8 +58,11 @@ def eliminations(monkeypatch):
         return kernel(U, R, width)
 
     def sweep_spy(U, R, width, stops):
-        calls.append(stops[-1])
-        return sweep(U, R, width, stops)
+        s = None
+        for s, *rows in sweep(U, R, width, stops):
+            yield s, *rows
+        if s is not None:
+            calls.append(s)
 
     monkeypatch.setattr(exact, "_eliminate", spy)
     monkeypatch.setattr(exact, "_sweep", sweep_spy)

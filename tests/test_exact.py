@@ -26,15 +26,19 @@ from ohmwalk import (
 from ohmwalk.exact import (
     _PANEL,
     _band,
+    _banded,
     _check,
     _eliminate,
     _envelope,
     _first_return,
     _ground,
     _leaf_solves,
+    _leaf_systems,
     _leaves,
+    _reduce,
     _solve_anchors,
     _solve_at,
+    _sweep,
 )
 from ohmwalk.network import _sum
 
@@ -563,6 +567,37 @@ class TestLeaves:
                 dense_laplacian(net, iz), vertex_conductance[keep])))
             pairs += [(h, want[v]) for h, v in zip(grounded, leaf) if v != iz]
             assert all(abs(Fraction(float(g)) - e) <= 1e-13 * e for g, e in pairs), iz
+
+    def test_sweep_yields_the_rows_one_reduction_leaves(self):
+        # A sweep reduces one segment between stops at a time, its panels
+        # starting at each stop; at w = 11 those are not multiples of _PANEL.
+        net = grid_network(11, 11, np.random.default_rng(11), span=6.0)
+        order, _, lo, hi, width = _band(net)
+        w = int(width.max())
+        first = _leaves(net.n, w)[1]
+        assert w % _PANEL and len(first) >= 3
+
+        def fresh():
+            return _banded(lo, hi, net.conductance, net.row_conductance[order][None, None], w)
+
+        stops = first[first > 0].tolist()
+        swept = [(s, u.copy(), r.copy()) for s, u, r in _sweep(*fresh(), width.tolist(), stops)]
+        assert [s for s, _, _ in swept] == stops
+        for s, u, r in swept:
+            U, R = fresh()
+            _reduce(U, R, width[:s].tolist())
+            for got, want in ((u, U[0, s:s + w]), (r, R[0, :, s:s + w])):
+                assert np.all(np.abs(got - want) <= 1e-14 * want), s
+
+    def test_leaf_systems_do_not_depend_on_which_leaves_are_asked_for(self):
+        net = grid_network(11, 11, np.random.default_rng(5), span=6.0)
+        band = _band(net)
+        leaves = _leaves(net.n, int(band[4].max()))
+        every = np.arange(len(leaves[1]))
+        U, R = _leaf_systems(net, band, leaves, every, 0)
+        for ids in [[i] for i in every] + [[0, 3], [1, 2, len(every) - 1]]:
+            Ui, Ri = _leaf_systems(net, band, leaves, np.array(ids), 0)
+            assert Ui.tolist() == U[ids].tolist() and Ri.tolist() == R[ids].tolist(), ids
 
 
 def _band_couplings(rng, n: int, w: int, star: bool) -> dict:
