@@ -4,6 +4,9 @@ Loads a network from an edge-list file (one `u v conductance` triple per
 line, `#` comments, conductance defaulting to 1), dispatches to the exact
 solver, the simulator, or the verification replayer, and prints one JSON
 document (CSV for flat estimate rows) on standard output, in one write.
+Every document is encoded here by json.dumps except verify's, whose traces
+are text written by the replay module, next to the dataclasses they encode;
+this module adds only that document's header and footer.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input errors. A
 stdout closed early (``| head``) or from the start (``>&-``) does not change
@@ -17,11 +20,9 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import math
 import os
 import sys
 from dataclasses import asdict
-from json.encoder import encode_basestring_ascii
 
 from .errors import OhmwalkError, ParseError
 from .network import Network, _build, attach_pendant
@@ -63,7 +64,7 @@ def parse_network_file(text: str) -> Network:
         heads.append(tokens[1])
         numbers.append(number)
     if not numbers:
-        raise ParseError(0, "no edges in input")
+        raise ParseError(None, "no edges in input")
     try:
         return _build(tails, heads, conductances)
     except OhmwalkError as exc:
@@ -151,67 +152,15 @@ def _emit_csv(rows: list[dict]) -> None:
     _emit([buf.getvalue()])
 
 
-# verify's document, encoded straight from its traces. Each part below is
-# what json.dumps(doc, indent=2) writes for it at its fixed depth, so the
-# parts join to json.dumps(doc, indent=2) + "\n" byte for byte; the pure-
-# Python encoder an indent needs would cost more than the replay on a sweep.
-
-def _float(x: float) -> str:
-    if math.isfinite(x):
-        return float.__repr__(x)
-    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
-
-
-def _bool(flag: bool) -> str:
-    return "true" if flag else "false"
-
-
-def _nested(value, pad: str) -> str:
-    """Any value as json.dumps(value, indent=2) writes it, its lines after the
-    first indented by ``pad``."""
-    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
-
-
-def _step_json(s) -> str:
-    if s.estimate is not None:  # rare: only verify --simulate, on three steps
-        return "        " + _nested(s.to_json_dict(), "        ")
-    return (f'        {{\n'
-            f'          "name": {encode_basestring_ascii(s.name)},\n'
-            f'          "expected": {_float(s.expected)},\n'
-            f'          "computed": {_float(s.computed)},\n'
-            f'          "abs_err": {_float(s.abs_err)},\n'
-            f'          "rel_err": {_float(s.rel_err)},\n'
-            f'          "pass": {_bool(s.passed)}\n'
-            f'        }}')
-
-
-def _trace_json(t) -> str:
-    anchor = (encode_basestring_ascii(t.anchor) if type(t.anchor) is str
-              else _nested(t.anchor, "      "))
-    steps = ",\n".join(_step_json(s) for s in t.steps)
-    return (f'    {{\n'
-            f'      "network": {{\n'
-            f'        "n": {int.__repr__(t.n)},\n'
-            f'        "m": {int.__repr__(t.m)},\n'
-            f'        "total_conductance": {_float(t.total_conductance)}\n'
-            f'      }},\n'
-            f'      "anchor": {anchor},\n'
-            f'      "pendant_conductance": {_float(t.pendant_conductance)},\n'
-            f'      "steps": [\n{steps}\n      ],\n'
-            f'      "pass": {_bool(t.passed)}\n'
-            f'    }}')
-
-
 def _verify_json(net, tolerance: float, traces, verdict: bool):
     """Yield the parts of verify's document (see _run_verify) for ``net``'s n,
     m and total_conductance and the ProofTraces, of which there is at least
-    one, each with at least one step."""
+    one, each with at least one step. Only the document's header and footer
+    are written here; each trace's text is replay's ``_trace_json``."""
+    from .replay import _bool, _float, _network_json, _trace_json
+
     yield (f'{{\n'
-           f'  "network": {{\n'
-           f'    "n": {int.__repr__(net.n)},\n'
-           f'    "m": {int.__repr__(net.m)},\n'
-           f'    "total_conductance": {_float(net.total_conductance)}\n'
-           f'  }},\n'
+           f'  "network": {_network_json(net, "  ")},\n'
            f'  "tolerance": {_float(tolerance)},\n'
            f'  "traces": [')
     for i, t in enumerate(traces):
@@ -367,8 +316,9 @@ def _run_simulate(ns, net: Network) -> int:
 
 def _run_verify(ns, net: Network) -> int:
     """Print the document json.dumps(doc, indent=2) + "\\n" would print for doc
-    = {"network": {"n", "m", "total_conductance"}, "tolerance", "traces":
-    [trace.to_json_dict() ...], "pass"}, encoded by _verify_json."""
+    = {"network", "tolerance", "traces": [trace.to_json_dict() ...], "pass"},
+    the network block laid out as a trace's. _verify_json writes it as text:
+    its header and footer, and each trace's text from replay."""
     from .replay import _replay_batch
 
     anchors = list(net.vertices) if ns.vertex is None else [ns.vertex]

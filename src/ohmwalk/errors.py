@@ -74,9 +74,11 @@ class CapExceeded(OhmwalkError):
 
 
 class ParseError(OhmwalkError):
-    """Malformed edge-list input; carries the 1-based line number."""
+    """Malformed edge-list input; carries the 1-based line number, or None
+    when no one line is at fault (an input with no edges), and then the
+    message names no line."""
 
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, line: int | None, message: str):
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
 

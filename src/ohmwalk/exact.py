@@ -1,9 +1,12 @@
 """Exact walk quantities via linear algebra on the weighted Laplacian.
 
-Everything here is computed by grounded solves, never by the closed-form
-conductance ratios, so the closed forms can be checked against an
-independent method. Grounding a vertex (holding it at potential 0) makes
-the singular Laplacian invertible without touching pseudoinverses.
+Hitting times, effective resistances, return times and round trips are
+computed by grounded solves, never from the closed-form conductance
+ratios, so the closed forms can be checked against an independent method.
+The closed forms live here too, apart from the solves: ``return_time_formula``
+(C / C_z) and ``stationary_distribution`` (C_z / C) read the network's
+conductances and solve nothing. Grounding a vertex (holding it at potential
+0) makes the singular Laplacian invertible without touching pseudoinverses.
 
 Every solve goes through one numpy kernel, ``_eliminate``: Gaussian
 elimination in the subtraction-free form of Grassmann, Taksar and Heyman

@@ -261,11 +261,7 @@ def _sum(values) -> float:
 
 def _row_sums(values: list[float], bounds: list[int]) -> list[float]:
     """_sum of each row values[bounds[v]:bounds[v + 1]]."""
-    rows = map(values.__getitem__, map(slice, bounds, bounds[1:]))
-    try:
-        return list(map(math.fsum, rows))
-    except OverflowError:
-        return [_sum(values[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    return [_sum(values[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _partials(values: list[float]) -> list[float]:

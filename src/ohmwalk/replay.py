@@ -14,11 +14,19 @@ per anchor, each within the anchor's leaf: the part of the elimination
 order near the anchor, with the rest of the network Kron-reduced onto it by
 two sweeps that all anchors share (see exact._leaf_solves, replay and
 _replay_batch).
+
+A trace's JSON layout is written here once, as text (``_trace_json`` and
+``_step_json``), which ``cli`` verify joins into its document unparsed:
+json.dumps with an indent, pure Python, is two to four times slower on a
+sweep's document. ``ProofStep.to_json_dict`` and
+``ProofTrace.to_json_dict`` parse that same text.
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import asdict, dataclass
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
 from . import exact
@@ -48,6 +56,11 @@ class ProofStep:
     little. When simulation was requested the step also carries a Monte
     Carlo estimate and whether the expected value sits inside its
     four-standard-error band.
+
+    Its JSON layout is written once, as text, by ``_step_json``: keys name,
+    expected, computed, abs_err, rel_err and pass, then estimate (the
+    Estimate's fields) and estimate_pass when there is an estimate.
+    ``to_json_dict`` is the parse of that text.
     """
 
     name: str
@@ -60,23 +73,18 @@ class ProofStep:
     estimate_passed: bool | None = None
 
     def to_json_dict(self) -> dict:
-        doc = {
-            "name": self.name,
-            "expected": self.expected,
-            "computed": self.computed,
-            "abs_err": self.abs_err,
-            "rel_err": self.rel_err,
-            "pass": self.passed,
-        }
-        if self.estimate is not None:
-            doc["estimate"] = asdict(self.estimate)
-            doc["estimate_pass"] = self.estimate_passed
-        return doc
+        return json.loads(_step_json(self))
 
 
 @dataclass(frozen=True, eq=False)
 class ProofTrace:
-    """Ordered step records for one (network, anchor) replay."""
+    """Ordered step records for one (network, anchor) replay.
+
+    Its JSON layout is written once, as text, by ``_trace_json``: keys
+    network (n, m, total_conductance), anchor, pendant_conductance, steps
+    and pass. ``to_json_dict`` is the parse of that text, so a tuple anchor
+    comes back as a list.
+    """
 
     n: int
     m: int
@@ -87,17 +95,7 @@ class ProofTrace:
     passed: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "network": {
-                "n": self.n,
-                "m": self.m,
-                "total_conductance": self.total_conductance,
-            },
-            "anchor": self.anchor,
-            "pendant_conductance": self.pendant_conductance,
-            "steps": [s.to_json_dict() for s in self.steps],
-            "pass": self.passed,
-        }
+        return json.loads(_trace_json(self))
 
 
 def _step(name: str, expected: float, computed: float, tolerance: float,
@@ -242,3 +240,62 @@ def _trace(net: Network, z: VertexId, iz: int, c: float, total: float, z_to_pend
         n=net.n, m=net.m, total_conductance=C, anchor=z, pendant_conductance=c, steps=steps,
         passed=all(s.passed and s.estimate_passed is not False for s in steps),
     )
+
+
+# The traces' JSON text. Each part below is what json.dumps(doc, indent=2)
+# writes for it at its fixed depth in verify's document, so that document
+# (cli._verify_json) joins them to json.dumps(doc, indent=2) + "\n" byte for
+# byte; the pure-Python encoder an indent needs would cost more than the
+# replay on a sweep.
+
+def _float(x: float) -> str:
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+def _bool(flag: bool) -> str:
+    return "true" if flag else "false"
+
+
+def _nested(value, pad: str) -> str:
+    """Any value as json.dumps(value, indent=2) writes it, its lines after the
+    first indented by ``pad``."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+
+
+def _network_json(x, pad: str) -> str:
+    """The network block of x's n, m and total_conductance, its lines after
+    the first indented by ``pad``."""
+    return (f'{{\n'
+            f'{pad}  "n": {int.__repr__(x.n)},\n'
+            f'{pad}  "m": {int.__repr__(x.m)},\n'
+            f'{pad}  "total_conductance": {_float(x.total_conductance)}\n'
+            f'{pad}}}')
+
+
+def _step_json(s: ProofStep) -> str:
+    estimate = ("" if s.estimate is None  # only verify --simulate, on three steps
+                else f',\n          "estimate": {_nested(asdict(s.estimate), "          ")},\n'
+                     f'          "estimate_pass": {_bool(s.estimate_passed)}')
+    return (f'        {{\n'
+            f'          "name": {encode_basestring_ascii(s.name)},\n'
+            f'          "expected": {_float(s.expected)},\n'
+            f'          "computed": {_float(s.computed)},\n'
+            f'          "abs_err": {_float(s.abs_err)},\n'
+            f'          "rel_err": {_float(s.rel_err)},\n'
+            f'          "pass": {_bool(s.passed)}{estimate}\n'
+            f'        }}')
+
+
+def _trace_json(t: ProofTrace) -> str:
+    anchor = (encode_basestring_ascii(t.anchor) if type(t.anchor) is str
+              else _nested(t.anchor, "      "))
+    steps = ",\n".join(map(_step_json, t.steps))
+    return (f'    {{\n'
+            f'      "network": {_network_json(t, "      ")},\n'
+            f'      "anchor": {anchor},\n'
+            f'      "pendant_conductance": {_float(t.pendant_conductance)},\n'
+            f'      "steps": [\n{steps}\n      ],\n'
+            f'      "pass": {_bool(t.passed)}\n'
+            f'    }}')

@@ -22,6 +22,10 @@ compressed rows: one entry, and one line, at a time, with label-keyed dicts
 (``ReferenceNetwork``). Every field of a library ``Network`` is checked
 against them bit for bit.
 
+``trace_json_dict`` is the layout of a replay trace's JSON written out as
+dicts, field by field, for the text that ``ProofTrace.to_json_dict`` parses
+and that ``verify`` prints.
+
 The one exception is ``pendant_network_steps``: it is not an independent
 oracle but the reference route that ``replay``'s bits are pinned to, the
 library's own solves on an explicitly built pendant network.
@@ -29,7 +33,7 @@ library's own solves on an explicitly built pendant network.
 import math
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -300,6 +304,38 @@ def pendant_network_steps(net: Network, z, c: float) -> list:
     ]
 
 
+def step_json_dict(step) -> dict:
+    """A ProofStep as its JSON layout: the estimate and its band's verdict
+    only when the step has an estimate."""
+    doc = {
+        "name": step.name,
+        "expected": step.expected,
+        "computed": step.computed,
+        "abs_err": step.abs_err,
+        "rel_err": step.rel_err,
+        "pass": step.passed,
+    }
+    if step.estimate is not None:
+        doc["estimate"] = asdict(step.estimate)
+        doc["estimate_pass"] = step.estimate_passed
+    return doc
+
+
+def trace_json_dict(trace) -> dict:
+    """A ProofTrace as its JSON layout, the anchor as it is."""
+    return {
+        "network": {
+            "n": trace.n,
+            "m": trace.m,
+            "total_conductance": trace.total_conductance,
+        },
+        "anchor": trace.anchor,
+        "pendant_conductance": trace.pendant_conductance,
+        "steps": [step_json_dict(s) for s in trace.steps],
+        "pass": trace.passed,
+    }
+
+
 @dataclass(frozen=True, eq=False)
 class ReferenceNetwork:
     """A network as the reference build_network makes it: label-keyed
@@ -474,7 +510,7 @@ def parse_network_file(text: str) -> ReferenceNetwork:
         edges.append((u, v, c))
         lines.append(lineno)
     if not edges:
-        raise ParseError(0, "no edges in input")
+        raise ParseError(None, "no edges in input")
     try:
         return build_network(edges)
     except OhmwalkError as exc:

@@ -21,6 +21,7 @@ from ohmwalk import (
     ProofStep,
     ProofTrace,
     SelfLoop,
+    replay,
 )
 from ohmwalk.cli import _verify_json, parse_network_file, run
 
@@ -124,8 +125,11 @@ class TestParseNetworkFile:
             parse_network_file("a b 1 9\n")
 
     def test_empty_input(self):
-        with pytest.raises(ParseError):
-            parse_network_file("# nothing\n")
+        # no one line is at fault, so the error names none
+        for text in ("", "# nothing\n", "\n  # indented\n\n"):
+            with pytest.raises(ParseError, match="^no edges in input$") as exc:
+                parse_network_file(text)
+            assert exc.value.line is None
 
     def test_disconnected_propagates(self):
         with pytest.raises(Disconnected):
@@ -532,6 +536,16 @@ class TestExitCodes:
         assert code == 2
         assert "line 1" in err
 
+    @pytest.mark.parametrize("text,source", [("", "file"), ("# only\n# comments\n", "file"),
+                                             ("", "-")],
+                             ids=["empty-file", "comments-only", "empty-stdin"])
+    def test_no_edges_names_no_line(self, capsys, monkeypatch, tmp_path, text, source):
+        path = tmp_path / "none.edges"
+        path.write_text(text)
+        monkeypatch.setattr("sys.stdin", _stdin(text))
+        argv = ["stationary", str(path) if source == "file" else "-"]
+        assert invoke(capsys, argv) == (2, "", "ohmwalk: error: no edges in input\n")
+
     def test_csv_rejected_for_exact_subcommands(self, capsys, tri_file):
         code, _, _ = invoke(capsys, ["resistance", tri_file, "a", "b", "--format", "csv"])
         assert code == 2
@@ -703,11 +717,40 @@ class TestOutputPrecision:
         doc = {
             "network": {"n": net.n, "m": net.m, "total_conductance": net.total_conductance},
             "tolerance": tolerance,
-            "traces": [t.to_json_dict() for t in traces],
+            "traces": [oracles.trace_json_dict(t) for t in traces],
             "pass": verdict,
         }
         out = "".join(_verify_json(net, tolerance, traces, verdict))
         assert out == json.dumps(doc, indent=2) + "\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(_proof_traces())
+    def test_to_json_dict_is_the_reference_layout(self, trace):
+        # to_json_dict parses the encoder's text, so a tuple anchor comes
+        # back as a list (JSON has no tuples); everything else keeps its type
+        # and bits.
+        want = oracles.trace_json_dict(trace)
+        if type(trace.anchor) is tuple:
+            want["anchor"] = list(trace.anchor)
+        assert oracles.bits(trace.to_json_dict()) == oracles.bits(want)
+        assert ([oracles.bits(s.to_json_dict()) for s in trace.steps]
+                == [oracles.bits(s) for s in want["steps"]])
+
+    @pytest.mark.parametrize("sim", [None, (300, 7)], ids=["plain", "simulate"])
+    @pytest.mark.parametrize("text", [
+        "a b 1\nb c 1\nc a 1\n",
+        "".join(f"{u} {v} {c!r}\n" for u, v, c in grid_network(4, 4).edges),
+    ], ids=["triangle", "grid4"])
+    def test_verify_prints_each_anchors_to_json_dict(self, capsys, tmp_path, text, sim):
+        path = tmp_path / "net.edges"
+        path.write_text(text)
+        flags = ([] if sim is None
+                 else ["--simulate", "--trials", str(sim[0]), "--seed", str(sim[1])])
+        code, out, _ = invoke(capsys, ["verify", str(path), *flags])
+        assert code == 0
+        net = parse_network_file(text)
+        want = [replay(net, z, simulate_with=sim).to_json_dict() for z in net.vertices]
+        assert json.loads(out)["traces"] == want
 
     def test_verify_writes_once_whatever_stdout_buffers(self, tmp_path, monkeypatch):
         # An unbuffered stdout makes one system call per write, so the
