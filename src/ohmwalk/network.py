@@ -143,28 +143,64 @@ class Network:
         return dict(zip(self.vertices, self.row_conductance.tolist()))
 
     @cached_property
-    def walk(self) -> tuple[tuple[tuple[int, int, float], ...], tuple[int, ...],
-                            tuple[float, ...]]:
-        """Inverse-CDF tables of the walk: (spans, neighbour row, cumulative conductance).
+    def walk(self) -> tuple[tuple[tuple[tuple[float, ...], tuple[int, ...]], ...], np.ndarray]:
+        """Inverse-CDF table of the walk, as uniform thresholds: (rows, cut).
 
-        Row v's neighbours sit at ``indptr[v]:indptr[v + 1]`` in their stored
-        order, each with its row index and the running sum of the
-        conductances up to and including it. Every running sum is its own
-        left-to-right sum, so the last entry of a row is bit for bit the
-        total that sampling scales by. ``spans[v]`` is (first entry, last
-        entry, total) of row v: bisecting the running sums for ``u * total``
-        over ``first:last`` picks a neighbour for any u in [0, 1], and
-        leaving the last entry out of the search means a target at or above
-        it still lands on the last neighbour. Tuples, because the
-        simulator's scalar loop indexes them one step at a time; built on
-        first use and kept.
+        The rule it encodes: from row v, given a uniform u, entry j of the
+        row (in stored order) passes when its running sum, the
+        left-to-right sum of the conductances up to and including it, is
+        at most ``u * total``, where total is the row's last running sum;
+        the walk steps to the entry after the passed ones, the last
+        neighbour at most, so the last entry itself is never tested.
+
+        Every uniform the simulator draws is a multiple of 2**-53 in
+        [0, 1), as ``Generator.random``'s are, and ``u * total`` does not
+        decrease as u grows. So entry j passes exactly when u is at least
+        its cut: the least k * 2**-53, k in [0, 2**53], with running sum at
+        most ``k * 2**-53 * total``; k = 2**53 qualifies, as that product is
+        the total. Cuts are found for every entry at once by bisection over
+        k, at most 54 rounds, which settles whatever the total's size,
+        subnormal included. A step is then ``bisect_right`` of u in the
+        row's cuts: the same count of passed entries as the running-sum
+        bisect, bit for bit, with no product.
+
+        ``rows[v]`` is (the cuts of every entry of row v but the last, the
+        neighbour rows of all its entries), tuples because the scalar loop
+        indexes them one step at a time. ``cut`` holds every entry's
+        cut at its place in ``adjacent``, inf at each row's last entry, for
+        the lock-step kernel to gather. Built on first use and kept.
         """
         bounds = self.indptr.tolist()
         weight = self.weight.tolist()
         rows = map(weight.__getitem__, map(slice, bounds, bounds[1:]))
-        cumulative = tuple(chain.from_iterable(map(accumulate, rows)))
-        spans = tuple((lo, hi - 1, cumulative[hi - 1]) for lo, hi in zip(bounds, bounds[1:]))
-        return spans, tuple(self.adjacent.tolist()), cumulative
+        running = np.fromiter(chain.from_iterable(map(accumulate, rows)), dtype=float,
+                              count=len(weight))
+        last = self.indptr[1:] - 1
+        total = np.repeat(running[last], np.diff(self.indptr))
+        # Where the total is normal, k is within 4 of running / total * 2**53,
+        # so the bisection starts from that bracket of 9 wherever its ends
+        # show that it holds k (at low = 0, low - 1 gives a negative product,
+        # under every running sum), and from [0, 2**53] elsewhere: 4 rounds
+        # instead of 54 on most networks.
+        guess = (running / total * 2.0**53).astype(np.int64)
+        low = np.clip(guess - 4, 0, 2**53)
+        high = np.clip(guess + 4, 0, 2**53)
+        held = running <= high * 2.0**-53 * total
+        held &= running > (low - 1) * 2.0**-53 * total
+        low[~held], high[~held] = 0, 2**53
+        for _ in range(54):  # high - low + 1 candidates, at least halved each round
+            if np.array_equal(low, high):
+                break
+            mid = (low + high) >> 1
+            passes = running <= mid * 2.0**-53 * total
+            np.copyto(high, mid, where=passes)
+            np.add(mid, 1, out=low, where=~passes)
+        cut = high * 2.0**-53
+        cut[last] = np.inf
+        cut.flags.writeable = False
+        cuts, neighbours = cut.tolist(), self.adjacent.tolist()
+        return tuple((tuple(cuts[lo:hi - 1]), tuple(neighbours[lo:hi]))
+                     for lo, hi in zip(bounds, bounds[1:])), cut
 
     @cached_property
     def ordering(self) -> tuple[int, ...]:

@@ -12,7 +12,7 @@ generator object per trial. It derives the PCG64 (state, inc) of a block
 of trials at once, replaying SeedSequence's hash pool and PCG64's seeding
 in numpy uint64 arithmetic. Up to _CHUNK lanes then advance by one PCG64
 step per round, each picking its trial's next vertex by a vectorised
-bisect over the cumulative conductances. A lane whose trial arrives takes
+bisect of its uniform in the row's cuts. A lane whose trial arrives takes
 the next trial at once, so the lanes stay full until every trial has had
 one; after that, finished lanes are masked out. When few trials are still
 walking, their states are handed to one reused PCG64 and each is finished
@@ -20,6 +20,14 @@ in a flat scalar loop over blocks of its uniforms, with the pick ``step``
 and ``trace_walk`` also use. Every trial reads only its own stream and its
 result is stored at its own index, so the estimates are those of walking
 each substream on its own.
+
+All three walkers read one table, ``Network.walk``. The rule it encodes
+picks the neighbour after the entries whose running conductance sum is at
+most u times the row's total. Every uniform drawn is a multiple of 2**-53,
+and u * total does not decrease as u grows, so an entry passes exactly
+when u reaches its cut, the least such multiple at which it passes. A
+step is then a bisect of u in the row's cuts, with no product, and picks
+what the running-sum bisect picks, bit for bit.
 
 A trial that would run past the step cap aborts the whole estimate with
 CapExceeded rather than truncating: silent truncation would bias the mean
@@ -229,49 +237,43 @@ def _uniform(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
 
 
 def _lockstep_tables(net: Network) -> tuple:
-    """The network's rows as ``_pick`` reads them.
-
-    (indptr, neighbour rows, the running sums of ``Network.walk`` shifted one
-    place right so that before[i] is entry i - 1, each row's total, and the
-    binary-lifting strides that cover the largest degree, largest first).
-    """
-    before = np.array((0.0,) + net.walk[2])
+    """The network's rows as ``_pick`` reads them: (indptr, neighbour rows,
+    the cuts of ``Network.walk``, and the binary-lifting strides that cover
+    the largest count of entries a row can pass, largest first)."""
     degree = int(np.diff(net.indptr).max())
-    return (net.indptr, net.adjacent, before, before[net.indptr[1:]],
-            [1 << k for k in reversed(range(degree.bit_length()))])
+    return (net.indptr, net.adjacent, net.walk[1],
+            [1 << k for k in reversed(range((degree - 1).bit_length()))])
 
 
 def _pick(tables, v: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Next row of each walk at row v given its uniform u: bisect_right, vectorised.
 
-    Counts the entries of each row's cumulative conductances that are at
-    most u times the row's total, as the scalar loop's bisect does, by
-    binary lifting: try strides from the largest power of two down, taking
-    a stride when the entry it would pass is at most the target. A stride
-    past the row's end tests the row's last entry instead, which passes
-    only when every entry does. The count is then clamped to the row's
-    last neighbour, as the scalar loop's bisect, bounded at that entry, is.
+    Counts the entries of each row whose cut (``Network.walk``) is at most
+    u, as the scalar loop's bisect does, by binary lifting: try strides
+    from the largest power of two down, taking a stride when the last entry
+    it would pass has its cut at most u. A stride past the row's end tests
+    the row's last entry instead, whose cut, inf, never passes, so the
+    count stops at the row's last neighbour.
     """
-    indptr, row, before, total, strides = tables
-    pos = indptr[v]
-    end = indptr[v + 1]
-    x = u * total[v]
+    indptr, row, cut, strides = tables
+    passed = indptr[v] - 1  # the last entry passed so far
+    last = indptr[v + 1] - 1
     for stride in strides:
-        np.add(pos, stride, out=pos, where=before[np.minimum(pos + stride, end)] <= x)
-    return row[np.minimum(pos, end - 1)]
+        np.add(passed, stride, out=passed, where=cut[np.minimum(passed + stride, last)] <= u)
+    return row[passed + 1]
 
 
 def _path(net: Network, v: int, uniforms):
     """Yield the rows a walk from row v visits, drawing one uniform per step.
 
-    The walk of ``step`` and ``trace_walk``. Its pick, a bisect of the row's
-    running sums bounded at the row's last entry (``Network.walk``), is the
-    one ``_finish`` inlines.
+    The walk of ``step`` and ``trace_walk``. Its pick, ``bisect_right`` of
+    u in the row's cuts (``Network.walk``), is the one ``_finish`` inlines
+    and ``_pick`` vectorises.
     """
-    spans, row, cum = net.walk
+    rows = net.walk[0]
     for u in uniforms:
-        lo, last, total = spans[v]
-        v = row[bisect_right(cum, u * total, lo, last)]
+        cuts, neighbours = rows[v]
+        v = neighbours[bisect_right(cuts, u)]
         yield v
 
 
@@ -290,20 +292,21 @@ def _finish(net: Network, v: int, target: int, anchor: int, m: int, count: int, 
     Returns (m, count) then: the trial's step count and its arrivals at row
     ``anchor`` (pass -1 for none), starting from ``count``. Raises
     ``overrun`` if step ``cap`` is taken without arriving. This is
-    ``_path``'s walk as one flat loop over whole blocks of uniforms, because
+    ``_path``'s walk, one bisect of u in the row's cuts (``Network.walk``)
+    per step, as one flat loop over whole blocks of uniforms, because
     resuming a generator per step costs more than the step itself. A block
     is cut short at the cap, so the cap and the step count are settled once
     per block: on arrival, the steps taken in the block are its length less
     the uniforms its iterator has left.
     """
-    spans, row, cum = net.walk
+    rows = net.walk[0]
     for block in _blocks(bits):
         if cap - m < len(block):
             block = block[:cap - m]
         uniforms = iter(block)
         for u in uniforms:
-            lo, last, total = spans[v]
-            v = row[bisect_right(cum, u * total, lo, last)]
+            cuts, neighbours = rows[v]
+            v = neighbours[bisect_right(cuts, u)]
             if v == target:
                 return m + len(block) - length_hint(uniforms), count
             if v == anchor:

@@ -370,15 +370,13 @@ class ReferenceNetwork:
 
     @cached_property
     def walk(self):
-        indptr = [0]
-        row = []
-        cumulative = []
+        rows, cut = [], []
         for v in self.vertices:
-            row.extend(self.index[z] for z, _ in self.neighbors[v])
-            cumulative.extend(accumulate(c for _, c in self.neighbors[v]))
-            indptr.append(len(row))
-        spans = tuple((lo, hi - 1, cumulative[hi - 1]) for lo, hi in zip(indptr, indptr[1:]))
-        return spans, tuple(row), tuple(cumulative)
+            running = list(accumulate(c for _, c in self.neighbors[v]))
+            cuts = [_least_uniform(s, running[-1]) for s in running[:-1]]
+            rows.append((tuple(cuts), tuple(self.index[z] for z, _ in self.neighbors[v])))
+            cut += [*cuts, math.inf]
+        return tuple(rows), np.array(cut)
 
     @cached_property
     def ordering(self):
@@ -390,6 +388,19 @@ class ReferenceNetwork:
         row = other[ranked].tolist()
         order = _breadth_first(int(degree.argmin()), lambda v: row[indptr[v]:indptr[v + 1]])
         return tuple(reversed(order))
+
+
+def _least_uniform(running: float, total: float) -> float:
+    """The least k * 2**-53, k in [0, 2**53], with running <= k * 2**-53 * total,
+    bisected one k at a time."""
+    lo, hi = 0, 2**53
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if running <= mid * 2.0**-53 * total:
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi * 2.0**-53
 
 
 def _breadth_first(start, neighbours) -> list:

@@ -1,10 +1,15 @@
 import math
+from bisect import bisect_right
+from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ohmwalk import (
     CapExceeded,
+    Network,
     SystemTooLarge,
     UnknownVertex,
     attach_pendant,
@@ -297,20 +302,90 @@ class TestVectorizedSeeding:
                 assert _uniform(hi, lo)[0] == rng.random()
 
 
+ULP = 2.0**-53  # the spacing of the uniforms Generator.random draws
+
+
+def _running_sum_pick(net, v: int, u: float) -> int:
+    """The walk's pick from row v, written out: bisect the row's running
+    conductance sums for u times their last, and take that neighbour, the
+    last at most."""
+    neighbours, weights = net.row(v)
+    running = list(accumulate(weights))
+    return neighbours[min(bisect_right(running, u * running[-1]), len(neighbours) - 1)]
+
+
+def _extreme_wheel() -> Network:
+    """A hub of degree 70 over a ring of 70 unit edges, its spokes
+    log-uniform over 1e-2 .. 1e2 but one subnormal and one of 1e-300, whose
+    running sums equal those before them; and a vertex s whose every
+    conductance, and so its total, is subnormal."""
+    spokes = 10.0 ** np.random.default_rng(5).uniform(-2.0, 2.0, 70)
+    spokes[3], spokes[4] = 5e-324, 1e-300
+    edges = [("h", i, float(c)) for i, c in enumerate(spokes)]
+    edges += [(i, (i + 1) % 70, 1.0) for i in range(70)]
+    edges += [("s", 10, 3 * 5e-324), ("s", 11, 5 * 5e-324)]
+    return build_network(edges)
+
+
+# A 1e20 edge followed by unit ones: f's running sums are all 1e20, so its
+# walk only ever takes the first edge, to g.
+_TRAP = [("f", "g", 1e20), ("f", 30, 1.0), ("f", 40, 1.0)]
+
+
+def _conductances():
+    return st.one_of(
+        st.floats(-300.0, 300.0).map(lambda e: 10.0**e),  # log-uniform over 1e-300 .. 1e300
+        st.integers(1, 2**20).map(lambda k: k * 5e-324),  # subnormal
+        st.sampled_from((1e20, 1.0)),
+    )
+
+
+class TestWalkTable:
+    """Network.walk's cuts reproduce the running-sum pick for every uniform
+    the simulator can draw, k * 2**-53 for k in [0, 2**53)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_conductances(), min_size=1, max_size=80))
+    @example([1e20, 1.0, 1.0, 1.0])  # equal running sums
+    @example([3 * 5e-324, 5 * 5e-324, 5e-324])  # a subnormal total
+    @example([5e-324, 1.0, 1e-300, 2.0])
+    def test_each_cut_is_the_least_uniform_that_passes(self, weights):
+        net = build_network([("hub", f"l{i}", c) for i, c in enumerate(weights)])
+        rows, cut = net.walk
+        for v in range(net.n):
+            neighbours, row_weights = net.row(v)
+            running = list(accumulate(row_weights))
+            total = running[-1]
+            cuts, row_neighbours = rows[v]
+            assert row_neighbours == tuple(neighbours)
+            lo, hi = net.indptr[v], net.indptr[v + 1]
+            assert cut[lo:hi].tolist() == [*cuts, math.inf]
+            for j, t in enumerate(cuts):
+                assert (t / ULP).is_integer() and 0.0 <= t <= 1.0
+                assert running[j] <= t * total
+                assert t == 0.0 or not running[j] <= (t - ULP) * total
+            for u in (0.0, 1.0 - ULP):
+                assert row_neighbours[bisect_right(cuts, u)] == _running_sum_pick(net, v, u)
+
+
 class TestVectorizedPick:
     def test_matches_scalar_bisect(self):
-        # degrees up to 40, equal running sums after a huge conductance, and
-        # u = 1, which lands on a row's total, past the bisect's bound
+        # each row's every cut and the uniform one below it, where a pick
+        # changes; degrees up to 70, equal running sums, a subnormal total,
+        # and u = 1, which lands on a row's total, past the bisect's bound
         star = build_network([("hub", f"l{i}", 0.5 + i % 7) for i in range(40)])
-        flat = build_network([("h", "a", 1e20), ("h", "b", 1.0), ("h", "c", 1.0), ("a", "b", 2.0)])
+        trap = build_network([*_extreme_wheel().edges, *_TRAP])
         rng = np.random.default_rng(4)
-        for net in [star, flat, *network_suite(9, 6)]:
-            rows = np.repeat(np.arange(net.n), 60)
-            u = rng.random(len(rows))
-            u[::20], u[1::20], u[2::20] = 0.0, 1.0 - 2.0**-53, 1.0
-            got = _pick(_lockstep_tables(net), rows, u)
-            want = [next(_path(net, r, (x,))) for r, x in zip(rows.tolist(), u.tolist())]
-            assert got.tolist() == want
+        for net in [star, trap, *network_suite(9, 6)]:
+            rows, u = [], []
+            for v, (cuts, _) in enumerate(net.walk[0]):
+                draws = [0.0, 1.0 - ULP, 1.0, *rng.random(20).tolist()]
+                draws += [x for t in cuts for x in (t, t - ULP) if x >= 0.0]
+                rows += [v] * len(draws)
+                u += draws
+            want = [_running_sum_pick(net, v, x) for v, x in zip(rows, u)]
+            assert _pick(_lockstep_tables(net), np.array(rows), np.array(u)).tolist() == want
+            assert [next(_path(net, v, (x,))) for v, x in zip(rows, u)] == want
 
 
 def _fields(est) -> dict:
@@ -335,6 +410,23 @@ class TestKernelMatchesPerTrialOracle:
                 hitting_time_mc_oracle(net, z, y, trials, seed, cap)
             assert _fields(estimate_excursions(aug, trials, seed)) == \
                 excursions_mc_oracle(aug, trials, seed, cap)
+
+    @pytest.mark.parametrize("trials", (_SCALAR_TAIL - 1, _SCALAR_TAIL, _SCALAR_TAIL + 1, 300))
+    def test_wide_hub_and_extreme_conductances(self, trials):
+        # the hub's row takes every lock-step stride up to 64; the walk from
+        # h to g ends only through f, whose unit edges it never takes back
+        seed, cap = 3, 10**6
+        wheel = _extreme_wheel()
+        trap = build_network([*wheel.edges, *_TRAP])
+        aug = attach_pendant(wheel, "h", float(wheel.row_conductance[wheel.index["h"]]))
+        assert _fields(estimate_return_time(wheel, "h", trials, seed)) == \
+            return_time_mc_oracle(wheel, "h", trials, seed, cap)
+        assert _fields(estimate_hitting_time(wheel, "s", "h", trials, seed)) == \
+            hitting_time_mc_oracle(wheel, "s", "h", trials, seed, cap)
+        assert _fields(estimate_hitting_time(trap, "h", "g", trials, seed)) == \
+            hitting_time_mc_oracle(trap, "h", "g", trials, seed, cap)
+        assert _fields(estimate_excursions(aug, trials, seed)) == \
+            excursions_mc_oracle(aug, trials, seed, cap)
 
     def test_several_chunks(self, k4):
         trials, seed, cap = 2 * _CHUNK + 5, 2**64 - 1, 10**6
