@@ -29,11 +29,9 @@ from .errors import (
     UnknownVertex,
 )
 from .network import (
-    AugmentedNetwork,
     Distribution,
     Network,
     VertexId,
-    attach_pendant,
     build_network,
     chain_to_network,
     transition_distribution,
@@ -45,7 +43,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AmbiguousLabel",
-    "AugmentedNetwork",
     "CapExceeded",
     "DEFAULT_STEP_CAP",
     "Disconnected",
@@ -70,7 +67,6 @@ __all__ = [
     "UnknownVertex",
     "VertexId",
     "WalkTrace",
-    "attach_pendant",
     "build_network",
     "chain_to_network",
     "commute_time",

@@ -25,7 +25,7 @@ import sys
 from dataclasses import asdict
 
 from .errors import OhmwalkError, ParseError
-from .network import Network, _build, attach_pendant
+from .network import Network, _build
 from .util import DEFAULT_STEP_CAP, DEFAULT_TOLERANCE
 
 DEFAULT_TRIALS = 100_000
@@ -301,10 +301,9 @@ def _run_simulate(ns, net: Network) -> int:
         est = simulate.estimate_hitting_time(net, ns.x, ns.y, ns.trials, ns.seed, ns.step_cap)
         doc = {"kind": "hitting", "from": ns.x, "to": ns.y}
     else:
-        aug = attach_pendant(net, ns.z, ns.pendant_conductance)
-        est = simulate.estimate_excursions(aug, ns.trials, ns.seed, ns.step_cap)
-        doc = {"kind": "excursions", "anchor": ns.z,
-               "pendant_conductance": aug.pendant_conductance}
+        est = simulate.estimate_excursions(net, ns.z, ns.trials, ns.seed, ns.step_cap,
+                                           ns.pendant_conductance)
+        doc = {"kind": "excursions", "anchor": ns.z, "pendant_conductance": ns.pendant_conductance}
     doc.update(asdict(est))  # an excursion estimate's counts come last
     if ns.format == "csv":
         doc.pop("counts", None)  # the histogram is JSON-only

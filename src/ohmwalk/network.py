@@ -1,4 +1,4 @@
-"""Weighted-network data model: construction, validation, augmentation.
+"""Weighted-network data model: construction and validation.
 
 A network is a finite connected graph whose edges carry positive
 conductances. The induced random walk steps from y to a neighbour z with
@@ -13,11 +13,14 @@ corresponding edges, so downstream sampling and solves are reproducible.
 
 A network is held once, in arrays: compressed sparse rows (each row's
 neighbour rows and conductances in stored order), the merged edges, and
-every C_z, laid out by one step for both ``build_network`` (after one
-pass over the edge list) and ``attach_pendant``. The solver, the
-simulator and the replayer index rows; the label-facing views
-(``edges``, ``neighbors``, ``vertex_conductance``) are built from the
-arrays only when something reads them.
+every C_z, laid out by ``build_network`` after one pass over the edge
+list. The solver, the simulator and the replayer index rows; the
+label-facing views (``edges``, ``neighbors``, ``vertex_conductance``) are
+built from the arrays only when something reads them.
+
+No network is built for the pendant argument's G~ (net plus a pendant
+vertex at z): the replayer solves on net, the simulator splices z's row
+into net's walk table, and ``_pendant_totals`` checks G~'s sums.
 """
 from __future__ import annotations
 
@@ -158,8 +161,8 @@ class Network:
         decrease as u grows. So entry j passes exactly when u is at least
         its cut: the least k * 2**-53, k in [0, 2**53], with running sum at
         most ``k * 2**-53 * total``; k = 2**53 qualifies, as that product is
-        the total. Cuts are found for every entry at once by bisection over
-        k, at most 54 rounds, which settles whatever the total's size,
+        the total. ``_cuts`` finds them for every entry at once by bisection
+        over k, at most 54 rounds, which settles whatever the total's size,
         subnormal included. A step is then ``bisect_right`` of u in the
         row's cuts: the same count of passed entries as the running-sum
         bisect, bit for bit, with no product.
@@ -176,26 +179,7 @@ class Network:
         running = np.fromiter(chain.from_iterable(map(accumulate, rows)), dtype=float,
                               count=len(weight))
         last = self.indptr[1:] - 1
-        total = np.repeat(running[last], np.diff(self.indptr))
-        # Where the total is normal, k is within 4 of running / total * 2**53,
-        # so the bisection starts from that bracket of 9 wherever its ends
-        # show that it holds k (at low = 0, low - 1 gives a negative product,
-        # under every running sum), and from [0, 2**53] elsewhere: 4 rounds
-        # instead of 54 on most networks.
-        guess = (running / total * 2.0**53).astype(np.int64)
-        low = np.clip(guess - 4, 0, 2**53)
-        high = np.clip(guess + 4, 0, 2**53)
-        held = running <= high * 2.0**-53 * total
-        held &= running > (low - 1) * 2.0**-53 * total
-        low[~held], high[~held] = 0, 2**53
-        for _ in range(54):  # high - low + 1 candidates, at least halved each round
-            if np.array_equal(low, high):
-                break
-            mid = (low + high) >> 1
-            passes = running <= mid * 2.0**-53 * total
-            np.copyto(high, mid, where=passes)
-            np.add(mid, 1, out=low, where=~passes)
-        cut = high * 2.0**-53
+        cut = _cuts(running, np.repeat(running[last], np.diff(self.indptr)))
         cut[last] = np.inf
         cut.flags.writeable = False
         cuts, neighbours = cut.tolist(), self.adjacent.tolist()
@@ -221,23 +205,6 @@ class Network:
         row = self.adjacent[ranked].tolist()
         order = _breadth_first(int(degree.argmin()), bounds, row)
         return tuple(reversed(order))
-
-
-@dataclass(frozen=True, eq=False)
-class AugmentedNetwork:
-    """A network plus one fresh degree-one vertex hung off an anchor.
-
-    ``combined`` is the enlarged network; ``base`` is the untouched
-    original. The pendant has exactly one edge, to ``anchor``, and the
-    combined total conductance is base.total_conductance plus twice the
-    pendant conductance.
-    """
-
-    base: Network
-    pendant: VertexId
-    anchor: VertexId
-    pendant_conductance: float
-    combined: Network
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,6 +244,33 @@ def _breadth_first(start: int, bounds: list[int], rows: list[int]) -> list[int]:
     return order
 
 
+def _cuts(running: np.ndarray, total) -> np.ndarray:
+    """The cut of each running sum against its row's total (an array of the
+    same length, or one total for all): the least k * 2**-53, k in [0,
+    2**53], with running <= k * 2**-53 * total, as a float. Each entry's
+    arithmetic is its own, so a row's cuts do not depend on the other
+    entries found with it."""
+    # Where the total is normal, k is within 4 of running / total * 2**53,
+    # so the bisection starts from that bracket of 9 wherever its ends
+    # show that it holds k (at low = 0, low - 1 gives a negative product,
+    # under every running sum), and from [0, 2**53] elsewhere: 4 rounds
+    # instead of 54 on most networks.
+    guess = (running / total * 2.0**53).astype(np.int64)
+    low = np.clip(guess - 4, 0, 2**53)
+    high = np.clip(guess + 4, 0, 2**53)
+    held = running <= high * 2.0**-53 * total
+    held &= running > (low - 1) * 2.0**-53 * total
+    low[~held], high[~held] = 0, 2**53
+    for _ in range(54):  # high - low + 1 candidates, at least halved each round
+        if np.array_equal(low, high):
+            break
+        mid = (low + high) >> 1
+        passes = running <= mid * 2.0**-53 * total
+        np.copyto(high, mid, where=passes)
+        np.add(mid, 1, out=low, where=~passes)
+    return high * 2.0**-53
+
+
 def _check_conductance(c) -> float:
     try:
         value = float(c)
@@ -313,6 +307,29 @@ def _partials(values: list[float]) -> list[float]:
     while rest := math.fsum([*values, *(-term for term in terms)]):
         terms.append(rest)
     return terms
+
+
+def _pendant_totals(net: Network, anchors, c: float) -> list[tuple[float, float]]:
+    """(C~_z, C~) of G~, net with a pendant of conductance c at z, for each
+    anchor z: the correctly rounded sums build_network would make of z's row
+    and of every C_z of G~. Raises NonPositiveConductance, naming c and z,
+    unless C~ is finite; C~ bounds C~_z, so that checks both.
+
+    C~ is C with C_z swapped for C~_z, plus c: each anchor adds three terms
+    to the partials of C's terms, taken once, not all n terms again.
+    """
+    row_conductance = net.row_conductance.tolist()
+    partials = _partials(row_conductance)
+    totals = []
+    for z in anchors:
+        iz = net.index[z]
+        leaky = _sum([*net.row(iz)[1], c])
+        total = _sum([*partials, -row_conductance[iz], leaky, c])
+        if not math.isfinite(total):
+            raise NonPositiveConductance(f"total conductance with a pendant of {c!r} "
+                                         f"at {z!r} is not finite")
+        totals.append((leaky, total))
+    return totals
 
 
 def build_network(edge_list) -> Network:
@@ -385,14 +402,18 @@ def _build(tails, heads, conductances) -> Network:
         seen = np.zeros(n, dtype=bool)
         seen[_breadth_first(0, net.indptr.tolist(), net.adjacent.tolist())] = True
         raise Disconnected(f"graph is not connected (no path to {vertices[int(seen.argmin())]!r})")
-    _check_total(net)
+    if not math.isfinite(net.total_conductance):  # C bounds every C_z, so this checks them all
+        bad = np.flatnonzero(~np.isfinite(net.row_conductance))
+        what = f"conductance of vertex {vertices[bad[0]]!r}" if bad.size else "total conductance"
+        raise NonPositiveConductance(f"{what} is not finite")
     return net
 
 
-def _from_edges(vertices, index, tail, head, conductance, row_conductance=None) -> Network:
+def _from_edges(vertices, index, tail, head, conductance) -> Network:
     """The Network of the merged edges tail[i] < head[i] with conductance[i],
-    in stored order, over rows 0..len(vertices) - 1; row_conductance, the
-    array of each row's C_z, is summed from the rows unless given.
+    in stored order, over rows 0..len(vertices) - 1, each row's C_z summed
+    from its row. The last step of build_network, and the only one that
+    makes a Network.
 
     Compressed rows: both ends of each edge, edge by edge, sorted by row and
     then by place in that sequence, so each row lists its edges in stored
@@ -405,8 +426,7 @@ def _from_edges(vertices, index, tail, head, conductance, row_conductance=None) 
     weight = conductance[entries // 2]
     indptr = np.zeros(len(vertices) + 1, dtype=np.intp)
     np.cumsum(np.bincount(ends, minlength=len(vertices)), out=indptr[1:])
-    if row_conductance is None:
-        row_conductance = np.array(_row_sums(weight.tolist(), indptr.tolist()))
+    row_conductance = np.array(_row_sums(weight.tolist(), indptr.tolist()))
     return Network(vertices=vertices, index=index, indptr=indptr, adjacent=adjacent,
                    weight=weight, tail=tail, head=head, conductance=conductance,
                    row_conductance=row_conductance,
@@ -450,15 +470,6 @@ def _first_fault(edge_list) -> NoReturn:
     raise TypeError("edge list entries must be (u, v, conductance) sequences")
 
 
-def _check_total(net: Network) -> None:
-    """NonPositiveConductance unless the total C, the sum of the C_z, is
-    finite, naming the first vertex whose C_z is not, if one is not."""
-    if not math.isfinite(net.total_conductance):  # C bounds every C_z, so this checks them all
-        bad = np.flatnonzero(~np.isfinite(net.row_conductance))
-        what = f"conductance of vertex {net.vertices[bad[0]]!r}" if bad.size else "total conductance"
-        raise NonPositiveConductance(f"{what} is not finite")
-
-
 def transition_distribution(net: Network, y: VertexId) -> Distribution:
     """One-step law of the induced walk from y: each neighbour z gets C_yz / C_y."""
     net.require(y)
@@ -479,40 +490,6 @@ def transition_matrix(net: Network) -> np.ndarray:
     P[net.tail, net.head] = net.conductance / net.row_conductance[net.tail]
     P[net.head, net.tail] = net.conductance / net.row_conductance[net.head]
     return P
-
-
-def attach_pendant(net: Network, z: VertexId, c: float = 1.0) -> AugmentedNetwork:
-    """Hang a fresh degree-one vertex off z with conductance c on the new edge.
-
-    The base network is left untouched; the combined network contains every
-    original edge plus the single pendant edge, so its total conductance is
-    net.total_conductance + 2 c. The pendant label is generated from z and
-    guaranteed not to collide with existing labels.
-
-    The combined network is the base's edges followed by (z, pendant, c),
-    laid out by build_network's compressed-row step: what build_network
-    makes of them, bit for bit. Only C_z is summed again, and ``ordering``
-    waits for a solve, since the network is connected by construction.
-    """
-    net.require(z)
-    value = _check_conductance(c)
-    label = f"~{z}"
-    while label in net.index:
-        label += "~"
-    iz = net.index[z]
-    row_conductance = np.append(net.row_conductance, value)
-    row_conductance[iz] = _sum([*net.row(iz)[1], value])
-    combined = _from_edges(net.vertices + (label,), {**net.index, label: net.n},
-                           np.append(net.tail, iz), np.append(net.head, net.n),
-                           np.append(net.conductance, value), row_conductance)
-    _check_total(combined)
-    return AugmentedNetwork(
-        base=net,
-        pendant=label,
-        anchor=z,
-        pendant_conductance=value,
-        combined=combined,
-    )
 
 
 def _require_square_stochastic(P: np.ndarray) -> None:

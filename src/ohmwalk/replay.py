@@ -9,11 +9,13 @@ new edge, and the excursion decomposition of the trip from z to the
 pendant. ``replay`` re-executes that chain on an arbitrary network and
 any pendant conductance, checking every intermediate identity against an
 independent grounded-Laplacian computation and reporting a structured
-trace. Its exact side solves on the original network only, two systems
-per anchor, each within the anchor's leaf: the part of the elimination
-order near the anchor, with the rest of the network Kron-reduced onto it by
-two sweeps that all anchors share (see exact._leaf_solves, replay and
-_replay_batch).
+trace. It builds no network for G~ (the network plus the pendant). Its
+exact side solves on the original network only, two systems per anchor,
+each within the anchor's leaf: the part of the elimination order near the
+anchor, with the rest of the network Kron-reduced onto it by two sweeps
+that all anchors share (see exact._leaf_solves, replay and
+_replay_batch). Its simulated side walks G~ through a walk table spliced
+from the original's (simulate._pendant_table).
 
 A trace's JSON layout is written here once, as text (``_trace_json`` and
 ``_step_json``), which ``cli`` verify joins into its document unparsed:
@@ -30,8 +32,7 @@ from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
 from . import exact
-from .errors import NonPositiveConductance
-from .network import Network, VertexId, _check_conductance, _partials, _sum, attach_pendant
+from .network import Network, VertexId, _check_conductance, _pendant_totals
 from .util import DEFAULT_STEP_CAP, DEFAULT_TOLERANCE, rel_err
 
 if TYPE_CHECKING:  # simulate loads only when a replay simulates
@@ -140,21 +141,23 @@ def replay(
                             which would make the final step circular)
       6 conclusion          E_z[return] = C / C_z
 
-    G~ is never built for the exact side; two systems of net, run as one
-    batch, do: net with a leak c to ground at z is G~ grounded at the
-    pendant and gives steps 2-5, and net grounded at z gives the return
-    time. The leak is c itself, never C_z + c, so a pendant far smaller
-    than C_z still counts. Both are solved in z's leaf, after the forward
-    and backward sweeps have eliminated every place before and after it
-    (see exact._leaf_solves); the sweeps run only as far as that leaf.
+    G~ is never built. On the exact side two systems of net, run as one
+    batch, stand in for it: net with a leak c to ground at z is G~
+    grounded at the pendant and gives steps 2-5, and net grounded at z
+    gives the return time. The leak is c itself, never C_z + c, so a
+    pendant far smaller than C_z still counts. Both are solved in z's leaf,
+    after the forward and backward sweeps have eliminated every place
+    before and after it (see exact._leaf_solves); the sweeps run only as
+    far as that leaf.
     ``cli`` verify runs every anchor through ``_replay_batch`` with the
     same leaf partition and the same sweeps, so a trace has the same bits
     there.
 
     ``simulate_with`` = (trials, seed) additionally attaches Monte Carlo
     estimates to steps 4-6: the z -> pendant hitting time is simulated on
-    G~ with the given seed, the return time with seed + 1. One trial has
-    no standard error, hence an empty band, so at least 2 are needed.
+    G~'s spliced walk table with the given seed, the return time with
+    seed + 1. One trial has no standard error, hence an empty band, so at
+    least 2 are needed.
     A finite tolerance > 0, c, the trial count and ``step_cap`` are
     checked before anything is solved.
     """
@@ -184,22 +187,9 @@ def _replay_batch(net: Network, anchors, c: float = 1.0, tolerance: float = DEFA
         if simulate_with[0] < 2:
             raise ValueError(f"a simulated replay needs trials >= 2, got {simulate_with[0]}")
 
-    # C~_z and C~ are the correctly rounded sums of the terms build_network
-    # would sum for G~. C~ is C with C_z swapped for C~_z, plus c: each anchor
-    # adds three terms to a few that sum to C exactly, not all n terms again.
-    row_conductance = net.row_conductance.tolist()
-    partials = _partials(row_conductance)
+    leaky, totals = zip(*_pendant_totals(net, anchors, c))
     rows = [net.index[z] for z in anchors]
-    leaky = [_sum([*net.row(iz)[1], c]) for iz in rows]
-    totals = []
-    for z, iz, cz in zip(anchors, rows, leaky):
-        total = _sum([*partials, -row_conductance[iz], cz, c])
-        if not math.isfinite(total):
-            raise NonPositiveConductance(f"total conductance with a pendant of {c!r} "
-                                         f"at {z!r} is not finite")
-        totals.append(total)
-
-    solved = exact._solve_anchors(net, rows, leaky, c)
+    solved = exact._solve_anchors(net, rows, list(leaky), c)
     return [_trace(net, z, iz, c, total, *values, tolerance, simulate_with, step_cap)
             for z, iz, total, values in zip(anchors, rows, totals, solved)]
 
@@ -218,9 +208,8 @@ def _trace(net: Network, z: VertexId, iz: int, c: float, total: float, z_to_pend
         from . import simulate
 
         trials, seed = simulate_with
-        aug = attach_pendant(net, z, c)
-        hit_est = simulate.estimate_hitting_time(aug.combined, z, aug.pendant, trials, seed,
-                                                 step_cap)
+        hit_est = simulate._hitting_estimate(simulate._pendant_table(net, iz, c), iz, net.n,
+                                             trials, seed, step_cap, net.vertices[iz])
         ret_est = simulate.estimate_return_time(net, z, trials, seed + 1, step_cap)
 
     C = net.total_conductance

@@ -21,13 +21,20 @@ and ``trace_walk`` also use. Every trial reads only its own stream and its
 result is stored at its own index, so the estimates are those of walking
 each substream on its own.
 
-All three walkers read one table, ``Network.walk``. The rule it encodes
-picks the neighbour after the entries whose running conductance sum is at
-most u times the row's total. Every uniform drawn is a multiple of 2**-53,
-and u * total does not decrease as u grows, so an entry passes exactly
-when u reaches its cut, the least such multiple at which it passes. A
-step is then a bisect of u in the row's cuts, with no product, and picks
-what the running-sum bisect picks, bit for bit.
+All three walkers read one walk table (``_table``): the rows and cuts of
+``Network.walk`` and the compressed rows. The rule it encodes picks the
+neighbour after the entries whose running conductance sum is at most u
+times the row's total. Every uniform drawn is a multiple of 2**-53, and u
+* total does not decrease as u grows, so an entry passes exactly when u
+reaches its cut, the least such multiple at which it passes. A step is
+then a bisect of u in the row's cuts, with no product, and picks what the
+running-sum bisect picks, bit for bit.
+
+The pendant argument's G~, net plus a pendant vertex at z, is walked
+through a table spliced from net's (``_pendant_table``): z's row gains
+the pendant and new cuts, and the pendant's one-entry row is appended. It
+is the table of the network build_network would make of G~, bit for bit,
+and no such network is built.
 
 A trial that would run past the step cap aborts the whole estimate with
 CapExceeded rather than truncating: silent truncation would bias the mean
@@ -38,13 +45,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import accumulate, islice
 from operator import length_hint
 
 import numpy as np
 
 from .errors import CapExceeded
-from .network import AugmentedNetwork, Network, VertexId
+from .network import Network, VertexId, _check_conductance, _cuts, _pendant_totals
 from .util import DEFAULT_STEP_CAP, sized
 
 _MASK64 = (1 << 64) - 1
@@ -236,13 +243,44 @@ def _uniform(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return _double((x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63))))
 
 
-def _lockstep_tables(net: Network) -> tuple:
-    """The network's rows as ``_pick`` reads them: (indptr, neighbour rows,
-    the cuts of ``Network.walk``, and the binary-lifting strides that cover
-    the largest count of entries a row can pass, largest first)."""
-    degree = int(np.diff(net.indptr).max())
-    return (net.indptr, net.adjacent, net.walk[1],
-            [1 << k for k in reversed(range((degree - 1).bit_length()))])
+def _table(net: Network) -> tuple:
+    """The walk table the walkers read: (rows, cut) of ``Network.walk``, then
+    the compressed rows' indptr and neighbour rows."""
+    return (*net.walk, net.indptr, net.adjacent)
+
+
+def _pendant_table(net: Network, iz: int, c: float) -> tuple:
+    """The walk table of G~, net with a pendant of conductance c at row iz,
+    spliced from net's: what ``_table`` gives for the network that
+    build_network makes of net's edges followed by the pendant edge, bit for
+    bit, without building that network.
+
+    build_network stores the pendant edge last, so the pendant is row n, the
+    last entry of row iz, and its own row is one entry back to iz. Row iz's
+    cuts are taken against its running sums with c appended (``_cuts``, as
+    ``Network.walk`` takes every row's); no other row changes. The
+    pendant's row is there for the lock-step kernel, whose finished lanes
+    stay on the target and still read their row.
+    """
+    rows, cut, indptr, adjacent = _table(net)
+    n, lo, hi = net.n, int(indptr[iz]), int(indptr[iz + 1])
+    running = np.fromiter(accumulate([*net.row(iz)[1], c]), dtype=float, count=hi - lo + 1)
+    row_cut = _cuts(running, running[-1])
+    row_cut[-1] = np.inf
+    row = (tuple(row_cut[:-1].tolist()), (*rows[iz][1], n))
+    return ((*rows[:iz], row, *rows[iz + 1:], ((), (iz,))),
+            np.concatenate((cut[:lo], row_cut, cut[hi:], [np.inf])),
+            np.concatenate((indptr[:iz + 1], indptr[iz + 1:] + 1, [len(adjacent) + 2])),
+            np.concatenate((adjacent[:hi], [n], adjacent[hi:], [iz])))
+
+
+def _lockstep_tables(table: tuple) -> tuple:
+    """A walk table's rows as ``_pick`` reads them: (indptr, neighbour rows,
+    the cuts, and the binary-lifting strides that cover the largest count of
+    entries a row can pass, largest first)."""
+    _, cut, indptr, adjacent = table
+    degree = int(np.diff(indptr).max())
+    return indptr, adjacent, cut, [1 << k for k in reversed(range((degree - 1).bit_length()))]
 
 
 def _pick(tables, v: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -263,14 +301,14 @@ def _pick(tables, v: np.ndarray, u: np.ndarray) -> np.ndarray:
     return row[passed + 1]
 
 
-def _path(net: Network, v: int, uniforms):
+def _path(table: tuple, v: int, uniforms):
     """Yield the rows a walk from row v visits, drawing one uniform per step.
 
     The walk of ``step`` and ``trace_walk``. Its pick, ``bisect_right`` of
     u in the row's cuts (``Network.walk``), is the one ``_finish`` inlines
     and ``_pick`` vectorises.
     """
-    rows = net.walk[0]
+    rows = table[0]
     for u in uniforms:
         cuts, neighbours = rows[v]
         v = neighbours[bisect_right(cuts, u)]
@@ -285,7 +323,7 @@ def _blocks(bits: np.random.PCG64):
         size = min(2 * size, largest)
 
 
-def _finish(net: Network, v: int, target: int, anchor: int, m: int, count: int, cap: int,
+def _finish(table: tuple, v: int, target: int, anchor: int, m: int, count: int, cap: int,
             bits: np.random.PCG64, overrun: CapExceeded) -> tuple[int, int]:
     """Walk on from row v, m steps in, until the first arrival at row target.
 
@@ -299,7 +337,7 @@ def _finish(net: Network, v: int, target: int, anchor: int, m: int, count: int, 
     per block: on arrival, the steps taken in the block are its length less
     the uniforms its iterator has left.
     """
-    rows = net.walk[0]
+    rows = table[0]
     for block in _blocks(bits):
         if cap - m < len(block):
             block = block[:cap - m]
@@ -316,14 +354,16 @@ def _finish(net: Network, v: int, target: int, anchor: int, m: int, count: int, 
             raise overrun
 
 
-def _walk_trials(net: Network, start: int, target: int, anchor: int | None,
-                 trials: int, seed: int, cap: int) -> tuple[np.ndarray, int, int]:
-    """Walk trials 0 .. trials - 1 from row start until each first reaches row target.
+def _walk_trials(table: tuple, start: int, target: int, anchor: int | None, trials: int,
+                 seed: int, cap: int, label: VertexId) -> tuple[np.ndarray, int, int]:
+    """Walk trials 0 .. trials - 1 of a walk table (``_table``) from row start
+    until each first reaches row target.
 
     Returns (samples, steps_total, steps_max). A trial's sample is its
     number of arrivals at row ``anchor`` before the target, or its step
     count when anchor is None; samples are in trial order. Raises
-    CapExceeded if any trial needs more than ``cap`` steps.
+    CapExceeded, naming row start by ``label``, if any trial needs more
+    than ``cap`` steps.
 
     Up to _CHUNK lanes walk in lock step. A lane whose trial arrives takes
     the next trial at once, from a reserve of seeded states refilled one
@@ -336,9 +376,9 @@ def _walk_trials(net: Network, start: int, target: int, anchor: int | None,
     1 KiB, and numpy caches each freed small buffer by size, so a process's
     memory grew with every estimate.
     """
-    tables = _lockstep_tables(net)
+    tables = _lockstep_tables(table)
     bits = np.random.PCG64(0)
-    overrun = CapExceeded(f"walk from {net.vertices[start]!r} exceeded the step cap of {cap}")
+    overrun = CapExceeded(f"walk from {label!r} exceeded the step cap of {cap}")
     samples = np.empty(trials, dtype=np.int64)
 
     lanes = min(trials, _CHUNK)
@@ -399,7 +439,7 @@ def _walk_trials(net: Network, start: int, target: int, anchor: int | None,
             "has_uint32": 0,
             "uinteger": 0,
         }
-        steps, count = _finish(net, at, target, -1 if anchor is None else anchor, m, count,
+        steps, count = _finish(table, at, target, -1 if anchor is None else anchor, m, count,
                                cap, bits, overrun)
         samples[k] = steps if anchor is None else count
         steps_total += steps - m
@@ -441,7 +481,7 @@ def step(net: Network, current: VertexId, rng: np.random.Generator) -> VertexId:
     exactly one uniform draw, so the rng state advances deterministically.
     """
     net.require(current)
-    return net.vertices[next(_path(net, net.index[current], (rng.random(),)))]
+    return net.vertices[next(_path(_table(net), net.index[current], (rng.random(),)))]
 
 
 def trace_walk(
@@ -462,13 +502,22 @@ def trace_walk(
     goal = net.index[target]
     path = [start]
     reason = "cap-reached"
-    walk = _path(net, net.index[start], iter(rng.random, None))
+    walk = _path(_table(net), net.index[start], iter(rng.random, None))
     for v in islice(walk, max(step_cap, 0)):
         path.append(net.vertices[v])
         if v == goal:
             reason = "hit-target"
             break
     return WalkTrace(start=start, steps=tuple(path), terminal_reason=reason)
+
+
+def _hitting_estimate(table: tuple, start: int, target: int, trials: int, seed: int,
+                      cap: int, label: VertexId) -> Estimate:
+    """The Estimate of the steps from row start to row target of a walk
+    table, row start named by ``label``, for arguments already checked."""
+    with _sample_storage(trials):
+        walked = _walk_trials(table, start, target, None, trials, seed, cap, label)
+        return Estimate(**_summary(*walked, seed))
 
 
 def estimate_return_time(
@@ -482,9 +531,7 @@ def estimate_return_time(
     net.require(z)
     _check_trial_args(trials, step_cap)
     iz = net.index[z]
-    with _sample_storage(trials):
-        walked = _walk_trials(net, iz, iz, None, trials, seed, step_cap)
-        return Estimate(**_summary(*walked, seed))
+    return _hitting_estimate(_table(net), iz, iz, trials, seed, step_cap, net.vertices[iz])
 
 
 def estimate_hitting_time(
@@ -502,32 +549,41 @@ def estimate_hitting_time(
     if x == y:
         return Estimate(mean=0.0, std_error=0.0, trials=trials, seed=seed,
                         steps_total=0, steps_max=0)
-    with _sample_storage(trials):
-        walked = _walk_trials(net, net.index[x], net.index[y], None, trials, seed, step_cap)
-        return Estimate(**_summary(*walked, seed))
+    ix = net.index[x]
+    return _hitting_estimate(_table(net), ix, net.index[y], trials, seed, step_cap,
+                             net.vertices[ix])
 
 
 def estimate_excursions(
-    aug: AugmentedNetwork,
+    net: Network,
+    z: VertexId,
     trials: int,
     seed: int,
     step_cap: int = DEFAULT_STEP_CAP,
+    c: float = 1.0,
 ) -> ExcursionEstimate:
-    """Count completed excursions from the anchor before reaching the pendant.
+    """Count completed excursions from z before a fresh pendant at z is reached.
 
-    Each trial walks the combined network from the anchor until the first
-    arrival at the pendant; its sample is the number of returns to the
-    anchor on the way, i.e. the excursions that came back. The mean
-    converges to C_anchor / pendant_conductance, and the per-count
-    empirical distribution is kept for goodness-of-fit checks against the
-    geometric law.
+    The pendant hangs off z by one edge of conductance c (finite and > 0).
+    Each trial walks G~, net plus the pendant, from z until the first
+    arrival at the pendant; its sample is the number of returns to z on
+    the way, i.e. the excursions that came back. The mean converges to
+    C_z / c, and the per-count empirical distribution is kept for
+    goodness-of-fit checks against the geometric law.
+
+    G~ is walked through its spliced table (``_pendant_table``), never
+    built. Checked in turn: z, c, that G~'s sums are finite, then the
+    trial count and step cap.
     """
+    net.require(z)
+    c = _check_conductance(c)
+    _pendant_totals(net, [z], c)
     _check_trial_args(trials, step_cap)
-    net = aug.combined
-    anchor = net.index[aug.anchor]
+    iz = net.index[z]
+    table = _pendant_table(net, iz, c)
     with _sample_storage(trials):
-        returns, *steps = _walk_trials(net, anchor, net.index[aug.pendant], anchor,
-                                       trials, seed, step_cap)
+        returns, *steps = _walk_trials(table, iz, net.n, iz, trials, seed, step_cap,
+                                       net.vertices[iz])
         summary = _summary(returns, *steps, seed)
         returns.sort()  # in place, once the summary has read the trial order
         last = np.append(np.flatnonzero(returns[1:] != returns[:-1]), len(returns) - 1)

@@ -26,6 +26,10 @@ against them bit for bit.
 dicts, field by field, for the text that ``ProofTrace.to_json_dict`` parses
 and that ``verify`` prints.
 
+``pendant_network`` builds G~, a network with a pendant vertex hung off
+an anchor, with the library's ``build_network``, as a user would; the
+library itself never builds it. ``excursions_mc_oracle`` walks it.
+
 The one exception is ``pendant_network_steps``: it is not an independent
 oracle but the reference route that ``replay``'s bits are pinned to, the
 library's own solves on an explicitly built pendant network.
@@ -42,6 +46,7 @@ import numpy as np
 from scipy.sparse.csgraph import connected_components
 from scipy.stats import chi2
 
+import ohmwalk
 from ohmwalk import (
     AmbiguousLabel,
     CapExceeded,
@@ -51,7 +56,6 @@ from ohmwalk import (
     OhmwalkError,
     ParseError,
     SelfLoop,
-    attach_pendant,
     return_time,
     return_time_formula,
     round_trip,
@@ -274,10 +278,20 @@ def hitting_time_mc_oracle(net: Network, x, y, trials: int, seed: int, cap: int)
     return _summary(steps, steps)
 
 
-def excursions_mc_oracle(aug, trials: int, seed: int, cap: int) -> dict:
-    """Per-trial reference for estimate_excursions, with the count distribution."""
-    steps, returns = per_trial_walks(aug.combined, aug.anchor, aug.pendant, aug.anchor,
-                                      trials, seed, cap)
+def pendant_network(net: Network, z, c: float) -> tuple:
+    """(G~, pendant): ohmwalk.build_network of net's merged edges followed by
+    (z, pendant, c), the pendant a label fresh in net."""
+    pendant = f"~{z}"
+    while pendant in net.index:
+        pendant += "~"
+    return ohmwalk.build_network([*net.edges, (z, pendant, c)]), pendant
+
+
+def excursions_mc_oracle(net: Network, z, c: float, trials: int, seed: int, cap: int) -> dict:
+    """Per-trial reference for estimate_excursions, with the count distribution,
+    walked on the built pendant network."""
+    combined, pendant = pendant_network(net, z, c)
+    steps, returns = per_trial_walks(combined, z, pendant, z, trials, seed, cap)
     counts = Counter(returns)
     return dict(_summary(returns, steps), counts={k: counts[k] for k in sorted(counts)})
 
@@ -285,19 +299,18 @@ def excursions_mc_oracle(aug, trials: int, seed: int, cap: int) -> dict:
 def pendant_network_steps(net: Network, z, c: float) -> list:
     """(expected, computed) of each replay step, in order, solved on G~.
 
-    G~ is built with attach_pendant; both hitting times across the pendant
+    G~ is built by pendant_network; both hitting times across the pendant
     edge and R(z, pendant) come from round_trip on it, and the return time
     from first-step analysis on net.
     """
-    aug = attach_pendant(net, z, c)
-    c = aug.pendant_conductance
-    trip = round_trip(aug.combined, z, aug.pendant)
+    combined, pendant = pendant_network(net, z, c)
+    trip = round_trip(combined, z, pendant)
     ret = return_time(net, z)
     C, Cz = net.total_conductance, net.vertex_conductance[z]
     return [
         (1.0, trip.y_to_x),
         (1.0 / c, trip.resistance),
-        (aug.combined.total_conductance * trip.resistance, trip.y_to_x + trip.x_to_y),
+        (combined.total_conductance * trip.resistance, trip.y_to_x + trip.x_to_y),
         (C / c + 1.0, trip.x_to_y),
         (Cz / c * ret + 1.0, trip.x_to_y),
         (return_time_formula(net, z), ret),

@@ -320,6 +320,20 @@ class TestSimulateSubcommands:
         assert doc["kind"] == "hitting"
         assert doc["from"] == "a"
 
+    @pytest.mark.parametrize("argv,message", [
+        (["zz", "--pendant-conductance", "0", "--trials", "0"],
+         "vertex 'zz' is not in the network"),
+        (["a", "--pendant-conductance", "0", "--trials", "0"],
+         "conductance must be finite and > 0, got 0.0"),
+        (["a", "--pendant-conductance", "1.7e308", "--trials", "0"],
+         "total conductance with a pendant of 1.7e+308 at 'a' is not finite"),
+        (["a", "--trials", "0"], "trials must be >= 1, got 0"),
+    ])
+    def test_excursion_errors_in_order(self, capsys, tri_file, argv, message):
+        # the anchor, then c, then G~'s sums, then the trial arguments
+        code, out, err = invoke(capsys, ["simulate", "excursions", tri_file, *argv])
+        assert (code, out, err) == (2, "", f"ohmwalk: error: {message}\n")
+
     def test_excursions_with_counts(self, capsys, tri_file):
         code, out, _ = invoke(
             capsys,
@@ -408,6 +422,29 @@ class TestVerifySubcommand:
         final = doc["traces"][0]["steps"][-1]
         assert final["estimate"]["trials"] == 1000
         assert final["estimate_pass"] is True
+
+    @pytest.mark.parametrize("z,trials,seed", [("14", 63, 5), ("0", 65, 2**64 - 1),
+                                               ("21", 4101, 8)])
+    def test_simulated_total_time_is_simulate_hitting_with_the_pendant_written_in(
+            self, capsys, tmp_path, z, trials, seed):
+        # verify walks G~ through a spliced walk table; simulate hitting
+        # walks the network built from the file with the pendant edge
+        # appended, at the same trials and seed
+        k = 6
+        lines = [f"{i * k + j} {i * k + j + 1} 1" for i in range(k) for j in range(k - 1)]
+        lines += [f"{i * k + j} {i * k + j + k} 1" for i in range(k - 1) for j in range(k)]
+        grid, pendant = tmp_path / "grid6.edges", tmp_path / "pendant6.edges"
+        grid.write_text("\n".join(lines) + "\n")
+        pendant.write_text("\n".join(lines) + f"\n{z} ~{z} 1\n")
+        sim = ["--trials", str(trials), "--seed", str(seed)]
+        code, out, _ = invoke(capsys, ["verify", str(grid), "--vertex", z, "--simulate", *sim])
+        assert code in (0, 1)  # a band may miss
+        steps = {s["name"]: s for s in json.loads(out)["traces"][0]["steps"]}
+        code, out, _ = invoke(capsys, ["simulate", "hitting", str(pendant), z, f"~{z}", *sim])
+        assert code == 0
+        hitting = json.loads(out)
+        fields = ("mean", "std_error", "trials", "seed", "steps_total", "steps_max")
+        assert steps["total-time"]["estimate"] == {name: hitting[name] for name in fields}
 
     def test_single_vertex_trace_is_the_sweep_trace(self, capsys, monkeypatch, tmp_path):
         # A sweep runs its anchors' leaf systems in batches, one anchor alone;

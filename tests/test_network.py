@@ -1,4 +1,5 @@
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from ohmwalk import (
     SelfLoop,
     SystemTooLarge,
     UnknownVertex,
-    attach_pendant,
     build_network,
     chain_to_network,
     transition_distribution,
@@ -25,8 +25,10 @@ from ohmwalk import (
 )
 
 import oracles
+from ohmwalk.simulate import _pendant_table
 from netgen import random_connected_network, random_reversible_kernel
-from oracles import induced_kernel, network_bits, outcome, reverse_cuthill_mckee, strongly_connected
+from oracles import (bits, induced_kernel, network_bits, outcome, reverse_cuthill_mckee,
+                     strongly_connected)
 
 
 class TestBuildNetwork:
@@ -172,23 +174,6 @@ class TestAgainstReference:
         # the same type, entry (.edge) and message, or the same network
         assert outcome(build_network, edges) == outcome(oracles.build_network, edges)
 
-    @settings(max_examples=200, deadline=None)
-    @given(_edge_lists(), st.data())
-    def test_attach_pendant_matches_a_rebuilt_network(self, edges, data):
-        try:
-            net = build_network(edges)
-        except NonPositiveConductance:  # a sum overflowed
-            return
-        z = data.draw(st.sampled_from(net.vertices))
-        c = data.draw(_CONDUCTANCES)
-        reference = oracles.build_network(edges)
-
-        def rebuilt():
-            return oracles.build_network([*reference.edges, (z, f"~{z}", c)])
-
-        assert (outcome(lambda: attach_pendant(net, z, c).combined)
-                == outcome(rebuilt))
-
     @pytest.mark.parametrize("seed", range(12))
     def test_larger_networks_with_parallel_edges(self, seed):
         rng = np.random.default_rng(seed)
@@ -200,10 +185,15 @@ class TestAgainstReference:
         edges = [listed[i] for i in rng.permutation(len(listed))]
         net = build_network(edges)
         assert network_bits(net) == network_bits(oracles.build_network(edges))
+        # the pendant's walk table, spliced from net's, is the reference's
         z = net.vertices[int(rng.integers(net.n))]
-        combined = attach_pendant(net, z, 0.3).combined
-        assert network_bits(combined) == network_bits(
-            oracles.build_network([*edges, (z, f"~{z}", 0.3)]))
+        rows, cut, indptr, adjacent = _pendant_table(net, net.index[z], 0.3)
+        reference = oracles.build_network([*edges, (z, f"~{z}", 0.3)])
+        assert bits((rows, cut)) == bits(reference.walk)
+        neighbours = [[reference.index[u] for u, _ in reference.neighbors[v]]
+                      for v in reference.vertices]
+        assert indptr.tolist() == [0, *accumulate(map(len, neighbours))]
+        assert adjacent.tolist() == [u for row in neighbours for u in row]
 
     def test_parallel_entries_sum_left_to_right(self):
         net = build_network([("a", "b", 0.1), ("b", "a", 0.2), ("a", "b", 0.3), ("b", "c", 1.0)])
@@ -285,8 +275,8 @@ class TestOrdering:
         ohmwalk.estimate_return_time(net, z, 100, 0)
         assert "walk" in net.__dict__
         assert not {"edges", "neighbors", "vertex_conductance"} & net.__dict__.keys()
-        # a pendant network is built from the base's arrays, not its label views
-        ohmwalk.estimate_excursions(ohmwalk.attach_pendant(net, z), 100, 0)
+        # a pendant walk table is spliced from the base's arrays, not its label views
+        ohmwalk.estimate_excursions(net, z, 100, 0)
         ohmwalk.replay(net, z, simulate_with=(10, 0))
         assert not {"edges", "neighbors", "vertex_conductance"} & net.__dict__.keys()
 
@@ -303,7 +293,7 @@ _LABEL_CALLS = {
     "estimate_hitting_time": lambda net, v: ohmwalk.estimate_hitting_time(net, 3, v, 10, 0),
     "trace_walk": lambda net, v: ohmwalk.trace_walk(net, v, 3, np.random.default_rng(0)),
     "replay": lambda net, v: ohmwalk.replay(net, v),
-    "attach_pendant": lambda net, v: ohmwalk.attach_pendant(net, v),
+    "estimate_excursions": lambda net, v: ohmwalk.estimate_excursions(net, v, 10, 0),
     "degree": lambda net, v: net.degree(v),
 }
 
@@ -395,55 +385,6 @@ class TestDistributionType:
     def test_absent_weight_is_zero(self):
         d = Distribution({"a": 1.0})
         assert d.weight("b") == 0.0
-
-
-class TestAttachPendant:
-    def test_triangle_totals(self, triangle):
-        aug = attach_pendant(triangle, "a", 1.0)
-        assert aug.combined.n == 4
-        assert aug.combined.total_conductance == pytest.approx(8.0, rel=1e-12)
-
-    def test_k2_becomes_path(self, k2):
-        aug = attach_pendant(k2, "a", 1.0)
-        assert aug.combined.n == 3
-        assert aug.combined.total_conductance == pytest.approx(4.0, rel=1e-12)
-        assert aug.combined.degree(aug.pendant) == 1
-
-    def test_generalized_conductance(self, triangle):
-        aug = attach_pendant(triangle, "a", 2.0)
-        recomputed = math.fsum(aug.combined.vertex_conductance.values())
-        assert aug.combined.total_conductance == pytest.approx(10.0, rel=1e-12)
-        assert recomputed == pytest.approx(10.0, rel=1e-12)
-
-    def test_base_untouched_and_removal_recovers(self, triangle):
-        aug = attach_pendant(triangle, "b", 0.7)
-        assert aug.base is triangle
-        assert aug.combined.vertex_conductance["a"] == triangle.vertex_conductance["a"]
-        stripped = [e for e in aug.combined.edges if aug.pendant not in e[:2]]
-        rebuilt = build_network(stripped)
-        assert rebuilt.edges == triangle.edges
-        assert rebuilt.total_conductance == triangle.total_conductance
-
-    def test_pendant_label_is_fresh(self):
-        net = build_network([("a", "~a", 1.0)])
-        aug = attach_pendant(net, "a", 1.0)
-        assert aug.pendant not in net.index
-        assert aug.combined.degree(aug.pendant) == 1
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_ordering_is_built_only_when_read(self, seed):
-        # the pendant network is connected by construction; a solve builds it
-        rng = np.random.default_rng(seed)
-        net = random_connected_network(rng, n_hi=30)
-        combined = attach_pendant(net, net.vertices[int(rng.integers(net.n))], 0.5).combined
-        assert "ordering" not in combined.__dict__
-        assert combined.ordering == reverse_cuthill_mckee(combined)
-
-    def test_errors(self, triangle):
-        with pytest.raises(UnknownVertex):
-            attach_pendant(triangle, "zz")
-        with pytest.raises(NonPositiveConductance):
-            attach_pendant(triangle, "a", 0.0)
 
 
 class TestChainToNetwork:

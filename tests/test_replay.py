@@ -1,4 +1,3 @@
-import importlib
 import json
 import math
 
@@ -12,17 +11,18 @@ from ohmwalk import (
     UnknownVertex,
     build_network,
     commute_time,
+    estimate_excursions,
     rel_err,
     replay,
     return_time,
     return_time_formula,
 )
-from ohmwalk import exact
-from ohmwalk.network import _partials, _sum
+from ohmwalk import exact, network
+from ohmwalk.network import _partials, _pendant_totals, _sum
 from ohmwalk.replay import STEP_NAMES
 
-from netgen import grid_network, random_connected_network, resistances
-from oracles import pendant_network_steps
+from netgen import grid_network, network_suite, random_connected_network, resistances
+from oracles import pendant_network, pendant_network_steps
 
 
 def _leaf_partition(net):
@@ -97,16 +97,16 @@ class TestReplayFixtures:
             swept = [int(s) for s in (first[i], net.n - end[i]) if s]
             assert eliminations == swept + [L, L], z
 
-    def test_builds_no_pendant_network_without_simulation(self, monkeypatch, triangle):
-        replay_module = importlib.import_module("ohmwalk.replay")  # ohmwalk.replay is the function
+    def test_builds_no_network_with_or_without_simulation(self, monkeypatch, triangle):
+        # the exact side solves on the base network, and the simulated
+        # z -> pendant walk reads G~'s spliced walk table
         calls = []
-        for module, name in ((replay_module, "attach_pendant"), (exact, "round_trip")):
+        for module, name in ((network, "_from_edges"), (exact, "round_trip")):
             fn = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *a, fn=fn: calls.append(a) or fn(*a))
         assert replay(triangle, "a", 2.0).passed
-        assert calls == []
         replay(triangle, "a", 2.0, simulate_with=(50, 0))
-        assert len(calls) == 1  # the simulated z -> pendant walk needs G~
+        assert calls == []
 
     @pytest.mark.parametrize("kwargs", [
         {"tolerance": 0.0}, {"tolerance": -1.0},
@@ -341,6 +341,15 @@ class TestPendantNetworkBits:
         with pytest.raises(NonPositiveConductance):
             replay(build_network([("a", "b", 4e307)]), "a", 6e307)
 
+    def test_replay_and_excursions_reject_an_overflowed_total_alike(self, triangle):
+        # C~_a = 2 + 1.7e308 is finite, C~ = 4 + 2 * 1.7e308 is not
+        message = "total conductance with a pendant of 1.7e+308 at 'a' is not finite"
+        with pytest.raises(NonPositiveConductance) as replayed:
+            replay(triangle, "a", 1.7e308)
+        with pytest.raises(NonPositiveConductance) as walked:
+            estimate_excursions(triangle, "a", 10, 0, c=1.7e308)
+        assert str(replayed.value) == str(walked.value) == message
+
 
 def _pendant_total(values, i, leaky, c):
     """C~ as one correctly rounded sum: the vertex conductances with the
@@ -355,6 +364,13 @@ _VERTEX_CONDUCTANCE = st.floats(min_value=5e-324, max_value=1e308) | st.sampled_
 class TestPendantTotal:
     """replay adds -C_z, C~_z and c to the exact partials of C's terms, once
     per anchor; C~ must keep the bits of one fsum over all of G~'s terms."""
+
+    @pytest.mark.parametrize("c", (5e-324, 0.7, 2.0, 1e300))
+    def test_totals_are_those_of_the_built_pendant_network(self, c):
+        for net in network_suite(2600, 6, n_hi=10):
+            for z, totals in zip(net.vertices, _pendant_totals(net, net.vertices, c)):
+                built, _ = pendant_network(net, z, c)
+                assert totals == (built.vertex_conductance[z], built.total_conductance), (z, c)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(_VERTEX_CONDUCTANCE, min_size=1, max_size=40), st.data())

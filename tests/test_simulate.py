@@ -1,5 +1,6 @@
 import math
 from bisect import bisect_right
+from dataclasses import asdict
 from itertools import accumulate
 
 import numpy as np
@@ -12,7 +13,6 @@ from ohmwalk import (
     Network,
     SystemTooLarge,
     UnknownVertex,
-    attach_pendant,
     build_network,
     estimate_excursions,
     estimate_hitting_time,
@@ -31,17 +31,21 @@ from ohmwalk.simulate import (
     _lockstep_tables,
     _path,
     _pcg_step,
+    _pendant_table,
     _pick,
     _seed_states,
+    _table,
     _uniform,
 )
 
-from netgen import network_suite
+from netgen import network_suite, random_connected_network
 from oracles import (
+    bits,
     per_trial_walks,
     excursions_mc_oracle,
     geometric_fit_pvalue,
     hitting_time_mc_oracle,
+    pendant_network,
     return_time_mc_oracle,
 )
 
@@ -144,7 +148,7 @@ class TestReturnTimeEstimator:
         monkeypatch.setattr(simulate, "_summary", refuse)
         run = {"return": lambda: estimate_return_time(k4, "a", 100, seed=0),
                "hitting": lambda: estimate_hitting_time(k4, "a", "b", 100, seed=0),
-               "excursions": lambda: estimate_excursions(attach_pendant(k4, "a", 1.0), 100, 0)}
+               "excursions": lambda: estimate_excursions(k4, "a", 100, 0)}
         with pytest.raises(SystemTooLarge, match="MiB of sample storage"):
             run[estimator]()
 
@@ -158,17 +162,17 @@ class TestSummaryBits:
     @pytest.mark.parametrize("estimator", ("return", "hitting", "excursions"))
     def test_mean_and_std_error_keep_the_float_copy_bits(self, k4, estimator):
         trials, seed, cap = 10**5, 11, 10**7
-        aug = attach_pendant(k4, "a", 1.0)
-        a, b, pendant = (aug.combined.index[v] for v in ("a", "b", aug.pendant))
+        a, b = k4.index["a"], k4.index["b"]
         if estimator == "return":
             est = estimate_return_time(k4, "a", trials, seed)
-            walked = simulate._walk_trials(k4, a, a, None, trials, seed, cap)
+            walked = simulate._walk_trials(_table(k4), a, a, None, trials, seed, cap, "a")
         elif estimator == "hitting":
             est = estimate_hitting_time(k4, "a", "b", trials, seed)
-            walked = simulate._walk_trials(k4, a, b, None, trials, seed, cap)
+            walked = simulate._walk_trials(_table(k4), a, b, None, trials, seed, cap, "a")
         else:
-            est = estimate_excursions(aug, trials, seed)
-            walked = simulate._walk_trials(aug.combined, a, pendant, a, trials, seed, cap)
+            est = estimate_excursions(k4, "a", trials, seed)
+            walked = simulate._walk_trials(_pendant_table(k4, a, 1.0), a, k4.n, a, trials, seed,
+                                           cap, "a")
         data = walked[0].astype(float)
         mean, se = float(data.mean()), float(data.std(ddof=1) / math.sqrt(trials))
         assert (est.mean.hex(), est.std_error.hex()) == (mean.hex(), se.hex())
@@ -192,13 +196,11 @@ class TestHittingTimeEstimator:
 
 class TestExcursionEstimator:
     def test_k2_pendant(self, k2):
-        aug = attach_pendant(k2, "a", 1.0)
-        est = estimate_excursions(aug, trials=100_000, seed=5)
+        est = estimate_excursions(k2, "a", trials=100_000, seed=5)
         assert abs(est.mean - 1.0) <= 4.0 * est.std_error
 
     def test_triangle_pendant(self, triangle):
-        aug = attach_pendant(triangle, "a", 1.0)
-        est = estimate_excursions(aug, trials=100_000, seed=6)
+        est = estimate_excursions(triangle, "a", trials=100_000, seed=6)
         assert abs(est.mean - 2.0) <= 4.0 * est.std_error
         assert sum(est.counts.values()) == est.trials
         assert list(est.counts) == sorted(est.counts)
@@ -206,31 +208,30 @@ class TestExcursionEstimator:
     def test_doubled_pendant_conductance(self, triangle):
         # success probability per visit read off the augmented network
         # itself: mean failures = (1 - p) / p = C_z / c = 1
-        aug = attach_pendant(triangle, "a", 2.0)
-        p = transition_distribution(aug.combined, "a").weight(aug.pendant)
+        combined, pendant = pendant_network(triangle, "a", 2.0)
+        p = transition_distribution(combined, "a").weight(pendant)
         assert p == pytest.approx(0.5, rel=1e-12)
-        est = estimate_excursions(aug, trials=100_000, seed=8)
+        est = estimate_excursions(triangle, "a", trials=100_000, seed=8, c=2.0)
         assert abs(est.mean - (1.0 - p) / p) <= 4.0 * est.std_error
 
     def test_counts_follow_geometric_law(self, triangle):
-        aug = attach_pendant(triangle, "a", 1.0)
-        est = estimate_excursions(aug, trials=100_000, seed=12)
+        est = estimate_excursions(triangle, "a", trials=100_000, seed=12)
         assert geometric_fit_pvalue(est.counts, 1.0 / 3.0) > 0.001
 
     def test_visits_equal_excursions_plus_one(self, triangle):
-        aug = attach_pendant(triangle, "b", 1.0)
+        combined, pendant = pendant_network(triangle, "b", 1.0)
         for trial in range(25):
-            est = estimate_excursions(aug, trials=1, seed=trial)
-            trace = trace_walk(aug.combined, "b", aug.pendant, trial_generator(trial, 0))
+            est = estimate_excursions(triangle, "b", trials=1, seed=trial)
+            trace = trace_walk(combined, "b", pendant, trial_generator(trial, 0))
             visits = trace.steps[:-1].count("b")
             assert visits == est.mean + 1
 
     def test_mean_matches_absorbing_oracle(self, triangle):
         # absorbing-chain oracle: expected visits to the anchor before
         # absorption = 1/p for the geometric number of trials
-        aug = attach_pendant(triangle, "c", 0.5)
-        p = transition_distribution(aug.combined, "c").weight(aug.pendant)
-        est = estimate_excursions(aug, trials=50_000, seed=3)
+        combined, pendant = pendant_network(triangle, "c", 0.5)
+        p = transition_distribution(combined, "c").weight(pendant)
+        est = estimate_excursions(triangle, "c", trials=50_000, seed=3, c=0.5)
         assert abs(est.mean - (1.0 - p) / p) <= 4.0 * est.std_error
 
 
@@ -384,8 +385,87 @@ class TestVectorizedPick:
                 rows += [v] * len(draws)
                 u += draws
             want = [_running_sum_pick(net, v, x) for v, x in zip(rows, u)]
-            assert _pick(_lockstep_tables(net), np.array(rows), np.array(u)).tolist() == want
-            assert [next(_path(net, v, (x,))) for v, x in zip(rows, u)] == want
+            table = _table(net)
+            assert _pick(_lockstep_tables(table), np.array(rows), np.array(u)).tolist() == want
+            assert [next(_path(table, v, (x,))) for v, x in zip(rows, u)] == want
+
+
+# Pendant conductances from subnormal to huge.
+_PENDANT_C = (5e-324, 1e-300, 1e-7, 0.05, 0.5, 1.0, 1.7, 3e5, 1e300)
+
+
+def _parallel_networks():
+    """Seeded random networks whose every edge is listed one to three times,
+    in either direction and shuffled, with conductances log-uniform over
+    1e-300 .. 1e300 and one of them subnormal."""
+    nets = []
+    for seed in range(4):
+        rng = np.random.default_rng(2600 + seed)
+        edges = []
+        for u, v, _ in random_connected_network(rng, n_lo=4, n_hi=16).edges:
+            for _ in range(int(rng.integers(1, 4))):
+                c = float(10.0 ** rng.uniform(-300.0, 300.0))
+                edges.append((u, v, c) if rng.random() < 0.5 else (v, u, c))
+        u, v, _ = edges[0]
+        edges[0] = (u, v, 5e-324)
+        nets.append(build_network([edges[i] for i in rng.permutation(len(edges))]))
+    return nets
+
+
+class TestPendantTable:
+    """The walk table of G~ that _pendant_table splices from net's is the
+    table of G~ built by build_network from net's edges and the pendant
+    edge (tests/oracles.py pendant_network), and estimates on it are those
+    on the built one, bit for bit."""
+
+    @pytest.mark.parametrize("c", _PENDANT_C)
+    def test_spliced_table_is_the_built_table(self, c):
+        for net in [*_parallel_networks(), _extreme_wheel()]:  # the wheel's hub has degree 70
+            base = bits(_table(net))
+            for z in net.vertices:
+                built, _ = pendant_network(net, z, c)
+                assert bits(_pendant_table(net, net.index[z], c)) == bits(_table(built)), (z, c)
+            assert bits(_table(net)) == base  # the base's own table is left as it was
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 79), _conductances()), min_size=1, max_size=100),
+           st.data())
+    def test_spliced_table_of_any_star_with_parallel_spokes(self, spokes, data):
+        net = build_network([("hub", leaf, c) for leaf, c in spokes])
+        z = data.draw(st.sampled_from(net.vertices))
+        c = data.draw(_conductances())
+        built, _ = pendant_network(net, z, c)
+        assert bits(_pendant_table(net, net.index[z], c)) == bits(_table(built))
+
+    @pytest.mark.parametrize("trials", (_SCALAR_TAIL - 1, _SCALAR_TAIL, _SCALAR_TAIL + 1,
+                                        2 * _CHUNK + 5))
+    def test_estimates_are_those_on_the_built_table(self, monkeypatch, trials):
+        # short walks: pendants of a quarter of C_z and more, so a few
+        # excursions a trial
+        seed = 2**64 - 1
+        net = random_connected_network(np.random.default_rng(26), n_lo=6, n_hi=10)
+        net = build_network([*net.edges, *net.edges[::2]])  # half the edges doubled
+        cases = [(net, z, scale * float(net.row_conductance[net.index[z]]))
+                 for z in net.vertices[:2] for scale in (0.25, 1.7, 3e5)]
+        wheel = _extreme_wheel()
+        cases.append((wheel, "h", float(wheel.row_conductance[wheel.index["h"]])))
+        for net, z, c in cases:
+            spliced = estimate_excursions(net, z, trials, seed, c=c)
+            built, _ = pendant_network(net, z, c)
+            with monkeypatch.context() as patch:
+                patch.setattr(simulate, "_pendant_table", lambda *args: _table(built))
+                assert asdict(spliced) == asdict(estimate_excursions(net, z, trials, seed, c=c))
+
+    def test_cap_exceeded_alike(self, k4):
+        # a pendant of 1e-7 is next to never reached within 50 steps
+        for net, z in ((k4, "a"), (_extreme_wheel(), "h")):
+            built, pendant = pendant_network(net, z, 1e-7)
+            with pytest.raises(CapExceeded) as spliced:
+                estimate_excursions(net, z, 100, 0, 50, 1e-7)
+            with pytest.raises(CapExceeded) as walked:
+                estimate_hitting_time(built, z, pendant, 100, 0, 50)
+            assert (str(spliced.value) == str(walked.value)
+                    == f"walk from {z!r} exceeded the step cap of 50")
 
 
 def _fields(est) -> dict:
@@ -403,13 +483,12 @@ class TestKernelMatchesPerTrialOracle:
         cap = 10**6
         for net in network_suite(seed % 1000, 4, n_lo=3, n_hi=8):
             z, y = net.vertices[0], net.vertices[-1]
-            aug = attach_pendant(net, y, 0.7)
             assert _fields(estimate_return_time(net, z, trials, seed)) == \
                 return_time_mc_oracle(net, z, trials, seed, cap)
             assert _fields(estimate_hitting_time(net, z, y, trials, seed)) == \
                 hitting_time_mc_oracle(net, z, y, trials, seed, cap)
-            assert _fields(estimate_excursions(aug, trials, seed)) == \
-                excursions_mc_oracle(aug, trials, seed, cap)
+            assert _fields(estimate_excursions(net, y, trials, seed, c=0.7)) == \
+                excursions_mc_oracle(net, y, 0.7, trials, seed, cap)
 
     @pytest.mark.parametrize("trials", (_SCALAR_TAIL - 1, _SCALAR_TAIL, _SCALAR_TAIL + 1, 300))
     def test_wide_hub_and_extreme_conductances(self, trials):
@@ -418,25 +497,24 @@ class TestKernelMatchesPerTrialOracle:
         seed, cap = 3, 10**6
         wheel = _extreme_wheel()
         trap = build_network([*wheel.edges, *_TRAP])
-        aug = attach_pendant(wheel, "h", float(wheel.row_conductance[wheel.index["h"]]))
+        ch = float(wheel.row_conductance[wheel.index["h"]])
         assert _fields(estimate_return_time(wheel, "h", trials, seed)) == \
             return_time_mc_oracle(wheel, "h", trials, seed, cap)
         assert _fields(estimate_hitting_time(wheel, "s", "h", trials, seed)) == \
             hitting_time_mc_oracle(wheel, "s", "h", trials, seed, cap)
         assert _fields(estimate_hitting_time(trap, "h", "g", trials, seed)) == \
             hitting_time_mc_oracle(trap, "h", "g", trials, seed, cap)
-        assert _fields(estimate_excursions(aug, trials, seed)) == \
-            excursions_mc_oracle(aug, trials, seed, cap)
+        assert _fields(estimate_excursions(wheel, "h", trials, seed, c=ch)) == \
+            excursions_mc_oracle(wheel, "h", ch, trials, seed, cap)
 
     def test_several_chunks(self, k4):
         trials, seed, cap = 2 * _CHUNK + 5, 2**64 - 1, 10**6
-        aug = attach_pendant(k4, "b", 2.0)
         assert _fields(estimate_return_time(k4, "a", trials, seed)) == \
             return_time_mc_oracle(k4, "a", trials, seed, cap)
         assert _fields(estimate_hitting_time(k4, "a", "d", trials, seed)) == \
             hitting_time_mc_oracle(k4, "a", "d", trials, seed, cap)
-        assert _fields(estimate_excursions(aug, trials, seed)) == \
-            excursions_mc_oracle(aug, trials, seed, cap)
+        assert _fields(estimate_excursions(k4, "b", trials, seed, c=2.0)) == \
+            excursions_mc_oracle(k4, "b", 2.0, trials, seed, cap)
 
     @pytest.mark.parametrize("trials", (_SCALAR_TAIL - 1, 2 * _SCALAR_TAIL))
     def test_cap_one_short_of_a_forced_walk(self, k2, trials):
@@ -455,14 +533,14 @@ class TestKernelMatchesPerTrialOracle:
     def test_cap_with_exactly_one_trial_over(self, trials, seed, first):
         # the longest trial is unique, so a cap one below it fails that trial alone
         ring = build_network([(i, (i + 1) % 8, 1.0) for i in range(8)])
-        aug = attach_pendant(ring, 3, 0.5)
+        combined, pendant = pendant_network(ring, 3, 0.5)
         cases = [
             (lambda cap: estimate_return_time(ring, 0, trials, seed, cap), (0, 0, None)),
             (lambda cap: estimate_hitting_time(ring, 0, 4, trials, seed, cap), (0, 4, None)),
-            (lambda cap: estimate_excursions(aug, trials, seed, cap), (3, aug.pendant, 3)),
+            (lambda cap: estimate_excursions(ring, 3, trials, seed, cap, 0.5), (3, pendant, 3)),
         ]
         for run, (start, target, anchor) in cases:
-            net = aug.combined if anchor is not None else ring
+            net = combined if anchor is not None else ring
             steps, _ = per_trial_walks(net, start, target, anchor, trials, seed, 10**6)
             longest, runner_up = sorted(steps)[-1], sorted(steps)[-2]
             assert longest > runner_up
@@ -497,7 +575,7 @@ class TestRefilledLanes:
         if estimator == "return":
             est = estimate_return_time(k4, "a", trials=100_000, seed=1)
         else:
-            est = estimate_excursions(attach_pendant(k4, "a", 1.0), trials=50_000, seed=1)
+            est = estimate_excursions(k4, "a", trials=50_000, seed=1)
         # full lanes take steps_total / _CHUNK rounds; draining them, at most steps_max
         assert rounds <= est.steps_total / _CHUNK + est.steps_max
         assert tail <= _SCALAR_TAIL
@@ -511,12 +589,11 @@ class TestScalarTail:
 
     def test_long_walks_cross_block_sizes(self):
         line = build_network([(i, i + 1, 1.0) for i in range(29)])
-        aug = attach_pendant(line, 15, 0.05)
         seed, cap = 2**64 - 1, 10**7
         hit = estimate_hitting_time(line, 0, 29, self.TRIALS, seed)
         assert _fields(hit) == hitting_time_mc_oracle(line, 0, 29, self.TRIALS, seed, cap)
-        exc = estimate_excursions(aug, self.TRIALS, seed)
-        assert _fields(exc) == excursions_mc_oracle(aug, self.TRIALS, seed, cap)
+        exc = estimate_excursions(line, 15, self.TRIALS, seed, c=0.05)
+        assert _fields(exc) == excursions_mc_oracle(line, 15, 0.05, self.TRIALS, seed, cap)
         # the longest trials run into the 2048 block and the second 4096 block
         assert hit.steps_max > 16 + 32 + 64 + 128 + 256 + 512 + 1024
         assert exc.steps_max > 16 + 32 + 64 + 128 + 256 + 512 + 1024 + 2048 + 4096
@@ -526,15 +603,14 @@ class TestScalarTail:
         # the longest trials take 70, 112 and 71 steps: the hitting walk
         # arrives on the last uniform of the third block
         ring = build_network([(i, (i + 1) % 12, 1.0) for i in range(12)])
-        aug = attach_pendant(ring, 6, 4.0)
         seed, n = 1, self.TRIALS
         cases = [
             (lambda: estimate_return_time(ring, 0, n, seed, cap),
              return_time_mc_oracle(ring, 0, n, seed, 10**6)),
             (lambda: estimate_hitting_time(ring, 0, 6, n, seed, cap),
              hitting_time_mc_oracle(ring, 0, 6, n, seed, 10**6)),
-            (lambda: estimate_excursions(aug, n, seed, cap),
-             excursions_mc_oracle(aug, n, seed, 10**6)),
+            (lambda: estimate_excursions(ring, 6, n, seed, cap, 4.0),
+             excursions_mc_oracle(ring, 6, 4.0, n, seed, 10**6)),
         ]
         longest = []
         for run, want in cases:
@@ -558,14 +634,13 @@ class TestScalarTail:
 def test_band_consistency_over_repetitions(estimator, exact, triangle, unit_path):
     hits = 0
     reps = 100
-    aug = attach_pendant(triangle, "a", 1.0)
     for rep in range(reps):
         if estimator == "return":
             est = estimate_return_time(triangle, "a", trials=1_500, seed=rep)
         elif estimator == "hitting":
             est = estimate_hitting_time(unit_path, "a", "c", trials=1_500, seed=rep)
         else:
-            est = estimate_excursions(aug, trials=1_500, seed=rep)
+            est = estimate_excursions(triangle, "a", trials=1_500, seed=rep)
         if abs(est.mean - exact) <= 4.0 * est.std_error:
             hits += 1
     assert hits >= 95
