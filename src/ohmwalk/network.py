@@ -50,6 +50,15 @@ VertexId = str | int
 DETAILED_BALANCE_TOL = 1e-9
 DISTRIBUTION_TOL = 1e-12
 
+# Buckets of the walk's guide table (Network.walk): the top BUCKET_BITS of
+# a uniform's 53.
+BUCKET_BITS = 6
+BUCKETS = 1 << BUCKET_BITS
+# Bytes the guide table holds per row at its peak, for each of its BUCKETS
+# entries: its intp, its count while it is built, and a pointer in each of
+# the object array, the list and the row's tuple that carry it to Python.
+_JUMP_ROW_BYTES = BUCKETS * 5 * 8
+
 
 @dataclass(frozen=True, eq=False)
 class Network:
@@ -146,8 +155,9 @@ class Network:
         return dict(zip(self.vertices, self.row_conductance.tolist()))
 
     @cached_property
-    def walk(self) -> tuple[tuple[tuple[tuple[float, ...], tuple[int, ...]], ...], np.ndarray]:
-        """Inverse-CDF table of the walk, as uniform thresholds: (rows, cut).
+    def walk(self) -> tuple[tuple[tuple[tuple[float, ...], tuple[int, ...]], ...], np.ndarray,
+                            tuple[tuple[int, ...], ...], np.ndarray]:
+        """Inverse-CDF table of the walk, as uniform thresholds: (rows, cut, jumps, jump).
 
         The rule it encodes: from row v, given a uniform u, entry j of the
         row (in stored order) passes when its running sum, the
@@ -167,11 +177,18 @@ class Network:
         row's cuts: the same count of passed entries as the running-sum
         bisect, bit for bit, with no product.
 
+        ``jump`` is a guide table over that bisect (``_jumps``): for each
+        row and each of the BUCKETS buckets [b / BUCKETS, (b + 1) / BUCKETS)
+        of u, the row every uniform in the bucket picks, or -1 where a cut
+        of the row lies strictly inside the bucket.
+
         ``rows[v]`` is (the cuts of every entry of row v but the last, the
-        neighbour rows of all its entries), tuples because the scalar loop
-        indexes them one step at a time. ``cut`` holds every entry's
-        cut at its place in ``adjacent``, inf at each row's last entry, for
-        the lock-step kernel to gather. Built on first use and kept.
+        neighbour rows of all its entries) and ``jumps[v]`` is row v of
+        ``jump``, tuples because the scalar loop indexes them one step at a
+        time. ``cut`` holds every entry's cut at its place in ``adjacent``,
+        inf at each row's last entry, and ``jump`` is a read-only array of n
+        rows, for the lock-step kernel to gather. Built on first use and
+        kept; running out of memory for the jump rows raises SystemTooLarge.
         """
         bounds = self.indptr.tolist()
         weight = self.weight.tolist()
@@ -181,10 +198,16 @@ class Network:
         last = self.indptr[1:] - 1
         cut = _cuts(running, np.repeat(running[last], np.diff(self.indptr)))
         cut[last] = np.inf
-        cut.flags.writeable = False
         cuts, neighbours = cut.tolist(), self.adjacent.tolist()
-        return tuple((tuple(cuts[lo:hi - 1]), tuple(neighbours[lo:hi]))
-                     for lo, hi in zip(bounds, bounds[1:])), cut
+        rows = tuple((tuple(cuts[lo:hi - 1]), tuple(neighbours[lo:hi]))
+                     for lo, hi in zip(bounds, bounds[1:]))
+        with sized(self.n * _JUMP_ROW_BYTES, "the walk table", "jump rows"):
+            jump = _jumps(cut, self.indptr, self.adjacent)
+            # One int object per row number, not one per entry: index -1 is -1.
+            jumps = tuple(map(tuple, np.array([*range(self.n), -1], dtype=object)
+                              .take(jump).tolist()))
+        cut.flags.writeable = jump.flags.writeable = False
+        return rows, cut, jumps, jump
 
     @cached_property
     def ordering(self) -> tuple[int, ...]:
@@ -269,6 +292,35 @@ def _cuts(running: np.ndarray, total) -> np.ndarray:
         np.copyto(high, mid, where=passes)
         np.add(mid, 1, out=low, where=~passes)
     return high * 2.0**-53
+
+
+def _jumps(cut: np.ndarray, indptr: np.ndarray, adjacent: np.ndarray) -> np.ndarray:
+    """The guide table of compressed rows with cuts ``cut`` (``Network.walk``):
+    an intp array of one row per row v, whose entry b is the neighbour row
+    that ``bisect_right`` of every u in [b / BUCKETS, (b + 1) / BUCKETS) in
+    row v's cuts picks, or -1 where a cut lies strictly inside that bucket
+    (Chen & Asau 1974, made exact by the cuts being multiples of 2**-53).
+
+    Counted, not searched: an entry passes every u of bucket b onward from
+    b = ceil(cut * BUCKETS), an exact product, so one bincount of those
+    buckets per row and a running sum along each row give the count that
+    passes at every bucket's low end. Inside a bucket the count changes
+    exactly where a cut is not a multiple of 1 / BUCKETS."""
+    n = len(indptr) - 1
+    scaled = cut * BUCKETS
+    # Array methods rather than numpy's functions: a pendant's splice builds
+    # one row at a time, and the functions' wrappers cost as much as the work.
+    row = np.arange(n).repeat(indptr[1:] - indptr[:-1])
+    first = np.minimum(np.ceil(scaled), BUCKETS).astype(np.intp)  # inf and 1: no bucket
+    first += row * (BUCKETS + 1)
+    counts = np.bincount(first, minlength=n * (BUCKETS + 1)).reshape(n, BUCKETS + 1)
+    jump = np.empty((n, BUCKETS), dtype=np.intp)
+    counts[:, :BUCKETS].cumsum(axis=1, out=jump)
+    jump += indptr[:-1, None]
+    adjacent.take(jump, out=jump)
+    inside = (scaled != np.floor(scaled)).nonzero()[0]  # so finite, and below BUCKETS
+    jump[row[inside], scaled[inside].astype(np.intp)] = -1
+    return jump
 
 
 def _check_conductance(c) -> float:

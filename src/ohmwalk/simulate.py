@@ -11,30 +11,38 @@ The estimators meet the contract with one lock-step kernel instead of one
 generator object per trial. It derives the PCG64 (state, inc) of a block
 of trials at once, replaying SeedSequence's hash pool and PCG64's seeding
 in numpy uint64 arithmetic. Up to _CHUNK lanes then advance by one PCG64
-step per round, each picking its trial's next vertex by a vectorised
-bisect of its uniform in the row's cuts. A lane whose trial arrives takes
+step per round, each looking its trial's next vertex up by the bucket of
+its 64-bit output, and bisecting its uniform in the row's cuts, vectorised,
+only where a cut lies inside that bucket. A lane whose trial arrives takes
 the next trial at once, so the lanes stay full until every trial has had
 one; after that, finished lanes are masked out. When few trials are still
 walking, their states are handed to one reused PCG64 and each is finished
-in a flat scalar loop over blocks of its uniforms, with the pick ``step``
-and ``trace_walk`` also use. Every trial reads only its own stream and its
-result is stored at its own index, so the estimates are those of walking
-each substream on its own.
+in a flat scalar loop over blocks of its outputs, with the same lookup and
+the bisect that ``step`` and ``trace_walk`` make. Every trial reads only
+its own stream and its result is stored at its own index, so the
+estimates are those of walking each substream on its own.
 
-All three walkers read one walk table (``_table``): the rows and cuts of
-``Network.walk`` and the compressed rows. The rule it encodes picks the
-neighbour after the entries whose running conductance sum is at most u
-times the row's total. Every uniform drawn is a multiple of 2**-53, and u
-* total does not decrease as u grows, so an entry passes exactly when u
-reaches its cut, the least such multiple at which it passes. A step is
-then a bisect of u in the row's cuts, with no product, and picks what the
-running-sum bisect picks, bit for bit.
+All three walkers read one walk table (``_table``): the rows, cuts and
+jump rows of ``Network.walk`` and the compressed rows. The rule it encodes
+picks the neighbour after the entries whose running conductance sum is at
+most u times the row's total. Every uniform drawn is a multiple of 2**-53,
+and u * total does not decrease as u grows, so an entry passes exactly
+when u reaches its cut, the least such multiple at which it passes. A step
+is then a bisect of u in the row's cuts, with no product, and picks what
+the running-sum bisect picks, bit for bit. The jump rows are a guide table
+over that bisect (Chen & Asau 1974): for each of the 64 buckets of u's top
+bits, the row every uniform in it picks, or -1 where a cut lies inside it.
+The bucket is the output's top 6 bits, so a step whose bucket holds no cut
+needs neither the uniform nor the bisect.
 
 The pendant argument's G~, net plus a pendant vertex at z, is walked
 through a table spliced from net's (``_pendant_table``): z's row gains
-the pendant and new cuts, and the pendant's one-entry row is appended. It
-is the table of the network build_network would make of G~, bit for bit,
-and no such network is built.
+the pendant and new cuts and jump row, and the pendant's one-entry row is
+appended. It is the table of the network build_network would make of G~,
+bit for bit, and no such network is built. The scalar loop's arrivals at
+a target or an anchor are marked in a per-estimate copy of the list of
+jump rows (``_marked``), in the rows of their neighbours only, so no
+estimate costs O(n * 64) and the network's table is never changed.
 
 A trial that would run past the step cap aborts the whole estimate with
 CapExceeded rather than truncating: silent truncation would bias the mean
@@ -51,7 +59,16 @@ from operator import length_hint
 import numpy as np
 
 from .errors import CapExceeded
-from .network import Network, VertexId, _check_conductance, _cuts, _pendant_totals
+from .network import (
+    BUCKET_BITS,
+    BUCKETS,
+    Network,
+    VertexId,
+    _check_conductance,
+    _cuts,
+    _jumps,
+    _pendant_totals,
+)
 from .util import DEFAULT_STEP_CAP, sized
 
 _MASK64 = (1 << 64) - 1
@@ -84,6 +101,9 @@ _PCG_MULT_LO = np.uint64(_PCG_MULT & _MASK64)
 _PCG_MULT_B0 = np.uint64(_PCG_MULT & _MASK32)  # 32-bit halves of _PCG_MULT_LO
 _PCG_MULT_B1 = np.uint64(_PCG_MULT >> 32 & _MASK32)
 _LOW32, _SHIFT32, _SHIFT16 = np.uint64(_MASK32), np.uint64(32), np.uint64(16)
+# A 64-bit output's bucket of the guide table (Network.walk) is its top
+# BUCKET_BITS, which are the top bits of the uniform's 53.
+_BUCKET_SHIFT = np.uint64(64 - BUCKET_BITS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,16 +256,16 @@ def _double(raw: np.ndarray) -> np.ndarray:
     return (raw >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
 
 
-def _uniform(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """PCG64's XSL-RR output of each state, as the double Generator.random gives."""
+def _output(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """PCG64's XSL-RR 64-bit output of each state, as random_raw gives it."""
     x = hi ^ lo
     rot = hi >> np.uint64(58)
-    return _double((x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63))))
+    return (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
 
 
 def _table(net: Network) -> tuple:
-    """The walk table the walkers read: (rows, cut) of ``Network.walk``, then
-    the compressed rows' indptr and neighbour rows."""
+    """The walk table the walkers read: (rows, cut, jumps, jump) of
+    ``Network.walk``, then the compressed rows' indptr and neighbour rows."""
     return (*net.walk, net.indptr, net.adjacent)
 
 
@@ -258,29 +278,47 @@ def _pendant_table(net: Network, iz: int, c: float) -> tuple:
     build_network stores the pendant edge last, so the pendant is row n, the
     last entry of row iz, and its own row is one entry back to iz. Row iz's
     cuts are taken against its running sums with c appended (``_cuts``, as
-    ``Network.walk`` takes every row's); no other row changes. The
-    pendant's row is there for the lock-step kernel, whose finished lanes
-    stay on the target and still read their row.
+    ``Network.walk`` takes every row's), and its jump row from those
+    (``_jumps``); no other row changes. The pendant's row is there for the
+    lock-step kernel, whose finished lanes stay on the target and still
+    read their row.
     """
-    rows, cut, indptr, adjacent = _table(net)
+    rows, cut, jumps, jump, indptr, adjacent = _table(net)
     n, lo, hi = net.n, int(indptr[iz]), int(indptr[iz + 1])
     running = np.fromiter(accumulate([*net.row(iz)[1], c]), dtype=float, count=hi - lo + 1)
     row_cut = _cuts(running, running[-1])
     row_cut[-1] = np.inf
     row = (tuple(row_cut[:-1].tolist()), (*rows[iz][1], n))
+    row_jump = _jumps(row_cut, np.array([0, len(row_cut)]), np.array(row[1]))
     return ((*rows[:iz], row, *rows[iz + 1:], ((), (iz,))),
             np.concatenate((cut[:lo], row_cut, cut[hi:], [np.inf])),
+            (*jumps[:iz], tuple(row_jump[0].tolist()), *jumps[iz + 1:], (iz,) * BUCKETS),
+            np.concatenate((jump[:iz], row_jump, jump[iz + 1:], np.full((1, BUCKETS), iz))),
             np.concatenate((indptr[:iz + 1], indptr[iz + 1:] + 1, [len(adjacent) + 2])),
             np.concatenate((adjacent[:hi], [n], adjacent[hi:], [iz])))
 
 
 def _lockstep_tables(table: tuple) -> tuple:
-    """A walk table's rows as ``_pick`` reads them: (indptr, neighbour rows,
-    the cuts, and the binary-lifting strides that cover the largest count of
-    entries a row can pass, largest first)."""
-    _, cut, indptr, adjacent = table
+    """A walk table's rows as ``_advance`` and ``_pick`` read them: (indptr,
+    neighbour rows, the cuts, the binary-lifting strides that cover the
+    largest count of entries a row can pass, largest first, and the jump
+    rows end to end)."""
+    _, cut, _, jump, indptr, adjacent = table
     degree = int(np.diff(indptr).max())
-    return indptr, adjacent, cut, [1 << k for k in reversed(range((degree - 1).bit_length()))]
+    return (indptr, adjacent, cut, [1 << k for k in reversed(range((degree - 1).bit_length()))],
+            jump.reshape(-1))
+
+
+def _advance(tables, v: np.ndarray, raw: np.ndarray) -> np.ndarray:
+    """Next row of each walk at row v given its 64-bit output raw: the jump
+    row's entry for raw's bucket, and ``_pick`` of the uniform where that
+    entry is -1, a cut inside the bucket."""
+    jump = tables[4]
+    w = jump[(v << BUCKET_BITS) | (raw >> _BUCKET_SHIFT).view(np.intp)]
+    inside = np.flatnonzero(w < 0)
+    if len(inside):
+        w[inside] = _pick(tables, v[inside], _double(raw[inside]))
+    return w
 
 
 def _pick(tables, v: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -293,7 +331,7 @@ def _pick(tables, v: np.ndarray, u: np.ndarray) -> np.ndarray:
     the row's last entry instead, whose cut, inf, never passes, so the
     count stops at the row's last neighbour.
     """
-    indptr, row, cut, strides = tables
+    indptr, row, cut, strides, _ = tables
     passed = indptr[v] - 1  # the last entry passed so far
     last = indptr[v + 1] - 1
     for stride in strides:
@@ -305,8 +343,9 @@ def _path(table: tuple, v: int, uniforms):
     """Yield the rows a walk from row v visits, drawing one uniform per step.
 
     The walk of ``step`` and ``trace_walk``. Its pick, ``bisect_right`` of
-    u in the row's cuts (``Network.walk``), is the one ``_finish`` inlines
-    and ``_pick`` vectorises.
+    u in the row's cuts (``Network.walk``), is what the jump rows
+    tabulate, and what ``_finish`` and ``_advance`` fall back on where a
+    cut lies inside u's bucket; ``_pick`` vectorises it.
     """
     rows = table[0]
     for u in uniforms:
@@ -315,53 +354,83 @@ def _path(table: tuple, v: int, uniforms):
         yield v
 
 
+def _marked(table: tuple, goals) -> list:
+    """The jump rows of a walk table as a list, with every entry that steps
+    to a row of ``goals`` (-1 for none) marked as -2 - that row, so that
+    ``_finish`` tests for arrivals only on negative entries.
+
+    Only the goals' neighbours' rows hold such entries, and only those are
+    replaced; the table's own rows are left as they are."""
+    rows = table[0]
+    marks = {goal: -2 - goal for goal in goals if goal >= 0}
+    jump = list(table[2])
+    for u in {u for goal in marks for u in rows[goal][1]}:
+        jump[u] = tuple(map(marks.get, jump[u], jump[u]))  # an entry not marked is itself
+    return jump
+
+
 def _blocks(bits: np.random.PCG64):
-    """Lists of the uniforms Generator.random would draw from bits, of growing size."""
+    """Arrays of the 64-bit outputs Generator.random would draw its uniforms
+    from, of growing size."""
     size, largest = _BLOCKS
     while True:
-        yield _double(bits.random_raw(size)).tolist()
+        yield bits.random_raw(size)
         size = min(2 * size, largest)
 
 
-def _finish(table: tuple, v: int, target: int, anchor: int, m: int, count: int, cap: int,
-            bits: np.random.PCG64, overrun: CapExceeded) -> tuple[int, int]:
+def _finish(rows: tuple, jump: list, v: int, target: int, anchor: int, m: int, count: int,
+            cap: int, bits: np.random.PCG64, overrun: CapExceeded) -> tuple[int, int]:
     """Walk on from row v, m steps in, until the first arrival at row target.
 
     Returns (m, count) then: the trial's step count and its arrivals at row
     ``anchor`` (pass -1 for none), starting from ``count``. Raises
     ``overrun`` if step ``cap`` is taken without arriving. This is
-    ``_path``'s walk, one bisect of u in the row's cuts (``Network.walk``)
-    per step, as one flat loop over whole blocks of uniforms, because
-    resuming a generator per step costs more than the step itself. A block
-    is cut short at the cap, so the cap and the step count are settled once
-    per block: on arrival, the steps taken in the block are its length less
-    the uniforms its iterator has left.
+    ``_path``'s walk as one flat loop over whole blocks of outputs, because
+    resuming a generator per step costs more than the step itself.
+
+    ``jump`` is the table's jump rows with arrivals at target and anchor
+    marked (``_marked``), so a step is one lookup of the output's bucket,
+    and only a negative entry is looked at again: a marked arrival, or -1,
+    a cut inside the bucket, where the block's uniforms are drawn, once,
+    and the step bisects u in the row's cuts (``rows``, ``Network.walk``).
+    A block is cut short at the cap, so the cap and the step count are
+    settled once per block: on arrival, the steps taken in the block are
+    its length less the outputs its iterator has left.
     """
-    rows = table[0]
-    for block in _blocks(bits):
-        if cap - m < len(block):
-            block = block[:cap - m]
-        uniforms = iter(block)
-        for u in uniforms:
-            cuts, neighbours = rows[v]
-            v = neighbours[bisect_right(cuts, u)]
-            if v == target:
-                return m + len(block) - length_hint(uniforms), count
-            if v == anchor:
-                count += 1
-        m += len(block)
+    for raw in _blocks(bits):
+        if cap - m < len(raw):
+            raw = raw[:cap - m]
+        buckets = iter((raw >> _BUCKET_SHIFT).tolist())
+        uniforms = None
+        for b in buckets:
+            w = jump[v][b]
+            if w < 0:
+                if w == -1:
+                    if uniforms is None:
+                        uniforms = _double(raw).tolist()
+                    cuts, neighbours = rows[v]
+                    # this step's uniform: ~left is -(left + 1), left the outputs to come
+                    w = neighbours[bisect_right(cuts, uniforms[~length_hint(buckets)])]
+                else:
+                    w = -2 - w
+                if w == target:
+                    return m + len(raw) - length_hint(buckets), count
+                if w == anchor:
+                    count += 1
+            v = w
+        m += len(raw)
         if m == cap:
             raise overrun
 
 
-def _walk_trials(table: tuple, start: int, target: int, anchor: int | None, trials: int,
+def _walk_trials(table: tuple, start: int, target: int, anchor: int, trials: int,
                  seed: int, cap: int, label: VertexId) -> tuple[np.ndarray, int, int]:
     """Walk trials 0 .. trials - 1 of a walk table (``_table``) from row start
     until each first reaches row target.
 
     Returns (samples, steps_total, steps_max). A trial's sample is its
     number of arrivals at row ``anchor`` before the target, or its step
-    count when anchor is None; samples are in trial order. Raises
+    count when anchor is -1; samples are in trial order. Raises
     CapExceeded, naming row start by ``label``, if any trial needs more
     than ``cap`` steps.
 
@@ -395,17 +464,17 @@ def _walk_trials(table: tuple, start: int, target: int, anchor: int | None, tria
     deadline = cap  # no live lane reaches the cap before this round
     while live > _SCALAR_TAIL:
         _pcg_step(hi, lo, inc_hi, inc_lo)
-        v = _pick(tables, v, _uniform(hi, lo))
+        v = _advance(tables, v, _output(hi, lo))
         n += 1
         steps_total += live
-        if anchor is not None:
+        if anchor >= 0:
             seen += v == anchor
         done = v == target
         done &= walking
         arrived = np.flatnonzero(done)
         if len(arrived):
             started = begun[arrived]
-            samples[trial[arrived]] = n - started if anchor is None else seen[arrived]
+            samples[trial[arrived]] = n - started if anchor < 0 else seen[arrived]
             steps_max = max(steps_max, n - int(started.min()))
             begun[arrived] = n
             fresh, spent = arrived[:trials - taken], arrived[trials - taken:]
@@ -429,6 +498,7 @@ def _walk_trials(table: tuple, start: int, target: int, anchor: int | None, tria
                 raise overrun
 
     rest = np.flatnonzero(walking)
+    jump = _marked(table, (target, anchor))
     tail = zip(trial[rest].tolist(), (n - begun[rest]).tolist(), v[rest].tolist(),
                seen[rest].tolist(), hi[rest].tolist(), lo[rest].tolist(),
                inc_hi[rest].tolist(), inc_lo[rest].tolist())
@@ -439,9 +509,9 @@ def _walk_trials(table: tuple, start: int, target: int, anchor: int | None, tria
             "has_uint32": 0,
             "uinteger": 0,
         }
-        steps, count = _finish(table, at, target, -1 if anchor is None else anchor, m, count,
-                               cap, bits, overrun)
-        samples[k] = steps if anchor is None else count
+        steps, count = _finish(table[0], jump, at, target, anchor, m, count, cap, bits,
+                               overrun)
+        samples[k] = steps if anchor < 0 else count
         steps_total += steps - m
         steps_max = max(steps_max, steps)
     return samples, steps_total, steps_max
@@ -516,7 +586,7 @@ def _hitting_estimate(table: tuple, start: int, target: int, trials: int, seed: 
     """The Estimate of the steps from row start to row target of a walk
     table, row start named by ``label``, for arguments already checked."""
     with _sample_storage(trials):
-        walked = _walk_trials(table, start, target, None, trials, seed, cap, label)
+        walked = _walk_trials(table, start, target, -1, trials, seed, cap, label)
         return Estimate(**_summary(*walked, seed))
 
 

@@ -62,6 +62,7 @@ from ohmwalk import (
     transition_distribution,
     transition_matrix,
 )
+from ohmwalk.network import BUCKETS
 
 
 def induced_kernel(net: Network, states) -> np.ndarray:
@@ -389,7 +390,8 @@ class ReferenceNetwork:
             cuts = [_least_uniform(s, running[-1]) for s in running[:-1]]
             rows.append((tuple(cuts), tuple(self.index[z] for z, _ in self.neighbors[v])))
             cut += [*cuts, math.inf]
-        return tuple(rows), np.array(cut)
+        jumps = tuple(bucket_picks(*row) for row in rows)
+        return tuple(rows), np.array(cut), jumps, np.array(jumps, dtype=np.intp)
 
     @cached_property
     def ordering(self):
@@ -401,6 +403,17 @@ class ReferenceNetwork:
         row = other[ranked].tolist()
         order = _breadth_first(int(degree.argmin()), lambda v: row[indptr[v]:indptr[v + 1]])
         return tuple(reversed(order))
+
+
+def bucket_picks(cuts, neighbours, buckets: int = BUCKETS) -> tuple:
+    """Each bucket [b / buckets, (b + 1) / buckets) of a row's guide-table
+    row: the neighbour that bisect_right picks at both of the bucket's ends,
+    its least uniform and its greatest, k * 2**-53 for k one below the next
+    bucket's, or -1 where the two picks differ."""
+    ends = ((b / buckets, (b + 1) / buckets - 2.0**-53) for b in range(buckets))
+    picks = ((neighbours[bisect_right(cuts, lo)], neighbours[bisect_right(cuts, hi)])
+             for lo, hi in ends)
+    return tuple(lo if lo == hi else -1 for lo, hi in picks)
 
 
 def _least_uniform(running: float, total: float) -> float:

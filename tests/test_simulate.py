@@ -25,22 +25,26 @@ from ohmwalk import (
 )
 
 from ohmwalk import simulate
+from ohmwalk.network import _JUMP_ROW_BYTES, BUCKETS
 from ohmwalk.simulate import (
     _CHUNK,
     _SCALAR_TAIL,
+    _advance,
+    _double,
     _lockstep_tables,
+    _output,
     _path,
     _pcg_step,
     _pendant_table,
     _pick,
     _seed_states,
     _table,
-    _uniform,
 )
 
 from netgen import network_suite, random_connected_network
 from oracles import (
     bits,
+    bucket_picks,
     per_trial_walks,
     excursions_mc_oracle,
     geometric_fit_pvalue,
@@ -165,10 +169,10 @@ class TestSummaryBits:
         a, b = k4.index["a"], k4.index["b"]
         if estimator == "return":
             est = estimate_return_time(k4, "a", trials, seed)
-            walked = simulate._walk_trials(_table(k4), a, a, None, trials, seed, cap, "a")
+            walked = simulate._walk_trials(_table(k4), a, a, -1, trials, seed, cap, "a")
         elif estimator == "hitting":
             est = estimate_hitting_time(k4, "a", "b", trials, seed)
-            walked = simulate._walk_trials(_table(k4), a, b, None, trials, seed, cap, "a")
+            walked = simulate._walk_trials(_table(k4), a, b, -1, trials, seed, cap, "a")
         else:
             est = estimate_excursions(k4, "a", trials, seed)
             walked = simulate._walk_trials(_pendant_table(k4, a, 1.0), a, k4.n, a, trials, seed,
@@ -291,7 +295,7 @@ class TestVectorizedSeeding:
         draws = []
         for _ in range(50):
             _pcg_step(hi, lo, inc_hi, inc_lo)
-            draws.append(_uniform(hi, lo))
+            draws.append(_double(_output(hi, lo)))
         for k, trial in enumerate(range(2**32 - 2, 2**32 + 1)):
             rng = trial_generator(seed, trial)
             assert [d[k] for d in draws] == [rng.random() for _ in range(50)]
@@ -300,7 +304,7 @@ class TestVectorizedSeeding:
             hi, lo, inc_hi, inc_lo = _seed_states(seed, trial, 1)
             for _ in range(50):
                 _pcg_step(hi, lo, inc_hi, inc_lo)
-                assert _uniform(hi, lo)[0] == rng.random()
+                assert _double(_output(hi, lo))[0] == rng.random()
 
 
 ULP = 2.0**-53  # the spacing of the uniforms Generator.random draws
@@ -352,7 +356,7 @@ class TestWalkTable:
     @example([5e-324, 1.0, 1e-300, 2.0])
     def test_each_cut_is_the_least_uniform_that_passes(self, weights):
         net = build_network([("hub", f"l{i}", c) for i, c in enumerate(weights)])
-        rows, cut = net.walk
+        rows, cut, *_ = net.walk
         for v in range(net.n):
             neighbours, row_weights = net.row(v)
             running = list(accumulate(row_weights))
@@ -367,6 +371,56 @@ class TestWalkTable:
                 assert t == 0.0 or not running[j] <= (t - ULP) * total
             for u in (0.0, 1.0 - ULP):
                 assert row_neighbours[bisect_right(cuts, u)] == _running_sum_pick(net, v, u)
+
+
+def _grid(k: int, rng=None) -> Network:
+    """A k x k grid, its conductances log-uniform over 1e-3 .. 1e3 if rng is given."""
+    edges = [(i, i + d, 1.0) for i in range(k * k) for d in (1, k)
+             if (d == k or i % k < k - 1) and i + d < k * k]
+    if rng is not None:
+        edges = [(u, v, float(10.0 ** rng.uniform(-3.0, 3.0))) for u, v, _ in edges]
+    return build_network(edges)
+
+
+class TestBucketTable:
+    """Network.walk's jump rows: each entry is the row that bisect_right of
+    the row's cuts picks at both ends of its bucket, its least and its
+    greatest uniform, or -1 exactly where the two picks differ
+    (tests/oracles.py bucket_picks)."""
+
+    @staticmethod
+    def ambiguous_share(net) -> float:
+        rows, _, jumps, jump = net.walk
+        assert jump.dtype == np.intp and jump.shape == (net.n, BUCKETS)
+        assert not jump.flags.writeable
+        for v, ((cuts, neighbours), row) in enumerate(zip(rows, jumps, strict=True)):
+            assert row == bucket_picks(cuts, neighbours) == tuple(jump[v].tolist()), v
+        return float(np.mean(jump == -1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_conductances(), min_size=1, max_size=80))
+    @example([1e20, 1.0, 1.0, 1.0])  # equal running sums
+    @example([3 * 5e-324, 5 * 5e-324, 5e-324])  # a subnormal total
+    @example([1.0, 1.0, 1.0, 1.0])  # every cut on a bucket's edge
+    def test_each_entry_is_the_pick_at_both_ends_of_its_bucket(self, weights):
+        self.ambiguous_share(build_network([("hub", f"l{i}", c) for i, c in enumerate(weights)]))
+
+    def test_more_than_1024_rows(self):
+        net = _grid(33, np.random.default_rng(27))
+        assert net.n > 1024
+        assert 0.0 < self.ambiguous_share(net) < 0.1
+
+    def test_k60_buckets_are_mostly_ambiguous(self):
+        # 58 cuts j / 59 in each row's 64 buckets, none on a bucket's edge
+        k60 = build_network([(i, j, 1.0) for i in range(60) for j in range(i + 1, 60)])
+        assert self.ambiguous_share(k60) == 58 / 64
+
+    def test_out_of_memory_raises_system_too_large(self, small_memory):
+        # 1600 rows of 64 entries: more than small_memory lets np.empty make
+        net = _grid(40)
+        assert 1600 * _JUMP_ROW_BYTES / 2**20 == 3.90625
+        with pytest.raises(SystemTooLarge, match=r"^the walk table needs 3\.9 MiB of jump rows"):
+            net.walk
 
 
 class TestVectorizedPick:
@@ -388,6 +442,13 @@ class TestVectorizedPick:
             table = _table(net)
             assert _pick(_lockstep_tables(table), np.array(rows), np.array(u)).tolist() == want
             assert [next(_path(table, v, (x,))) for v, x in zip(rows, u)] == want
+            # the 64-bit outputs whose top 53 bits are u (below 1), low bits random
+            low = rng.integers(0, 2**11, len(u), dtype=np.uint64)
+            k = np.array([min(x, 1.0 - ULP) * 2.0**53 for x in u]).astype(np.uint64)
+            raw = k << np.uint64(11) | low
+            assert _double(raw).tolist() == [min(x, 1.0 - ULP) for x in u]
+            want = [_running_sum_pick(net, v, x) for v, x in zip(rows, _double(raw).tolist())]
+            assert _advance(_lockstep_tables(table), np.array(rows), raw).tolist() == want
 
 
 # Pendant conductances from subnormal to huge.
@@ -558,19 +619,19 @@ class TestRefilledLanes:
     @pytest.mark.parametrize("estimator", ("return", "excursions"))
     def test_lanes_stay_full(self, k4, monkeypatch, estimator):
         rounds = tail = 0
-        pick, finish = simulate._pick, simulate._finish
+        advance, finish = simulate._advance, simulate._finish
 
-        def pick_spy(*args):
+        def advance_spy(tables, v, raw):
             nonlocal rounds
             rounds += 1
-            return pick(*args)
+            return advance(tables, v, raw)
 
-        def finish_spy(*args):
+        def finish_spy(rows, jump, v, target, anchor, m, count, cap, bits, overrun):
             nonlocal tail
             tail += 1
-            return finish(*args)
+            return finish(rows, jump, v, target, anchor, m, count, cap, bits, overrun)
 
-        monkeypatch.setattr(simulate, "_pick", pick_spy)
+        monkeypatch.setattr(simulate, "_advance", advance_spy)
         monkeypatch.setattr(simulate, "_finish", finish_spy)
         if estimator == "return":
             est = estimate_return_time(k4, "a", trials=100_000, seed=1)
@@ -579,6 +640,54 @@ class TestRefilledLanes:
         # full lanes take steps_total / _CHUNK rounds; draining them, at most steps_max
         assert rounds <= est.steps_total / _CHUNK + est.steps_max
         assert tail <= _SCALAR_TAIL
+
+
+class TestGuidedWalks:
+    """Walks through the jump rows: steps whose bucket holds a cut fall back
+    on the bisect, and the scalar loop's arrivals at the target and the
+    anchor are marked in a copy of the rows, never in the network's."""
+
+    @pytest.mark.parametrize("trials", (_SCALAR_TAIL - 1, _SCALAR_TAIL + 1, 300))
+    def test_ambiguous_buckets_and_marked_rows_match_the_oracles(self, k4, monkeypatch,
+                                                                   trials):
+        # K4's cuts at 1/3 and 2/3 lie inside buckets 21 and 42 of every row,
+        # and every row neighbours the target and the anchor
+        seed, cap = 5, 10**6
+        assert all(row.count(-1) == 2 for row in k4.walk[2])
+        bisected = 0
+        pick, double = simulate._pick, simulate._double
+
+        def pick_spy(tables, v, u):
+            nonlocal bisected
+            bisected += len(v)
+            return pick(tables, v, u)
+
+        def double_spy(raw):  # the scalar loop draws a block's uniforms for a cut
+            nonlocal bisected
+            bisected += 1
+            return double(raw)
+
+        monkeypatch.setattr(simulate, "_pick", pick_spy)
+        monkeypatch.setattr(simulate, "_double", double_spy)
+        assert _fields(estimate_hitting_time(k4, "a", "d", trials, seed)) == \
+            hitting_time_mc_oracle(k4, "a", "d", trials, seed, cap)
+        assert _fields(estimate_excursions(k4, "b", trials, seed, c=0.4)) == \
+            excursions_mc_oracle(k4, "b", 0.4, trials, seed, cap)
+        assert _fields(estimate_return_time(k4, "c", trials, seed)) == \
+            return_time_mc_oracle(k4, "c", trials, seed, cap)
+        assert bisected > 0
+
+    def test_estimates_leave_the_cached_table_as_built(self):
+        # the targets' and anchors' neighbours' rows are marked per estimate
+        net = random_connected_network(np.random.default_rng(27), n_lo=8, n_hi=12)
+        fresh = bits(build_network(net.edges).walk)
+        a, b, c = net.vertices[:3]
+        for trials in (_SCALAR_TAIL - 1, 300):
+            estimate_hitting_time(net, a, b, trials, 1)
+            estimate_hitting_time(net, b, c, trials, 1)
+            estimate_return_time(net, a, trials, 1)
+            estimate_excursions(net, c, trials, 1, c=0.5)
+            assert bits(net.walk) == fresh
 
 
 class TestScalarTail:
