@@ -8,9 +8,10 @@ The closed forms live here too, apart from the solves: ``return_time_formula``
 conductances and solve nothing. Grounding a vertex (holding it at potential
 0) makes the singular Laplacian invertible without touching pseudoinverses.
 
-Every solve goes through one numpy kernel, ``_eliminate``: Gaussian
-elimination in the subtraction-free form of Grassmann, Taksar and Heyman
-(GTH). A whole system (``_solve_at``) is the network held at 0 at one
+Every solve goes through one numpy kernel, elimination (``_reduce``) and
+back-substitution (``_substitute``), which ``_eliminate`` runs in turn:
+Gaussian elimination in the subtraction-free form of Grassmann, Taksar and
+Heyman (GTH). A whole system (``_solve_at``) is the network held at 0 at one
 vertex, whose couplings become its neighbours' *leak* (a conductance to
 ground) while it keeps an empty unit row; only replay's leaf systems
 (``_leaf_solves``) also leak at their anchor. Eliminating a vertex is a
@@ -45,6 +46,17 @@ two columns; its only one-row products, in a last panel of one row, have
 no rows after them and a 1 x 1 inverse, so they sum nothing. Each call
 eliminates each system it needs once (``_solve_at``): ``round_trip``
 reads both hitting times and R(x, y) from one batch of two.
+
+The panels of one band run in sequence, and each costs numpy's fixed call
+overhead, so a large whole system is eliminated from both ends at once (a
+twisted factorization; Meurant, SIAM J. Matrix Anal. Appl. 13, 1992),
+which halves that chain. Its forward half and its reversed half, the band
+read from the back, are two members of one batch, and both reduce onto the
+w places between them, which are then solved as a band of their own; one
+back-substitution call then solves both halves. A GTH pivot is a Kron
+reduction in any order, so nothing is subtracted. A system whose halves
+would be shorter than ``_HALF_ROWS`` rows is one band, as before
+(``_halves``).
 
 Each system is scaled by one power of two before it is eliminated
 (``_scale``), chosen from the network and its leak alone: when its largest
@@ -102,6 +114,12 @@ _BAND_BYTES = 16 * 2**20  # the most band storage and work arrays one batch may 
 # verify sweep, whose leaf batches pay more per pivot for wider panels, 0.10,
 # 0.07 and 0.12 s.
 _PANEL = 8
+# Rows the reversed half of a whole system needs before _solve_at eliminates
+# it from both ends (_halves). On one pinned Xeon core, both ends against one
+# band took 1.08 times as long on a 60-vertex path (halves of 29 rows) and
+# 0.94 times on an 80-vertex one (39 rows); 1.02 on an 8x8 grid (28 rows),
+# 0.96 on 9x9 (36 rows) and 0.67 on 12x12 (66 rows).
+_HALF_ROWS = 32
 _sized = partial(sized, task="the solve", storage="band storage plus work arrays")
 
 
@@ -154,7 +172,7 @@ def _band_bytes(S: int, rows: int, w: int, m: int) -> int:
     build it; the solution)."""
     panel = _PANEL * (_PANEL + w + m + 1)
     blocks = -(-rows // _PANEL) * _PANEL * (2 * _PANEL + 3)
-    solution = rows * max(m, 2)
+    solution = (rows + w) * max(m, 2)
     return S * ((rows + w) * (w + m + 2) + 2 * panel + _PANEL * w + w * (w + m + 1)
                 + blocks + solution) * 8
 
@@ -273,9 +291,11 @@ def _panel_inverses(blocks: np.ndarray, pivots: np.ndarray) -> np.ndarray:
 
 
 def _substitute(U: np.ndarray, R: np.ndarray, width, pivots: np.ndarray,
-                blocks: np.ndarray) -> np.ndarray:
+                blocks: np.ndarray, after: np.ndarray | None = None) -> np.ndarray:
     """Back-substitution after _reduce has eliminated every row and filled
-    blocks: x (S, m, n).
+    blocks: x (S, m, n). ``after`` (S, a, m), if given, is the solution of
+    the a rows after the eliminated ones, which the last rows reach; without
+    it they are zero padding.
 
     The panels of _reduce, last first. A panel's rows are copied into a
     buffer T in absolute column order, as in _reduce. One matmul per member
@@ -291,8 +311,10 @@ def _substitute(U: np.ndarray, R: np.ndarray, width, pivots: np.ndarray,
     w, n, P = L - 1, len(width), _PANEL
     m = R.shape[1] - 1
     inverses = _panel_inverses(blocks, pivots)
-    x = np.zeros((S, n, max(m, 2)))
-    x[:, :, :m] = R[:, 1:, :n].transpose(0, 2, 1)  # the right-hand sides, replaced panel by panel
+    x = np.zeros((S, N, max(m, 2)))
+    x[:, :n, :m] = R[:, 1:, :n].transpose(0, 2, 1)  # the right-hand sides, replaced panel by panel
+    if after is not None:
+        x[:, n:n + after.shape[1], :m] = after
     T = np.zeros((S, P, P + w))
     skew = _skewed(T, w)
     ends = _panel_ends(width)
@@ -304,7 +326,7 @@ def _substitute(U: np.ndarray, R: np.ndarray, width, pivots: np.ndarray,
         c += x[:, k0:k1]
         c /= pivots[k0:k1].T[:, :, None]
         x[:, k0:k1] = np.matmul(inverses[:, k0 // P, :p, :p], c)
-    return x[:, :, :m].transpose(0, 2, 1)
+    return x[:, :n, :m].transpose(0, 2, 1)
 
 
 def _eliminate(U: np.ndarray, R: np.ndarray, width) -> tuple[np.ndarray, np.ndarray]:
@@ -369,6 +391,63 @@ def _banded(lo, hi, conductance, rhs: np.ndarray, w: int):
     return U, R
 
 
+def _halves(n: int, w: int) -> tuple[int, int]:
+    """Where _solve_at cuts a system of n places at band width w: (h, t), a
+    forward half of places [0, h) and a reversed half of places [n - t, n)
+    around a middle of the w places between them, h - t being 0 or 1. A
+    system whose reversed half would have fewer than _HALF_ROWS rows has no
+    halves, (0, 0): its middle is the whole system."""
+    h = (n - w + 1) // 2
+    return (h, n - w - h) if n - w - h >= _HALF_ROWS else (0, 0)
+
+
+def _solve_bytes(S: int, n: int, w: int, m: int) -> int:
+    """The bytes _solve_at takes for S systems of n places at band width w
+    with m right-hand sides: the halves' batch of 2S members (_band_bytes
+    over h rows, followed by the w middle rows) and the middle's batch."""
+    h, t = _halves(n, w)
+    return (_band_bytes(2 * S, h, w, m) if h else 0) + _band_bytes(S, n - h - t, w, m)
+
+
+def _grounded(lo, hi, conductance, rhs: np.ndarray, g: np.ndarray):
+    """Systems of couplings ``conductance`` between places lo < hi with the
+    right-hand sides rhs (S, m, n), member s held at 0 at place g[s], as
+    _ground holds a band: returns their couplings (S, edges), g[s]'s set to
+    0, and their leak and right-hand sides (S, m + 1, n), g[s]'s couplings
+    being its neighbours' leak and g[s] an empty unit row."""
+    S, m, n = rhs.shape
+    s, e = np.nonzero((lo == g[:, None]) | (hi == g[:, None]))
+    c = np.repeat(conductance[None], S, 0)
+    c[s, e] = 0.0
+    R = np.zeros((S, m + 1, n))
+    R[:, 1:] = rhs
+    R[s, 0, lo[e] + hi[e] - g[s]] = conductance[e]
+    R[np.arange(S), :, g] = 0.0
+    R[np.arange(S), 0, g] = 1.0
+    return c, R
+
+
+def _halves_batch(lo, hi, c, V, width, h: int, t: int, w: int):
+    """The halves of _solve_at's systems, laid out for _reduce: U (2S, h + w,
+    w + 1), R (2S, m + 1, h + w) and their shared envelope, from the
+    systems' couplings c (S, edges) between places lo < hi and their leak
+    and right-hand sides V (S, m + 1, n). Member 2s holds places [0, h),
+    member 2s + 1 place n - 1 - j at row h - t + j for j < t, after h - t
+    empty unit rows; the w rows after them start empty."""
+    S, n, pad = len(c), V.shape[2], h - t
+    U = np.zeros((2 * S, h + w, w + 1))
+    R = np.zeros((2 * S, V.shape[1], h + w))
+    forward, back = lo < h, hi >= n - t
+    U[0::2, lo[forward], (hi - lo)[forward]] = c[:, forward]
+    U[1::2, pad + n - 1 - hi[back], (hi - lo)[back]] = c[:, back]
+    R[0::2, :, :h] = V[:, :, :h]
+    R[1::2, :, pad:h] = V[:, :, :n - t - 1:-1]
+    R[1::2, 0, :pad] = 1.0
+    reach = width[:h].copy()
+    reach[pad:] = np.maximum(reach[pad:], _envelope(n - 1 - hi, n - 1 - lo, n)[:t])
+    return U, R, reach.tolist()
+
+
 def _solve_at(net: Network, grounds, b: np.ndarray) -> np.ndarray:
     """Solve a batch of net's grounded systems, eliminating each once.
 
@@ -377,17 +456,57 @@ def _solve_at(net: Network, grounds, b: np.ndarray) -> np.ndarray:
     row grounds[s], the current the ground absorbs, is ignored. Returns x
     of b's shape, with x[s, grounds[s]] = 0. The batch is scaled as net is
     (_scale).
+
+    A large system is eliminated from both ends of its band at once (a
+    twisted factorization; Meurant, SIAM J. Matrix Anal. Appl. 13, 1992):
+    its forward half, places [0, h), and its reversed half, places [n - t,
+    n) last first, as two members of one _reduce batch (_halves_batch). No
+    place of a half couples past the w places between them, the middle, so
+    eliminating the halves updates only the middle, held as w rows after
+    each member's own, which start empty. The middle system is then the
+    band's own couplings, leak and right-hand sides among its places plus
+    both halves' Kron updates, the reversed member's mirrored back; it is
+    solved as a band of its own, and one _substitute call solves both
+    halves from its solution. Every term is a sum of nonnegative numbers. A
+    system without halves (_halves) is its own middle: one band, as
+    _eliminate lays it out.
     """
     order, place, lo, hi, width = _band(net)
     S, n, m = b.shape
     w = int(width.max())
-    k = _scale(net)
-    with _sized(_band_bytes(S, n, w, m)):
-        U, R = _banded(lo, hi, np.ldexp(net.conductance, k),
-                       np.ldexp(b[:, order], k).transpose(0, 2, 1), w)
-        _ground(U, R, np.arange(S), place[grounds])
+    h, t = _halves(n, w)
+    M = n - h - t
+    with _sized(_solve_bytes(S, n, w, m)):
+        k = _scale(net)
+        c, V = _grounded(lo, hi, np.ldexp(net.conductance, k),
+                         np.ldexp(b[:, order], k).transpose(0, 2, 1), place[grounds])
+        mid = (lo >= h) & (hi < h + M)
+        U = np.zeros((S, M + w, w + 1))
+        U[:, lo[mid] - h, hi[mid] - lo[mid]] = c[:, mid]
+        R = np.zeros((S, m + 1, M + w))
+        R[:, :, :M] = V[:, :, h:h + M]
+        mid_width = np.arange(M - 1, -1, -1).tolist() if h else width.tolist()
         with np.errstate(all="ignore"):
-            x, pivots = _eliminate(U, R, width.tolist())
+            if h:
+                Uh, Rh, half_width = _halves_batch(lo, hi, c, V, width, h, t, w)
+                half_pivots, blocks = _reduce(Uh, Rh, half_width)
+                # The reversed member's row h + r is middle place w - 1 - r,
+                # and its coupling q reaches middle place w - 1 - r - q.
+                r, q = np.nonzero(np.add.outer(np.arange(w), np.arange(w + 1)) < w)
+                r, q = r[q > 0], q[q > 0]
+                U[:, :w] += Uh[0::2, h:]
+                U[:, w - 1 - r - q, q] += Uh[1::2, h + r, q]
+                R[:, :, :w] += Rh[0::2, :, h:]
+                R[:, :, :w] += Rh[1::2, :, :h - 1:-1]
+            pivots, blocks_m = _reduce(U, R, mid_width)
+            x = _substitute(U, R, mid_width, pivots, blocks_m)
+            if h:
+                after = np.empty((2 * S, w, m))
+                after[0::2] = x.transpose(0, 2, 1)
+                after[1::2] = after[0::2, ::-1]
+                xh = _substitute(Uh, Rh, half_width, half_pivots, blocks, after)
+                _check(half_pivots)
+                x = np.concatenate((xh[0::2, :, :h], x, xh[1::2, :, h - t:][:, :, ::-1]), axis=2)
     _check(pivots, x)
     return x[:, :, place].transpose(0, 2, 1)
 

@@ -22,27 +22,31 @@ the bisect that ``step`` and ``trace_walk`` make. Every trial reads only
 its own stream and its result is stored at its own index, so the
 estimates are those of walking each substream on its own.
 
-All three walkers read one walk table (``_table``): the rows, cuts and
-jump rows of ``Network.walk`` and the compressed rows. The rule it encodes
-picks the neighbour after the entries whose running conductance sum is at
-most u times the row's total. Every uniform drawn is a multiple of 2**-53,
-and u * total does not decrease as u grows, so an entry passes exactly
-when u reaches its cut, the least such multiple at which it passes. A step
-is then a bisect of u in the row's cuts, with no product, and picks what
-the running-sum bisect picks, bit for bit. The jump rows are a guide table
-over that bisect (Chen & Asau 1974): for each of the 64 buckets of u's top
-bits, the row every uniform in it picks, or -1 where a cut lies inside it.
-The bucket is the output's top 6 bits, so a step whose bucket holds no cut
-needs neither the uniform nor the bisect.
+All three walkers read one walk table (``_table``): the rows and jump rows
+of ``Network.walk``, and, for the lock-step kernel only, its cuts and jump
+rows as arrays and the compressed rows, fetched when a lock-step round
+first runs. The rule it encodes picks the neighbour after the entries
+whose running conductance sum is at most u times the row's total. Every
+uniform drawn is a multiple of 2**-53, and u * total does not decrease as
+u grows, so an entry passes exactly when u reaches its cut, the least
+such multiple at which it passes. A step is then a bisect of u in the
+row's cuts, with no product, and picks what the running-sum bisect picks,
+bit for bit. The jump rows are a guide table over that bisect (Chen &
+Asau 1974): for each of the 64 buckets of u's top bits, the row every
+uniform in it picks, or -1 where a cut lies inside it. The bucket is the
+output's top 6 bits, so a step whose bucket holds no cut needs neither the
+uniform nor the bisect.
 
 The pendant argument's G~, net plus a pendant vertex at z, is walked
 through a table spliced from net's (``_pendant_table``): z's row gains
 the pendant and new cuts and jump row, and the pendant's one-entry row is
 appended. It is the table of the network build_network would make of G~,
-bit for bit, and no such network is built. The scalar loop's arrivals at
-a target or an anchor are marked in a per-estimate copy of the list of
-jump rows (``_marked``), in the rows of their neighbours only, so no
-estimate costs O(n * 64) and the network's table is never changed.
+bit for bit, and no such network is built. Its arrays, copies of net's,
+are spliced only when the lock-step kernel asks for them. The scalar
+loop's arrivals at a target or an anchor are marked in a per-estimate
+copy of the list of jump rows (``_marked``), in the rows of their
+neighbours only, so no estimate costs O(n * 64) and the network's table
+is never changed.
 
 A trial that would run past the step cap aborts the whole estimate with
 CapExceeded rather than truncating: silent truncation would bias the mean
@@ -264,9 +268,13 @@ def _output(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
 
 
 def _table(net: Network) -> tuple:
-    """The walk table the walkers read: (rows, cut, jumps, jump) of
-    ``Network.walk``, then the compressed rows' indptr and neighbour rows."""
-    return (*net.walk, net.indptr, net.adjacent)
+    """The walk table the walkers read: (rows, jumps, arrays), the rows and
+    jump rows of ``Network.walk`` for the scalar walkers, and a function
+    giving what the lock-step kernel reads (``_lockstep_tables``): the cuts
+    and jump rows of ``Network.walk`` as arrays and the compressed rows'
+    indptr and neighbour rows."""
+    rows, cut, jumps, jump = net.walk
+    return rows, jumps, lambda: (cut, jump, net.indptr, net.adjacent)
 
 
 def _pendant_table(net: Network, iz: int, c: float) -> tuple:
@@ -281,29 +289,36 @@ def _pendant_table(net: Network, iz: int, c: float) -> tuple:
     ``Network.walk`` takes every row's), and its jump row from those
     (``_jumps``); no other row changes. The pendant's row is there for the
     lock-step kernel, whose finished lanes stay on the target and still
-    read their row.
+    read their row. The arrays are spliced only when the lock-step kernel
+    asks for them: each copies net's, and an estimate of at most
+    _SCALAR_TAIL trials never runs a lock-step round.
     """
-    rows, cut, jumps, jump, indptr, adjacent = _table(net)
-    n, lo, hi = net.n, int(indptr[iz]), int(indptr[iz + 1])
+    rows, cut, jumps, jump = net.walk
+    n, lo, hi = net.n, int(net.indptr[iz]), int(net.indptr[iz + 1])
     running = np.fromiter(accumulate([*net.row(iz)[1], c]), dtype=float, count=hi - lo + 1)
     row_cut = _cuts(running, running[-1])
     row_cut[-1] = np.inf
     row = (tuple(row_cut[:-1].tolist()), (*rows[iz][1], n))
     row_jump = _jumps(row_cut, np.array([0, len(row_cut)]), np.array(row[1]))
+
+    def arrays():
+        indptr, adjacent = net.indptr, net.adjacent
+        return (np.concatenate((cut[:lo], row_cut, cut[hi:], [np.inf])),
+                np.concatenate((jump[:iz], row_jump, jump[iz + 1:], np.full((1, BUCKETS), iz))),
+                np.concatenate((indptr[:iz + 1], indptr[iz + 1:] + 1, [len(adjacent) + 2])),
+                np.concatenate((adjacent[:hi], [n], adjacent[hi:], [iz])))
+
     return ((*rows[:iz], row, *rows[iz + 1:], ((), (iz,))),
-            np.concatenate((cut[:lo], row_cut, cut[hi:], [np.inf])),
             (*jumps[:iz], tuple(row_jump[0].tolist()), *jumps[iz + 1:], (iz,) * BUCKETS),
-            np.concatenate((jump[:iz], row_jump, jump[iz + 1:], np.full((1, BUCKETS), iz))),
-            np.concatenate((indptr[:iz + 1], indptr[iz + 1:] + 1, [len(adjacent) + 2])),
-            np.concatenate((adjacent[:hi], [n], adjacent[hi:], [iz])))
+            arrays)
 
 
 def _lockstep_tables(table: tuple) -> tuple:
-    """A walk table's rows as ``_advance`` and ``_pick`` read them: (indptr,
-    neighbour rows, the cuts, the binary-lifting strides that cover the
-    largest count of entries a row can pass, largest first, and the jump
+    """A walk table's arrays as ``_advance`` and ``_pick`` read them:
+    (indptr, neighbour rows, the cuts, the binary-lifting strides that cover
+    the largest count of entries a row can pass, largest first, and the jump
     rows end to end)."""
-    _, cut, _, jump, indptr, adjacent = table
+    cut, jump, indptr, adjacent = table[2]()
     degree = int(np.diff(indptr).max())
     return (indptr, adjacent, cut, [1 << k for k in reversed(range((degree - 1).bit_length()))],
             jump.reshape(-1))
@@ -363,7 +378,7 @@ def _marked(table: tuple, goals) -> list:
     replaced; the table's own rows are left as they are."""
     rows = table[0]
     marks = {goal: -2 - goal for goal in goals if goal >= 0}
-    jump = list(table[2])
+    jump = list(table[1])
     for u in {u for goal in marks for u in rows[goal][1]}:
         jump[u] = tuple(map(marks.get, jump[u], jump[u]))  # an entry not marked is itself
     return jump
@@ -445,12 +460,12 @@ def _walk_trials(table: tuple, start: int, target: int, anchor: int, trials: int
     1 KiB, and numpy caches each freed small buffer by size, so a process's
     memory grew with every estimate.
     """
-    tables = _lockstep_tables(table)
     bits = np.random.PCG64(0)
     overrun = CapExceeded(f"walk from {label!r} exceeded the step cap of {cap}")
     samples = np.empty(trials, dtype=np.int64)
 
     lanes = min(trials, _CHUNK)
+    tables = _lockstep_tables(table) if lanes > _SCALAR_TAIL else None  # for lock-step rounds
     state = _seed_states(seed, 0, lanes)
     hi, lo, inc_hi, inc_lo = state
     trial = np.arange(lanes)

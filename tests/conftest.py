@@ -43,15 +43,22 @@ def eliminations(monkeypatch):
     system, its row count (a grounded vertex keeps a unit row, so a whole
     system is n), and one per sweep, the rows it eliminated.
 
-    Every solve goes through ``exact._eliminate``, which takes a batch of
-    systems, and every sweep through ``exact._sweep``, so patching the module
-    attributes sees every elimination. A sweep is a generator, eliminating up
-    to each stop it yields; it is recorded once it is done, with the last.
+    Whole systems are recorded as ``exact._solve_at`` is asked for them: it
+    eliminates each member once, from both ends when it is large, in kernel
+    calls that TestBothEnds counts. Leaf systems go through
+    ``exact._eliminate`` and sweeps through ``exact._sweep``, so patching the
+    three module attributes sees every elimination. A sweep is a generator,
+    eliminating up to each stop it yields; it is recorded once it is done,
+    with the last.
     """
     from ohmwalk import exact
 
     calls = []
-    kernel, sweep = exact._eliminate, exact._sweep
+    solve, kernel, sweep = exact._solve_at, exact._eliminate, exact._sweep
+
+    def solve_spy(net, grounds, b):
+        calls.extend([net.n] * len(grounds))
+        return solve(net, grounds, b)
 
     def spy(U, R, width):
         calls.extend([len(width)] * U.shape[0])
@@ -64,6 +71,7 @@ def eliminations(monkeypatch):
         if s is not None:
             calls.append(s)
 
+    monkeypatch.setattr(exact, "_solve_at", solve_spy)
     monkeypatch.setattr(exact, "_eliminate", spy)
     monkeypatch.setattr(exact, "_sweep", sweep_spy)
     return calls

@@ -23,21 +23,26 @@ from ohmwalk import (
     rel_err,
     replay,
 )
+from ohmwalk import exact
 from ohmwalk.exact import (
     _PANEL,
     _band,
+    _band_bytes,
     _banded,
     _check,
     _eliminate,
     _envelope,
     _first_return,
     _ground,
+    _halves,
     _leaf_solves,
     _leaf_systems,
     _leaves,
     _reduce,
+    _scale,
     _solve_anchors,
     _solve_at,
+    _solve_bytes,
     _sweep,
 )
 from ohmwalk.network import _sum
@@ -743,6 +748,161 @@ class TestSubstitution:
             assert trip.x_to_y == hitting_time(net, y).values[x]
             assert trip.y_to_x == hitting_time(net, x).values[y]
             assert trip.resistance == effective_resistance(net, x, y)
+
+
+def _path(n: int, rng=None):
+    """A path of n vertices, its conductances log-uniform over 1e-6 .. 1e6
+    if rng is given, else all 1."""
+    return build_network([(i, i + 1, 1.0 if rng is None else float(10.0 ** rng.uniform(-6, 6)))
+                          for i in range(n - 1)])
+
+
+def _cycle(n: int, rng):
+    return build_network([(i, (i + 1) % n, float(10.0 ** rng.uniform(-6.0, 6.0)))
+                          for i in range(n)])
+
+
+def _chorded_ends(rng):
+    """A path of 90 with chords three apart near one end and two apart
+    further in from the other, so that each half is wider than the other
+    somewhere and their shared envelope needs both."""
+    pairs = ([(i, i + 1) for i in range(89)] + [(i, i + 3) for i in range(12)]
+             + [(i, i + 2) for i in range(55, 70)])
+    return build_network([(u, v, float(10.0 ** rng.uniform(-6.0, 6.0))) for u, v in pairs])
+
+
+def _kernel_calls(monkeypatch):
+    """Record every _reduce and _substitute call _solve_at makes: (name, U,
+    R, width), U and R as they were passed."""
+    calls = []
+    for name in ("_reduce", "_substitute"):
+        def spy(U, R, width, *rest, _name=name, _kernel=getattr(exact, name)):
+            calls.append((_name, U.copy(), R.copy(), list(width)))
+            return _kernel(U, R, width, *rest)
+        monkeypatch.setattr(exact, name, spy)
+    return calls
+
+
+class TestBothEnds:
+    """_solve_at eliminates a large system from both ends at once: its
+    forward and reversed halves in one _reduce batch, then the w-place
+    middle between them as a band of its own, then both halves in one
+    _substitute call. Whole solutions against exact rational solves, with
+    the ground and the unit current in each part."""
+
+    @staticmethod
+    def _parts(net):
+        """Vertex rows at places of the forward half, the middle and the
+        reversed half: the first, one inside and the last of each."""
+        order, _, _, _, width = _band(net)
+        n, w = net.n, int(width.max())
+        h, t = _halves(n, w)
+        assert h >= _PANEL * 4 and t >= _PANEL * 4 and h - t in (0, 1)
+        places = [0, h // 2, h - 1, h, h + w // 2, h + w - 1, n - t, n - t // 2, n - 1]
+        return [int(order[p]) for p in places]
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: _path(80, np.random.default_rng(1)), id="path80-w1-padded"),
+        pytest.param(lambda: _path(81, np.random.default_rng(2)), id="path81-w1"),
+        pytest.param(lambda: _cycle(81, np.random.default_rng(3)), id="cycle81-w2"),
+        pytest.param(lambda: grid_network(18, 4, np.random.default_rng(4), span=6.0),
+                     id="grid18x4-w4-span1e12"),
+        pytest.param(lambda: grid_network(12, 6, np.random.default_rng(5)), id="grid12x6-w6"),
+        pytest.param(lambda: _chorded_ends(np.random.default_rng(8)), id="chords-w3-one-w2-other"),
+    ])
+    def test_match_exact_solves_in_every_part(self, make):
+        net = make()
+        parts = self._parts(net)
+        grounds = parts[1::3]  # one ground inside each part
+        b = np.zeros((len(grounds), net.n, 1 + len(parts)))
+        b[:, :, 0] = net.row_conductance
+        b[:, parts, range(1, 1 + len(parts))] = 1.0  # a unit current at each place listed
+        x = _solve_at(net, grounds, b)
+        for s, ground in enumerate(grounds):
+            assert not x[s, ground].any()
+            keep = np.arange(net.n) != ground
+            want = grounded_solve_exact(dense_laplacian(net, ground), b[s, keep])
+            for got, exact_row in zip(x[s, keep], want):
+                for g, e in zip(got.tolist(), exact_row):
+                    assert abs(Fraction(g) - e) <= 1e-13 * e
+
+    def test_batch_members_match_single_solves(self):
+        net = grid_network(10, 10, np.random.default_rng(6), span=6.0)
+        assert _halves(net.n, int(_band(net)[4].max()))[0]
+        _assert_batch_members_match(net)
+
+    def test_round_trip_is_bit_equal_to_single_solves(self):
+        net = grid_network(12, 12, np.random.default_rng(7), span=3.0)
+        x, y = net.vertices[0], net.vertices[-1]
+        trip = round_trip(net, x, y)
+        assert trip.x_to_y == hitting_time(net, y).values[x]
+        assert trip.y_to_x == hitting_time(net, x).values[y]
+        assert trip.resistance == effective_resistance(net, x, y)
+        assert commute_time(net, x, y) == trip.x_to_y + trip.y_to_x
+
+    def test_halves_reduce_in_one_batch_and_substitute_in_one_call(self, monkeypatch):
+        net = _path(80)
+        h, t = _halves(80, 1)
+        assert (h, t) == (40, 39)
+        calls = _kernel_calls(monkeypatch)
+        b = np.broadcast_to(net.row_conductance[None, :, None], (3, 80, 1))
+        _solve_at(net, [0, 40, 79], b)
+        assert [(name, U.shape, len(width)) for name, U, _, width in calls] == [
+            ("_reduce", (6, h + 1, 2), h),  # both halves of each system, then the middle
+            ("_reduce", (3, 2, 2), 1),
+            ("_substitute", (3, 2, 2), 1),
+            ("_substitute", (6, h + 1, 2), h),
+        ]
+        _, U, R, _ = calls[0]
+        assert R[1::2, 0, 0].tolist() == [1.0] * 3  # the reversed half's padding row
+        assert not U[1::2, 0].any()
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: build_network([(i, j, 1.0) for i in range(4) for j in range(i + 1, 4)]),
+                     id="k4"),
+        pytest.param(lambda: random_connected_network(np.random.default_rng(3), n_lo=12, n_hi=12),
+                     id="random12"),
+        pytest.param(lambda: _path(60), id="path60"),  # halves of 29 rows: below _HALF_ROWS
+    ])
+    def test_small_systems_make_the_one_band_calls(self, monkeypatch, make):
+        # below the threshold the middle is the whole system, laid out as the
+        # band was before halves: _banded, then _ground
+        net = make()
+        order, place, lo, hi, width = _band(net)
+        w = int(width.max())
+        assert _halves(net.n, w) == (0, 0)
+        grounds = [net.n - 1, 0]
+        b = np.zeros((2, net.n, 2))
+        b[:, :, 0] = net.row_conductance
+        b[0, 0, 1] = 1.0
+        k = _scale(net)
+        U, R = _banded(lo, hi, np.ldexp(net.conductance, k),
+                       np.ldexp(b[:, order], k).transpose(0, 2, 1), w)
+        _ground(U, R, np.arange(2), place[grounds])
+        calls = _kernel_calls(monkeypatch)
+        got = _solve_at(net, grounds, b)
+        assert [name for name, *_ in calls] == ["_reduce", "_substitute"]
+        _, U_in, R_in, width_in = calls[0]
+        assert (U_in.tolist(), R_in.tolist(), width_in) == (U.tolist(), R.tolist(), width.tolist())
+        x, _ = _eliminate(U, R, width.tolist())
+        assert got.tolist() == x[:, :, place].transpose(0, 2, 1).tolist()
+
+    def test_layout_is_sized_before_allocation(self):
+        # the arithmetic alone: a grid of 10**6 vertices, whose halves' batch
+        # holds about one band, never a forward and a reversed band at once
+        n, w = 10**6, 1000
+        h, t = _halves(n, w)
+        assert (h, t) == (499500, 499500)
+        assert _solve_bytes(2, n, w, 2) == _band_bytes(4, h, w, 2) + _band_bytes(2, w, w, 2)
+        assert _solve_bytes(2, n, w, 2) < 1.01 * _band_bytes(2, n, w, 2)
+        assert _solve_bytes(1, 501, 499, 1) == _band_bytes(1, 501, 499, 1)  # no halves
+
+    def test_out_of_memory_raises_system_too_large(self, small_memory):
+        net = grid_network(60, 60)
+        w = int(_band(net)[4].max())
+        want = _solve_bytes(1, net.n, w, 1) / 2**20
+        with pytest.raises(SystemTooLarge, match=rf"needs {want:.1f} MiB of band storage"):
+            effective_resistance(net, net.vertices[0], net.vertices[-1])
 
 
 class TestSpanWarning:

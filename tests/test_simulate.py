@@ -473,6 +473,12 @@ def _parallel_networks():
     return nets
 
 
+def _table_bits(table):
+    """bits of a walk table's rows and jump rows and of its arrays."""
+    rows, jumps, arrays = table
+    return bits((rows, jumps, arrays()))
+
+
 class TestPendantTable:
     """The walk table of G~ that _pendant_table splices from net's is the
     table of G~ built by build_network from net's edges and the pendant
@@ -482,11 +488,12 @@ class TestPendantTable:
     @pytest.mark.parametrize("c", _PENDANT_C)
     def test_spliced_table_is_the_built_table(self, c):
         for net in [*_parallel_networks(), _extreme_wheel()]:  # the wheel's hub has degree 70
-            base = bits(_table(net))
+            base = _table_bits(_table(net))
             for z in net.vertices:
                 built, _ = pendant_network(net, z, c)
-                assert bits(_pendant_table(net, net.index[z], c)) == bits(_table(built)), (z, c)
-            assert bits(_table(net)) == base  # the base's own table is left as it was
+                assert _table_bits(_pendant_table(net, net.index[z], c)) == _table_bits(
+                    _table(built)), (z, c)
+            assert _table_bits(_table(net)) == base  # the base's own table is left as it was
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 79), _conductances()), min_size=1, max_size=100),
@@ -496,7 +503,7 @@ class TestPendantTable:
         z = data.draw(st.sampled_from(net.vertices))
         c = data.draw(_conductances())
         built, _ = pendant_network(net, z, c)
-        assert bits(_pendant_table(net, net.index[z], c)) == bits(_table(built))
+        assert _table_bits(_pendant_table(net, net.index[z], c)) == _table_bits(_table(built))
 
     @pytest.mark.parametrize("trials", (_SCALAR_TAIL - 1, _SCALAR_TAIL, _SCALAR_TAIL + 1,
                                         2 * _CHUNK + 5))
@@ -516,6 +523,25 @@ class TestPendantTable:
             with monkeypatch.context() as patch:
                 patch.setattr(simulate, "_pendant_table", lambda *args: _table(built))
                 assert asdict(spliced) == asdict(estimate_excursions(net, z, trials, seed, c=c))
+
+    @pytest.mark.parametrize("trials", (1, _SCALAR_TAIL, _SCALAR_TAIL + 1, 300))
+    def test_arrays_are_spliced_only_for_a_lockstep_round(self, monkeypatch, trials):
+        # an estimate of at most _SCALAR_TAIL trials walks only in the scalar
+        # loop, which reads the rows and jump rows alone
+        seed, cap = 5, 10**6
+        net = _grid(4, np.random.default_rng(28))
+        z = net.vertices[5]
+        c = 2.0 * float(net.row_conductance[5])  # two thirds of the trials end at once
+        table, spliced = simulate._pendant_table, []
+
+        def counted(*args):
+            rows, jumps, arrays = table(*args)
+            return rows, jumps, lambda: spliced.append(args) or arrays()
+
+        monkeypatch.setattr(simulate, "_pendant_table", counted)
+        got = _fields(estimate_excursions(net, z, trials, seed, c=c))
+        assert len(spliced) == (trials > _SCALAR_TAIL)
+        assert got == excursions_mc_oracle(net, z, c, trials, seed, cap)
 
     def test_cap_exceeded_alike(self, k4):
         # a pendant of 1e-7 is next to never reached within 50 steps
