@@ -4,9 +4,8 @@ Loads a network from an edge-list file (one `u v conductance` triple per
 line, `#` comments, conductance defaulting to 1), dispatches to the exact
 solver, the simulator, or the verification replayer, and prints one JSON
 document (CSV for flat estimate rows) on standard output, in one write.
-Every document is encoded here by json.dumps except verify's, whose traces
-are text written by the replay module, next to the dataclasses they encode;
-this module adds only that document's header and footer.
+Every document is encoded here by json.dumps except verify's, which is
+text written by the replay module, next to the dataclasses it encodes.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input errors. A
 stdout closed early (``| head``) or from the start (``>&-``) does not change
@@ -150,22 +149,6 @@ def _emit_csv(rows: list[dict]) -> None:
     writer.writeheader()
     writer.writerows(rows)
     _emit([buf.getvalue()])
-
-
-def _verify_json(net, tolerance: float, traces, verdict: bool):
-    """Yield the parts of verify's document (see _run_verify) for ``net``'s n,
-    m and total_conductance and the ProofTraces, of which there is at least
-    one, each with at least one step. Only the document's header and footer
-    are written here; each trace's text is replay's ``_trace_json``."""
-    from .replay import _bool, _float, _network_json, _trace_json
-
-    yield (f'{{\n'
-           f'  "network": {_network_json(net, "  ")},\n'
-           f'  "tolerance": {_float(tolerance)},\n'
-           f'  "traces": [')
-    for i, t in enumerate(traces):
-        yield ("\n" if i == 0 else ",\n") + _trace_json(t)
-    yield f'\n  ],\n  "pass": {_bool(verdict)}\n}}\n'
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -316,9 +299,9 @@ def _run_simulate(ns, net: Network) -> int:
 def _run_verify(ns, net: Network) -> int:
     """Print the document json.dumps(doc, indent=2) + "\\n" would print for doc
     = {"network", "tolerance", "traces": [trace.to_json_dict() ...], "pass"},
-    the network block laid out as a trace's. _verify_json writes it as text:
-    its header and footer, and each trace's text from replay."""
-    from .replay import _replay_batch
+    the network block laid out as a trace's. replay's _verify_json writes it
+    as text."""
+    from .replay import _replay_batch, _verify_json
 
     anchors = list(net.vertices) if ns.vertex is None else [ns.vertex]
     sim_args = (ns.trials, ns.seed) if ns.simulate else None

@@ -19,8 +19,9 @@ label-facing views (``edges``, ``neighbors``, ``vertex_conductance``) are
 built from the arrays only when something reads them.
 
 No network is built for the pendant argument's G~ (net plus a pendant
-vertex at z): the replayer solves on net, the simulator splices z's row
-into net's walk table, and ``_pendant_totals`` checks G~'s sums.
+vertex at z): the replayer solves on net, the simulator splices G~'s two
+new rows, built by ``_walk_table`` as every row of ``Network.walk`` is,
+over net's walk table, and ``_pendant_totals`` checks G~'s sums.
 """
 from __future__ import annotations
 
@@ -54,9 +55,12 @@ DISTRIBUTION_TOL = 1e-12
 # a uniform's 53.
 BUCKET_BITS = 6
 BUCKETS = 1 << BUCKET_BITS
-# Bytes the guide table holds per row at its peak, for each of its BUCKETS
-# entries: its intp, its count while it is built, and a pointer in each of
-# the object array, the list and the row's tuple that carry it to Python.
+# Bytes building the walk table (Network.walk) peaks at per row, as five
+# words for each of its BUCKETS jump entries: the intp jump row, the list
+# that carries it to Python and the row's tuple are held at once, and the
+# rest covers the row's cuts, neighbours and temporaries at small degree.
+# tracemalloc measured about 2.5 KB a row at the peak, 1.5 KB of it kept,
+# on grids of 1600 and 6400 rows.
 _JUMP_ROW_BYTES = BUCKETS * 5 * 8
 
 
@@ -155,9 +159,8 @@ class Network:
         return dict(zip(self.vertices, self.row_conductance.tolist()))
 
     @cached_property
-    def walk(self) -> tuple[tuple[tuple[tuple[float, ...], tuple[int, ...]], ...], np.ndarray,
-                            tuple[tuple[int, ...], ...], np.ndarray]:
-        """Inverse-CDF table of the walk, as uniform thresholds: (rows, cut, jumps, jump).
+    def walk(self) -> tuple[tuple[tuple, ...], np.ndarray, np.ndarray]:
+        """Inverse-CDF table of the walk, as uniform thresholds: (rows, cut, jump).
 
         The rule it encodes: from row v, given a uniform u, entry j of the
         row (in stored order) passes when its running sum, the
@@ -177,37 +180,23 @@ class Network:
         row's cuts: the same count of passed entries as the running-sum
         bisect, bit for bit, with no product.
 
-        ``jump`` is a guide table over that bisect (``_jumps``): for each
-        row and each of the BUCKETS buckets [b / BUCKETS, (b + 1) / BUCKETS)
-        of u, the row every uniform in the bucket picks, or -1 where a cut
-        of the row lies strictly inside the bucket.
+        ``jump`` is a guide table over that bisect: for each row and each
+        of the BUCKETS buckets [b / BUCKETS, (b + 1) / BUCKETS) of u, the
+        row every uniform in the bucket picks, or -1 where a cut of the row
+        lies strictly inside the bucket.
 
-        ``rows[v]`` is (the cuts of every entry of row v but the last, the
-        neighbour rows of all its entries) and ``jumps[v]`` is row v of
-        ``jump``, tuples because the scalar loop indexes them one step at a
-        time. ``cut`` holds every entry's cut at its place in ``adjacent``,
-        inf at each row's last entry, and ``jump`` is a read-only array of n
-        rows, for the lock-step kernel to gather. Built on first use and
-        kept; running out of memory for the jump rows raises SystemTooLarge.
+        ``rows[v]`` is one tuple, because the scalar loop indexes it one
+        step at a time: row v of ``jump`` in its first BUCKETS entries, then
+        at index BUCKETS the pair (the cuts of every entry of row v but the
+        last, the neighbour rows of all its entries). ``cut`` holds every
+        entry's cut at its place in ``adjacent``, inf at each row's last
+        entry, and ``jump`` is a read-only array of n rows, for the
+        lock-step kernel to gather. All three are ``_walk_table``'s. Built
+        on first use and kept; running out of memory for the jump rows
+        raises SystemTooLarge.
         """
-        bounds = self.indptr.tolist()
-        weight = self.weight.tolist()
-        rows = map(weight.__getitem__, map(slice, bounds, bounds[1:]))
-        running = np.fromiter(chain.from_iterable(map(accumulate, rows)), dtype=float,
-                              count=len(weight))
-        last = self.indptr[1:] - 1
-        cut = _cuts(running, np.repeat(running[last], np.diff(self.indptr)))
-        cut[last] = np.inf
-        cuts, neighbours = cut.tolist(), self.adjacent.tolist()
-        rows = tuple((tuple(cuts[lo:hi - 1]), tuple(neighbours[lo:hi]))
-                     for lo, hi in zip(bounds, bounds[1:]))
         with sized(self.n * _JUMP_ROW_BYTES, "the walk table", "jump rows"):
-            jump = _jumps(cut, self.indptr, self.adjacent)
-            # One int object per row number, not one per entry: index -1 is -1.
-            jumps = tuple(map(tuple, np.array([*range(self.n), -1], dtype=object)
-                              .take(jump).tolist()))
-        cut.flags.writeable = jump.flags.writeable = False
-        return rows, cut, jumps, jump
+            return _walk_table(self.weight, self.indptr, self.adjacent)
 
     @cached_property
     def ordering(self) -> tuple[int, ...]:
@@ -267,25 +256,26 @@ def _breadth_first(start: int, bounds: list[int], rows: list[int]) -> list[int]:
     return order
 
 
-def _cuts(running: np.ndarray, total) -> np.ndarray:
-    """The cut of each running sum against its row's total (an array of the
-    same length, or one total for all): the least k * 2**-53, k in [0,
-    2**53], with running <= k * 2**-53 * total, as a float. Each entry's
-    arithmetic is its own, so a row's cuts do not depend on the other
-    entries found with it."""
+def _cuts(running: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """The cut of each running sum against its row's total, at the same
+    place of ``total``: the least k * 2**-53, k in [0, 2**53], with running
+    <= k * 2**-53 * total, as a float. Each entry's arithmetic is its own,
+    so a row's cuts do not depend on the other entries found with it."""
     # Where the total is normal, k is within 4 of running / total * 2**53,
     # so the bisection starts from that bracket of 9 wherever its ends
     # show that it holds k (at low = 0, low - 1 gives a negative product,
     # under every running sum), and from [0, 2**53] elsewhere: 4 rounds
-    # instead of 54 on most networks.
+    # instead of 54 on most networks. A bracket reaching past either end
+    # of [0, 2**53] fails that test, so each end is bounded on one side
+    # only, without np.clip, whose wrapper costs a pendant's splice a tenth.
     guess = (running / total * 2.0**53).astype(np.int64)
-    low = np.clip(guess - 4, 0, 2**53)
-    high = np.clip(guess + 4, 0, 2**53)
+    low = np.maximum(guess - 4, 0)
+    high = np.minimum(guess + 4, 2**53)
     held = running <= high * 2.0**-53 * total
     held &= running > (low - 1) * 2.0**-53 * total
     low[~held], high[~held] = 0, 2**53
     for _ in range(54):  # high - low + 1 candidates, at least halved each round
-        if np.array_equal(low, high):
+        if (low == high).all():
             break
         mid = (low + high) >> 1
         passes = running <= mid * 2.0**-53 * total
@@ -294,33 +284,54 @@ def _cuts(running: np.ndarray, total) -> np.ndarray:
     return high * 2.0**-53
 
 
-def _jumps(cut: np.ndarray, indptr: np.ndarray, adjacent: np.ndarray) -> np.ndarray:
-    """The guide table of compressed rows with cuts ``cut`` (``Network.walk``):
-    an intp array of one row per row v, whose entry b is the neighbour row
-    that ``bisect_right`` of every u in [b / BUCKETS, (b + 1) / BUCKETS) in
-    row v's cuts picks, or -1 where a cut lies strictly inside that bucket
-    (Chen & Asau 1974, made exact by the cuts being multiples of 2**-53).
+def _walk_table(weight: np.ndarray, indptr: np.ndarray, adjacent: np.ndarray) -> tuple:
+    """The walk table (rows, cut, jump) of ``Network.walk`` for compressed rows:
+    row v's neighbour rows are ``adjacent[indptr[v]:indptr[v + 1]]``, with
+    conductances ``weight`` at the same places. Each row's table depends on
+    that row alone, so a pendant's splice builds just the rows it changes.
 
-    Counted, not searched: an entry passes every u of bucket b onward from
-    b = ceil(cut * BUCKETS), an exact product, so one bincount of those
-    buckets per row and a running sum along each row give the count that
-    passes at every bucket's low end. Inside a bucket the count changes
-    exactly where a cut is not a multiple of 1 / BUCKETS."""
+    Each row's running sums are summed left to right and cut against the
+    row's last (``_cuts``). The guide table (Chen & Asau 1974, made exact by
+    the cuts being multiples of 2**-53) is counted, not searched: an entry
+    passes every u of bucket b onward from b = ceil(cut * BUCKETS), an exact
+    product, so one bincount of those buckets per row and a running sum
+    along each row give the count that passes at every bucket's low end.
+    Inside a bucket the count changes exactly where a cut is not a multiple
+    of 1 / BUCKETS. A row's jump entries are the int objects its neighbour
+    tuple holds, not one new int per entry.
+    """
     n = len(indptr) - 1
-    scaled = cut * BUCKETS
-    # Array methods rather than numpy's functions: a pendant's splice builds
-    # one row at a time, and the functions' wrappers cost as much as the work.
+    bounds, weights = indptr.tolist(), weight.tolist()
+    running = np.fromiter(chain.from_iterable(map(accumulate, map(
+        weights.__getitem__, map(slice, bounds, bounds[1:])))), dtype=float, count=len(weights))
+    # Array methods rather than numpy's functions where they exist: a
+    # pendant's splice builds two rows, and the functions' wrappers cost as
+    # much as the work.
     row = np.arange(n).repeat(indptr[1:] - indptr[:-1])
+    last = indptr[1:] - 1
+    cut = _cuts(running, running[last].repeat(indptr[1:] - indptr[:-1]))
+    cut[last] = np.inf
+    scaled = cut * BUCKETS
     first = np.minimum(np.ceil(scaled), BUCKETS).astype(np.intp)  # inf and 1: no bucket
     first += row * (BUCKETS + 1)
+    # Each temporary of n * BUCKETS words is dropped once read, and the jump
+    # rows are made in place of the entries they pick, so that building
+    # peaks at _JUMP_ROW_BYTES a row.
     counts = np.bincount(first, minlength=n * (BUCKETS + 1)).reshape(n, BUCKETS + 1)
-    jump = np.empty((n, BUCKETS), dtype=np.intp)
-    counts[:, :BUCKETS].cumsum(axis=1, out=jump)
-    jump += indptr[:-1, None]
-    adjacent.take(jump, out=jump)
+    entry = np.empty((n, BUCKETS), dtype=np.intp)  # the entry each bucket picks
+    counts[:, :BUCKETS].cumsum(axis=1, out=entry)
+    del counts
+    entry += indptr[:-1, None]
     inside = (scaled != np.floor(scaled)).nonzero()[0]  # so finite, and below BUCKETS
-    jump[row[inside], scaled[inside].astype(np.intp)] = -1
-    return jump
+    entry[row[inside], scaled[inside].astype(np.intp)] = -1  # the -1 appended below
+    cuts, neighbours = cut.tolist(), [*adjacent.tolist(), -1]
+    picks = np.array(neighbours, dtype=object).take(entry)
+    jump = np.concatenate((adjacent, [-1])).take(entry, out=entry)
+    picks = picks.tolist()
+    rows = tuple((*pick, (tuple(cuts[lo:hi - 1]), tuple(neighbours[lo:hi])))
+                 for pick, lo, hi in zip(picks, bounds, bounds[1:]))
+    cut.flags.writeable = jump.flags.writeable = False
+    return rows, cut, jump
 
 
 def _check_conductance(c) -> float:

@@ -17,10 +17,10 @@ that all anchors share (see exact._leaf_solves, replay and
 _replay_batch). Its simulated side walks G~ through a walk table spliced
 from the original's (simulate._pendant_table).
 
-A trace's JSON layout is written here once, as text (``_trace_json`` and
-``_step_json``), which ``cli`` verify joins into its document unparsed:
-json.dumps with an indent, pure Python, is two to four times slower on a
-sweep's document. ``ProofStep.to_json_dict`` and
+verify's JSON document is laid out here once, as text (``_verify_json``,
+``_trace_json`` and ``_step_json``), which ``cli`` verify writes as it
+stands: json.dumps with an indent, pure Python, is two to four times slower
+on a sweep's document. ``ProofStep.to_json_dict`` and
 ``ProofTrace.to_json_dict`` parse that same text.
 """
 from __future__ import annotations
@@ -231,11 +231,11 @@ def _trace(net: Network, z: VertexId, iz: int, c: float, total: float, z_to_pend
     )
 
 
-# The traces' JSON text. Each part below is what json.dumps(doc, indent=2)
-# writes for it at its fixed depth in verify's document, so that document
-# (cli._verify_json) joins them to json.dumps(doc, indent=2) + "\n" byte for
-# byte; the pure-Python encoder an indent needs would cost more than the
-# replay on a sweep.
+# verify's JSON text. Each part below is what json.dumps(doc, indent=2)
+# writes for it at its fixed depth in verify's document, so that
+# _verify_json joins them to json.dumps(doc, indent=2) + "\n" byte for byte;
+# the pure-Python encoder an indent needs would cost more than the replay on
+# a sweep.
 
 def _float(x: float) -> str:
     if math.isfinite(x):
@@ -288,3 +288,17 @@ def _trace_json(t: ProofTrace) -> str:
             f'      "steps": [\n{steps}\n      ],\n'
             f'      "pass": {_bool(t.passed)}\n'
             f'    }}')
+
+
+def _verify_json(net, tolerance: float, traces, verdict: bool):
+    """Yield the parts of verify's document (cli's _run_verify) for ``net``'s
+    n, m and total_conductance and the ProofTraces, of which there is at
+    least one, each with at least one step: its header, each trace's text
+    and its footer."""
+    yield (f'{{\n'
+           f'  "network": {_network_json(net, "  ")},\n'
+           f'  "tolerance": {_float(tolerance)},\n'
+           f'  "traces": [')
+    for i, t in enumerate(traces):
+        yield ("\n" if i == 0 else ",\n") + _trace_json(t)
+    yield f'\n  ],\n  "pass": {_bool(verdict)}\n}}\n'

@@ -22,31 +22,28 @@ the bisect that ``step`` and ``trace_walk`` make. Every trial reads only
 its own stream and its result is stored at its own index, so the
 estimates are those of walking each substream on its own.
 
-All three walkers read one walk table (``_table``): the rows and jump rows
-of ``Network.walk``, and, for the lock-step kernel only, its cuts and jump
-rows as arrays and the compressed rows, fetched when a lock-step round
-first runs. The rule it encodes picks the neighbour after the entries
-whose running conductance sum is at most u times the row's total. Every
-uniform drawn is a multiple of 2**-53, and u * total does not decrease as
-u grows, so an entry passes exactly when u reaches its cut, the least
-such multiple at which it passes. A step is then a bisect of u in the
-row's cuts, with no product, and picks what the running-sum bisect picks,
-bit for bit. The jump rows are a guide table over that bisect (Chen &
-Asau 1974): for each of the 64 buckets of u's top bits, the row every
-uniform in it picks, or -1 where a cut lies inside it. The bucket is the
-output's top 6 bits, so a step whose bucket holds no cut needs neither the
-uniform nor the bisect.
+All three walkers read one walk table (``_table``): the rows of
+``Network.walk``, one tuple per row, and, for the lock-step kernel only,
+its cuts and jump rows as arrays and the compressed rows, fetched when a
+lock-step round first runs. ``Network.walk`` states the rule it encodes
+and why a bisect of u in a row's cuts picks what the running-sum bisect
+picks, bit for bit. Each row's tuple starts with its jump entries, a
+guide table over that bisect (Chen & Asau 1974): for each of the 64
+buckets of u's top bits, the row every uniform in it picks, or -1 where a
+cut lies inside it. The bucket is the output's top 6 bits, so a step whose
+bucket holds no cut needs neither the uniform nor the bisect.
 
 The pendant argument's G~, net plus a pendant vertex at z, is walked
-through a table spliced from net's (``_pendant_table``): z's row gains
-the pendant and new cuts and jump row, and the pendant's one-entry row is
-appended. It is the table of the network build_network would make of G~,
-bit for bit, and no such network is built. Its arrays, copies of net's,
-are spliced only when the lock-step kernel asks for them. The scalar
-loop's arrivals at a target or an anchor are marked in a per-estimate
-copy of the list of jump rows (``_marked``), in the rows of their
-neighbours only, so no estimate costs O(n * 64) and the network's table
-is never changed.
+through a table spliced from net's (``_pendant_table``): the builder of
+every row of ``Network.walk`` builds z's row with the pendant appended and
+the pendant's one-entry row, and the splice maps row z and row n to them
+over net's own rows, which are not copied. It is the table of the network
+build_network would make of G~, bit for bit, and no such network is
+built. Its arrays, copies of net's, are spliced only when the lock-step
+kernel asks for them. The scalar loop reads a per-estimate list of the
+rows (``_marked``), the splice laid over them, where arrivals at a target
+or an anchor are marked in the rows of their neighbours only, so no
+estimate costs O(n * 64) and the network's table is never changed.
 
 A trial that would run past the step cap aborts the whole estimate with
 CapExceeded rather than truncating: silent truncation would bias the mean
@@ -57,7 +54,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, islice
+from itertools import islice
 from operator import length_hint
 
 import numpy as np
@@ -69,9 +66,8 @@ from .network import (
     Network,
     VertexId,
     _check_conductance,
-    _cuts,
-    _jumps,
     _pendant_totals,
+    _walk_table,
 )
 from .util import DEFAULT_STEP_CAP, sized
 
@@ -268,13 +264,13 @@ def _output(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
 
 
 def _table(net: Network) -> tuple:
-    """The walk table the walkers read: (rows, jumps, arrays), the rows and
-    jump rows of ``Network.walk`` for the scalar walkers, and a function
-    giving what the lock-step kernel reads (``_lockstep_tables``): the cuts
-    and jump rows of ``Network.walk`` as arrays and the compressed rows'
-    indptr and neighbour rows."""
-    rows, cut, jumps, jump = net.walk
-    return rows, jumps, lambda: (cut, jump, net.indptr, net.adjacent)
+    """The walk table the walkers read: (rows, splice, arrays), the rows of
+    ``Network.walk``, an empty splice (see ``_pendant_table``), and a
+    function giving what the lock-step kernel reads (``_lockstep_tables``):
+    the cuts and jump rows of ``Network.walk`` as arrays and the compressed
+    rows' indptr and neighbour rows."""
+    rows, cut, jump = net.walk
+    return rows, {}, lambda: (cut, jump, net.indptr, net.adjacent)
 
 
 def _pendant_table(net: Network, iz: int, c: float) -> tuple:
@@ -284,33 +280,31 @@ def _pendant_table(net: Network, iz: int, c: float) -> tuple:
     bit, without building that network.
 
     build_network stores the pendant edge last, so the pendant is row n, the
-    last entry of row iz, and its own row is one entry back to iz. Row iz's
-    cuts are taken against its running sums with c appended (``_cuts``, as
-    ``Network.walk`` takes every row's), and its jump row from those
-    (``_jumps``); no other row changes. The pendant's row is there for the
-    lock-step kernel, whose finished lanes stay on the target and still
-    read their row. The arrays are spliced only when the lock-step kernel
-    asks for them: each copies net's, and an estimate of at most
-    _SCALAR_TAIL trials never runs a lock-step round.
+    last entry of row iz, and its own row is one entry back to iz; no other
+    row changes. ``_walk_table``, which builds every row of ``Network.walk``,
+    builds those two, and the splice maps row iz and row n to them; the rows
+    returned are net's own, uncopied, and ``_marked`` lays the splice over
+    them. The pendant's row is there for the lock-step kernel, whose
+    finished lanes stay on the target and still read their row. The arrays
+    are spliced only when the lock-step kernel asks for them: each copies
+    net's, and an estimate of at most _SCALAR_TAIL trials never runs a
+    lock-step round.
     """
-    rows, cut, jumps, jump = net.walk
+    rows, cut, jump = net.walk
     n, lo, hi = net.n, int(net.indptr[iz]), int(net.indptr[iz + 1])
-    running = np.fromiter(accumulate([*net.row(iz)[1], c]), dtype=float, count=hi - lo + 1)
-    row_cut = _cuts(running, running[-1])
-    row_cut[-1] = np.inf
-    row = (tuple(row_cut[:-1].tolist()), (*rows[iz][1], n))
-    row_jump = _jumps(row_cut, np.array([0, len(row_cut)]), np.array(row[1]))
+    neighbours, weights = net.row(iz)
+    (row, pendant), row_cut, row_jump = _walk_table(
+        np.array([*weights, c, c]), np.array([0, hi - lo + 1, hi - lo + 2]),
+        np.array([*neighbours, n, iz]))
 
     def arrays():
         indptr, adjacent = net.indptr, net.adjacent
-        return (np.concatenate((cut[:lo], row_cut, cut[hi:], [np.inf])),
-                np.concatenate((jump[:iz], row_jump, jump[iz + 1:], np.full((1, BUCKETS), iz))),
+        return (np.concatenate((cut[:lo], row_cut[:-1], cut[hi:], row_cut[-1:])),
+                np.concatenate((jump[:iz], row_jump[:1], jump[iz + 1:], row_jump[1:])),
                 np.concatenate((indptr[:iz + 1], indptr[iz + 1:] + 1, [len(adjacent) + 2])),
                 np.concatenate((adjacent[:hi], [n], adjacent[hi:], [iz])))
 
-    return ((*rows[:iz], row, *rows[iz + 1:], ((), (iz,))),
-            (*jumps[:iz], tuple(row_jump[0].tolist()), *jumps[iz + 1:], (iz,) * BUCKETS),
-            arrays)
+    return rows, {iz: row, n: pendant}, arrays
 
 
 def _lockstep_tables(table: tuple) -> tuple:
@@ -357,31 +351,35 @@ def _pick(tables, v: np.ndarray, u: np.ndarray) -> np.ndarray:
 def _path(table: tuple, v: int, uniforms):
     """Yield the rows a walk from row v visits, drawing one uniform per step.
 
-    The walk of ``step`` and ``trace_walk``. Its pick, ``bisect_right`` of
-    u in the row's cuts (``Network.walk``), is what the jump rows
-    tabulate, and what ``_finish`` and ``_advance`` fall back on where a
-    cut lies inside u's bucket; ``_pick`` vectorises it.
+    The walk of ``step`` and ``trace_walk``, on a table with an empty
+    splice. Its pick, ``bisect_right`` of u in the row's cuts
+    (``Network.walk``), is what the jump entries tabulate, and what
+    ``_finish`` and ``_advance`` fall back on where a cut lies inside u's
+    bucket; ``_pick`` vectorises it.
     """
     rows = table[0]
     for u in uniforms:
-        cuts, neighbours = rows[v]
+        cuts, neighbours = rows[v][BUCKETS]
         v = neighbours[bisect_right(cuts, u)]
         yield v
 
 
 def _marked(table: tuple, goals) -> list:
-    """The jump rows of a walk table as a list, with every entry that steps
-    to a row of ``goals`` (-1 for none) marked as -2 - that row, so that
-    ``_finish`` tests for arrivals only on negative entries.
+    """The rows of a walk table as a list, with its splice laid over them and
+    every jump entry that steps to a row of ``goals`` (-1 for none) marked
+    as -2 - that row, so that ``_finish`` tests for arrivals only on
+    negative entries.
 
     Only the goals' neighbours' rows hold such entries, and only those are
     replaced; the table's own rows are left as they are."""
-    rows = table[0]
+    rows = list(table[0])
+    for v, row in table[1].items():
+        rows[v:v + 1] = (row,)  # replaces row v, or appends it when v is len(rows)
     marks = {goal: -2 - goal for goal in goals if goal >= 0}
-    jump = list(table[1])
-    for u in {u for goal in marks for u in rows[goal][1]}:
-        jump[u] = tuple(map(marks.get, jump[u], jump[u]))  # an entry not marked is itself
-    return jump
+    for u in {u for goal in marks for u in rows[goal][BUCKETS][1]}:
+        # an entry not marked is itself, as is the row's (cuts, neighbours) pair
+        rows[u] = tuple(map(marks.get, rows[u], rows[u]))
+    return rows
 
 
 def _blocks(bits: np.random.PCG64):
@@ -393,8 +391,8 @@ def _blocks(bits: np.random.PCG64):
         size = min(2 * size, largest)
 
 
-def _finish(rows: tuple, jump: list, v: int, target: int, anchor: int, m: int, count: int,
-            cap: int, bits: np.random.PCG64, overrun: CapExceeded) -> tuple[int, int]:
+def _finish(rows: list, v: int, target: int, anchor: int, m: int, count: int, cap: int,
+            bits: np.random.PCG64, overrun: CapExceeded) -> tuple[int, int]:
     """Walk on from row v, m steps in, until the first arrival at row target.
 
     Returns (m, count) then: the trial's step count and its arrivals at row
@@ -403,11 +401,11 @@ def _finish(rows: tuple, jump: list, v: int, target: int, anchor: int, m: int, c
     ``_path``'s walk as one flat loop over whole blocks of outputs, because
     resuming a generator per step costs more than the step itself.
 
-    ``jump`` is the table's jump rows with arrivals at target and anchor
-    marked (``_marked``), so a step is one lookup of the output's bucket,
-    and only a negative entry is looked at again: a marked arrival, or -1,
-    a cut inside the bucket, where the block's uniforms are drawn, once,
-    and the step bisects u in the row's cuts (``rows``, ``Network.walk``).
+    ``rows`` is the table's rows with arrivals at target and anchor marked
+    (``_marked``), so a step is one lookup of the output's bucket, and only
+    a negative entry is looked at again: a marked arrival, or -1, a cut
+    inside the bucket, where the block's uniforms are drawn, once, and the
+    step bisects u in the row's cuts (``Network.walk``).
     A block is cut short at the cap, so the cap and the step count are
     settled once per block: on arrival, the steps taken in the block are
     its length less the outputs its iterator has left.
@@ -418,12 +416,12 @@ def _finish(rows: tuple, jump: list, v: int, target: int, anchor: int, m: int, c
         buckets = iter((raw >> _BUCKET_SHIFT).tolist())
         uniforms = None
         for b in buckets:
-            w = jump[v][b]
+            w = rows[v][b]
             if w < 0:
                 if w == -1:
                     if uniforms is None:
                         uniforms = _double(raw).tolist()
-                    cuts, neighbours = rows[v]
+                    cuts, neighbours = rows[v][BUCKETS]
                     # this step's uniform: ~left is -(left + 1), left the outputs to come
                     w = neighbours[bisect_right(cuts, uniforms[~length_hint(buckets)])]
                 else:
@@ -513,7 +511,7 @@ def _walk_trials(table: tuple, start: int, target: int, anchor: int, trials: int
                 raise overrun
 
     rest = np.flatnonzero(walking)
-    jump = _marked(table, (target, anchor))
+    rows = _marked(table, (target, anchor))
     tail = zip(trial[rest].tolist(), (n - begun[rest]).tolist(), v[rest].tolist(),
                seen[rest].tolist(), hi[rest].tolist(), lo[rest].tolist(),
                inc_hi[rest].tolist(), inc_lo[rest].tolist())
@@ -524,8 +522,7 @@ def _walk_trials(table: tuple, start: int, target: int, anchor: int, trials: int
             "has_uint32": 0,
             "uinteger": 0,
         }
-        steps, count = _finish(table[0], jump, at, target, anchor, m, count, cap, bits,
-                               overrun)
+        steps, count = _finish(rows, at, target, anchor, m, count, cap, bits, overrun)
         samples[k] = steps if anchor < 0 else count
         steps_total += steps - m
         steps_max = max(steps_max, steps)

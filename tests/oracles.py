@@ -390,8 +390,9 @@ class ReferenceNetwork:
             cuts = [_least_uniform(s, running[-1]) for s in running[:-1]]
             rows.append((tuple(cuts), tuple(self.index[z] for z, _ in self.neighbors[v])))
             cut += [*cuts, math.inf]
-        jumps = tuple(bucket_picks(*row) for row in rows)
-        return tuple(rows), np.array(cut), jumps, np.array(jumps, dtype=np.intp)
+        jump = [bucket_picks(*row) for row in rows]
+        return (tuple((*picks, row) for picks, row in zip(jump, rows)), np.array(cut),
+                np.array(jump, dtype=np.intp))
 
     @cached_property
     def ordering(self):

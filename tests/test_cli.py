@@ -23,7 +23,8 @@ from ohmwalk import (
     SelfLoop,
     replay,
 )
-from ohmwalk.cli import _verify_json, parse_network_file, run
+from ohmwalk.cli import parse_network_file, run
+from ohmwalk.replay import _verify_json
 
 import oracles
 from netgen import grid_network

@@ -25,7 +25,7 @@ from ohmwalk import (
 )
 
 import oracles
-from ohmwalk.simulate import _pendant_table
+from ohmwalk.simulate import _marked, _pendant_table
 from netgen import random_connected_network, random_reversible_kernel
 from oracles import (bits, induced_kernel, network_bits, outcome, reverse_cuthill_mckee,
                      strongly_connected)
@@ -187,10 +187,10 @@ class TestAgainstReference:
         assert network_bits(net) == network_bits(oracles.build_network(edges))
         # the pendant's walk table, spliced from net's, is the reference's
         z = net.vertices[int(rng.integers(net.n))]
-        rows, jumps, arrays = _pendant_table(net, net.index[z], 0.3)
-        cut, jump, indptr, adjacent = arrays()
+        table = _pendant_table(net, net.index[z], 0.3)
+        cut, jump, indptr, adjacent = table[2]()
         reference = oracles.build_network([*edges, (z, f"~{z}", 0.3)])
-        assert bits((rows, cut, jumps, jump)) == bits(reference.walk)
+        assert bits((tuple(_marked(table, ())), cut, jump)) == bits(reference.walk)
         neighbours = [[reference.index[u] for u, _ in reference.neighbors[v]]
                       for v in reference.vertices]
         assert indptr.tolist() == [0, *accumulate(map(len, neighbours))]

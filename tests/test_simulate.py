@@ -32,6 +32,7 @@ from ohmwalk.simulate import (
     _advance,
     _double,
     _lockstep_tables,
+    _marked,
     _output,
     _path,
     _pcg_step,
@@ -356,12 +357,12 @@ class TestWalkTable:
     @example([5e-324, 1.0, 1e-300, 2.0])
     def test_each_cut_is_the_least_uniform_that_passes(self, weights):
         net = build_network([("hub", f"l{i}", c) for i, c in enumerate(weights)])
-        rows, cut, *_ = net.walk
+        rows, cut, _ = net.walk
         for v in range(net.n):
             neighbours, row_weights = net.row(v)
             running = list(accumulate(row_weights))
             total = running[-1]
-            cuts, row_neighbours = rows[v]
+            cuts, row_neighbours = rows[v][BUCKETS]
             assert row_neighbours == tuple(neighbours)
             lo, hi = net.indptr[v], net.indptr[v + 1]
             assert cut[lo:hi].tolist() == [*cuts, math.inf]
@@ -386,15 +387,21 @@ class TestBucketTable:
     """Network.walk's jump rows: each entry is the row that bisect_right of
     the row's cuts picks at both ends of its bucket, its least and its
     greatest uniform, or -1 exactly where the two picks differ
-    (tests/oracles.py bucket_picks)."""
+    (tests/oracles.py bucket_picks). Each row's tuple holds them before its
+    cuts and neighbours, as the int objects of its neighbour tuple."""
 
     @staticmethod
     def ambiguous_share(net) -> float:
-        rows, _, jumps, jump = net.walk
+        rows, _, jump = net.walk
         assert jump.dtype == np.intp and jump.shape == (net.n, BUCKETS)
         assert not jump.flags.writeable
-        for v, ((cuts, neighbours), row) in enumerate(zip(rows, jumps, strict=True)):
-            assert row == bucket_picks(cuts, neighbours) == tuple(jump[v].tolist()), v
+        assert len(rows) == net.n
+        for v, row in enumerate(rows):
+            assert len(row) == BUCKETS + 1
+            cuts, neighbours = row[BUCKETS]
+            assert row[:BUCKETS] == bucket_picks(cuts, neighbours) == tuple(jump[v].tolist()), v
+            held = {id(u) for u in neighbours}
+            assert all(id(w) in held for w in row[:BUCKETS] if w != -1), v
         return float(np.mean(jump == -1))
 
     @settings(max_examples=300, deadline=None)
@@ -433,7 +440,8 @@ class TestVectorizedPick:
         rng = np.random.default_rng(4)
         for net in [star, trap, *network_suite(9, 6)]:
             rows, u = [], []
-            for v, (cuts, _) in enumerate(net.walk[0]):
+            for v, row in enumerate(net.walk[0]):
+                cuts = row[BUCKETS][0]
                 draws = [0.0, 1.0 - ULP, 1.0, *rng.random(20).tolist()]
                 draws += [x for t in cuts for x in (t, t - ULP) if x >= 0.0]
                 rows += [v] * len(draws)
@@ -473,10 +481,10 @@ def _parallel_networks():
     return nets
 
 
-def _table_bits(table):
-    """bits of a walk table's rows and jump rows and of its arrays."""
-    rows, jumps, arrays = table
-    return bits((rows, jumps, arrays()))
+def _table_bits(table, goals=()):
+    """bits of a walk table's rows with its splice laid over them and
+    arrivals at the goals marked (_marked), and of its arrays."""
+    return bits((_marked(table, goals), table[2]()))
 
 
 class TestPendantTable:
@@ -494,6 +502,29 @@ class TestPendantTable:
                 assert _table_bits(_pendant_table(net, net.index[z], c)) == _table_bits(
                     _table(built)), (z, c)
             assert _table_bits(_table(net)) == base  # the base's own table is left as it was
+
+    def test_splice_replaces_rows_z_and_n_and_copies_none(self):
+        for net in _parallel_networks():
+            for iz in range(net.n):
+                rows, splice, _ = _pendant_table(net, iz, 0.3)
+                assert rows is net.walk[0]
+                assert list(splice) == [iz, net.n]
+                spliced = _marked((rows, splice, None), ())
+                assert len(spliced) == net.n + 1
+                assert all(a is b for v, (a, b) in enumerate(zip(spliced, rows)) if v != iz)
+                assert spliced[iz] is splice[iz] and spliced[net.n] is splice[net.n]
+
+    @pytest.mark.parametrize("c", (5e-324, 1e-300, 1.7, 1e300))
+    def test_marked_rows_are_those_of_the_built_table(self, c):
+        # the rows the scalar loop of estimate_excursions reads: arrivals at
+        # the pendant, row n, and at the anchor marked
+        for net in _parallel_networks():
+            for z in net.vertices:
+                iz = net.index[z]
+                built = build_network([*net.edges, (z, f"~{z}", c)])
+                assert built.n == net.n + 1
+                assert _table_bits(_pendant_table(net, iz, c), (net.n, iz)) == _table_bits(
+                    _table(built), (net.n, iz)), (z, c)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 79), _conductances()), min_size=1, max_size=100),
@@ -527,7 +558,7 @@ class TestPendantTable:
     @pytest.mark.parametrize("trials", (1, _SCALAR_TAIL, _SCALAR_TAIL + 1, 300))
     def test_arrays_are_spliced_only_for_a_lockstep_round(self, monkeypatch, trials):
         # an estimate of at most _SCALAR_TAIL trials walks only in the scalar
-        # loop, which reads the rows and jump rows alone
+        # loop, which reads the rows alone
         seed, cap = 5, 10**6
         net = _grid(4, np.random.default_rng(28))
         z = net.vertices[5]
@@ -535,8 +566,8 @@ class TestPendantTable:
         table, spliced = simulate._pendant_table, []
 
         def counted(*args):
-            rows, jumps, arrays = table(*args)
-            return rows, jumps, lambda: spliced.append(args) or arrays()
+            rows, splice, arrays = table(*args)
+            return rows, splice, lambda: spliced.append(args) or arrays()
 
         monkeypatch.setattr(simulate, "_pendant_table", counted)
         got = _fields(estimate_excursions(net, z, trials, seed, c=c))
@@ -652,10 +683,10 @@ class TestRefilledLanes:
             rounds += 1
             return advance(tables, v, raw)
 
-        def finish_spy(rows, jump, v, target, anchor, m, count, cap, bits, overrun):
+        def finish_spy(rows, v, target, anchor, m, count, cap, bits, overrun):
             nonlocal tail
             tail += 1
-            return finish(rows, jump, v, target, anchor, m, count, cap, bits, overrun)
+            return finish(rows, v, target, anchor, m, count, cap, bits, overrun)
 
         monkeypatch.setattr(simulate, "_advance", advance_spy)
         monkeypatch.setattr(simulate, "_finish", finish_spy)
@@ -679,7 +710,7 @@ class TestGuidedWalks:
         # K4's cuts at 1/3 and 2/3 lie inside buckets 21 and 42 of every row,
         # and every row neighbours the target and the anchor
         seed, cap = 5, 10**6
-        assert all(row.count(-1) == 2 for row in k4.walk[2])
+        assert all(row[:BUCKETS].count(-1) == 2 for row in k4.walk[0])
         bisected = 0
         pick, double = simulate._pick, simulate._double
 
